@@ -7,9 +7,12 @@
     season sample ...               Langevin-sample a configured score field
     season bounds ...               assemble a generalization bound report
 
-Exit codes: 0 success, 1 verify-suite failure, 2 config/validation error,
-3 numeric failure (NaN or divergence).  Outputs are byte-identical for
-identical config + seed; CSV floats carry 17 significant digits.
+Exit codes: 0 success, 1 verify-suite failure, 2 config/validation error
+(bad config or input file, domain error), 3 numeric failure (NaN,
+divergence or any other package error).  `main` maps exceptions to these
+codes in one place and prints a one-line message, never a traceback.
+Outputs are byte-identical for identical config + seed; CSV floats carry
+17 significant digits.
 OUTPUT_DIR overrides the configured output directory.
 """
 
@@ -23,24 +26,23 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .discriminator import (
+    TabularDiscriminator,
     TrainConfig,
     load_discriminator,
     save_discriminator,
     train,
 )
-from .distributions import DiscreteDistribution, gaussian_mixture, model_from_spec
-from .errors import ConfigError, SeasonError
+from .distributions import DiscreteDistribution, model_from_spec
+from .errors import ConfigError, DomainError, SeasonError
 from .experiments import (
     bound_trial,
     identity_discrete_experiment,
     refinement_benefit_experiment,
 )
 from .generators import GENERATOR_NAMES, get_generator
-from .refine import export_refined_csv, refine_discrete
-from .samplers import LangevinConfig, export_samples_csv, langevin, w1_1d
+from .refine import export_refined_csv
+from .samplers import LangevinConfig, export_samples_csv, langevin
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -136,40 +138,25 @@ def _run_bounds(cfg: dict, out: Path) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if not isinstance(cfg, dict):
-            raise ConfigError("$", "config must be a JSON object")
-        experiment = _require(cfg, "experiment", str, "$")
-        out = _output_dir(cfg)
-        if experiment == "identity-discrete":
-            _run_identity(cfg, out)
-        elif experiment == "refine-1d":
-            _run_refine_1d(cfg, out)
-        elif experiment == "bounds":
-            _run_bounds(cfg, out)
-        else:
-            raise ConfigError("$.experiment", f"unknown experiment {experiment!r}; "
-                                              f"choose from {_EXPERIMENTS}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FloatingPointError, SeasonError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    cfg = json.loads(Path(args.config).read_text())
+    if not isinstance(cfg, dict):
+        raise ConfigError("$", "config must be a JSON object")
+    experiment = _require(cfg, "experiment", str, "$")
+    out = _output_dir(cfg)
+    if experiment == "identity-discrete":
+        _run_identity(cfg, out)
+    elif experiment == "refine-1d":
+        _run_refine_1d(cfg, out)
+    elif experiment == "bounds":
+        _run_bounds(cfg, out)
+    else:
+        raise ConfigError("$.experiment", f"unknown experiment {experiment!r}; "
+                                          f"choose from {_EXPERIMENTS}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        reports = run_suite(args.suite)
-    except KeyError:
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_CONFIG
+    reports = run_suite(args.suite)
     payload = {"suites": [r.to_dict() for r in reports],
                "passed": all(r.passed for r in reports)}
     print(json.dumps(payload, sort_keys=True, indent=2))
@@ -182,68 +169,47 @@ def _load_distribution(path: str):
 
 
 def cmd_train(args) -> int:
-    try:
-        data_nu = _load_distribution(args.data)
-        data_mu = _load_distribution(args.model)
-        gen = get_generator(args.generator)
-        if isinstance(data_nu, DiscreteDistribution) and isinstance(data_mu, DiscreteDistribution):
-            disc = train(gen, data_nu, data_mu)
-            doc = {
-                "version": 1, "kind": "tabular", "generator": gen.name,
-                "support": disc.support.tolist(), "values": disc.values.tolist(),
-            }
-            Path(args.out).write_text(json.dumps(doc, sort_keys=True))
-        else:
-            cfg = TrainConfig(width=args.width, steps=args.steps,
-                              step_size=args.lr, seed=args.seed)
-            x_nu = data_nu.sample(args.seed, args.n_samples)
-            x_mu = data_mu.sample(args.seed + 1, args.n_samples)
-            disc = train(gen, x_nu, x_mu, cfg)
-            save_discriminator(disc, args.out)
-    except SeasonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    data_nu = _load_distribution(args.data)
+    data_mu = _load_distribution(args.model)
+    gen = get_generator(args.generator)
+    if isinstance(data_nu, DiscreteDistribution) and isinstance(data_mu, DiscreteDistribution):
+        disc = train(gen, data_nu, data_mu)
+    else:
+        cfg = TrainConfig(width=args.width, steps=args.steps,
+                          step_size=args.lr, seed=args.seed)
+        x_nu = data_nu.sample(args.seed, args.n_samples)
+        x_mu = data_mu.sample(args.seed + 1, args.n_samples)
+        disc = train(gen, x_nu, x_mu, cfg)
+    save_discriminator(disc, args.out)
     return EXIT_OK
 
 
 def cmd_refine(args) -> int:
-    try:
-        mu = _load_distribution(args.model)
-        if not isinstance(mu, DiscreteDistribution):
-            raise ConfigError("$.model", "refine subcommand expects a discrete model")
-        disc = load_discriminator(args.disc)
+    mu = _load_distribution(args.model)
+    if not isinstance(mu, DiscreteDistribution):
+        raise ConfigError("$.model", "refine subcommand expects a discrete model")
+    disc = load_discriminator(args.disc)
+    if isinstance(disc, TabularDiscriminator):
+        gen = get_generator(disc.generator_name or args.generator)
+    else:
         gen = disc.generator or get_generator(args.generator)
-        export_refined_csv(args.out, mu, disc, gen)
-    except SeasonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    export_refined_csv(args.out, mu, disc, gen)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    try:
-        model = _load_distribution(args.model)
-        if isinstance(model, DiscreteDistribution):
-            raise ConfigError("$.model", "sampling needs a continuous model")
-        cfg = LangevinConfig(step_size=args.step_size, n_steps=args.steps,
-                             n_chains=args.chains, dim=model.dim, seed=args.seed)
-        batch = langevin(model.score, cfg)
-        export_samples_csv(args.out, batch, args.seed)
-    except SeasonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FloatingPointError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    model = _load_distribution(args.model)
+    if isinstance(model, DiscreteDistribution):
+        raise ConfigError("$.model", "sampling needs a continuous model")
+    cfg = LangevinConfig(step_size=args.step_size, n_steps=args.steps,
+                         n_chains=args.chains, dim=model.dim, seed=args.seed)
+    batch = langevin(model.score, cfg)
+    export_samples_csv(args.out, batch, args.seed)
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
-    try:
-        report = bound_trial(args.seed, gen_name=args.generator, n=args.n, delta=args.delta)
-    except SeasonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    report = bound_trial(args.seed, gen_name=args.generator, n=args.n, delta=args.delta)
     payload = report.to_dict()
     payload["seed"] = args.seed
     _json_dump(Path(args.out), payload)
@@ -304,7 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, DomainError, OSError, json.JSONDecodeError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (SeasonError, FloatingPointError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

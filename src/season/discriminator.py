@@ -31,7 +31,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, as_generator, discrete_ratio
+from .distributions import DiscreteDistribution, _row_positions, as_generator, discrete_ratio
 from .errors import DomainError, TrainingDivergedError
 from .generators import GeneratorSpec, get_generator, sigmoid
 
@@ -189,17 +189,29 @@ class TabularDiscriminator:
 
     def h_for(self, dist: DiscreteDistribution) -> np.ndarray:
         """Values aligned to dist.support; every point must be known."""
-        index = {row.tobytes(): i for i, row in enumerate(self.support)}
-        out = np.empty(dist.n)
-        for j, row in enumerate(dist.support):
-            i = index.get(row.tobytes())
-            if i is None:
-                raise DomainError(f"discriminator undefined at support point {row}")
-            out[j] = self.values[i]
-        return out
+        index = _row_positions(dist.support, self.support)
+        if np.any(index < 0):
+            row = dist.support[np.flatnonzero(index < 0)[0]]
+            raise DomainError(f"discriminator undefined at support point {row}")
+        return self.values[index]
 
     def shifted(self, c: float) -> "TabularDiscriminator":
         return TabularDiscriminator(self.support, self.values + c, self.generator_name)
+
+
+def _h_values(disc, target) -> np.ndarray:
+    """h of a net or tabular discriminator on a finite distribution or a sample batch.
+
+    A finite target gives h on its support points; tabular discriminators
+    are defined on finite supports only.
+    """
+    if isinstance(disc, TabularDiscriminator):
+        if not isinstance(target, DiscreteDistribution):
+            raise DomainError("tabular discriminators evaluate on distributions, not batches")
+        return disc.h_for(target)
+    if isinstance(target, DiscreteDistribution):
+        target = target.support
+    return disc.h_batch(np.atleast_2d(np.asarray(target, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -381,7 +393,15 @@ def train_linear_sup(disc: Discriminator, x: np.ndarray, coeffs: np.ndarray,
 _CHECKPOINT_VERSION = 1
 
 
-def discriminator_to_dict(disc: Discriminator) -> dict:
+def discriminator_to_dict(disc: Union[Discriminator, TabularDiscriminator]) -> dict:
+    if isinstance(disc, TabularDiscriminator):
+        return {
+            "version": _CHECKPOINT_VERSION,
+            "kind": "tabular",
+            "generator": disc.generator_name,
+            "support": disc.support.tolist(),
+            "values": disc.values.tolist(),
+        }
     return {
         "version": _CHECKPOINT_VERSION,
         "kind": "net",
@@ -401,9 +421,15 @@ def discriminator_to_dict(disc: Discriminator) -> dict:
     }
 
 
-def discriminator_from_dict(doc: dict) -> Discriminator:
+def discriminator_from_dict(doc: dict) -> Union[Discriminator, TabularDiscriminator]:
+    if not isinstance(doc, dict):
+        raise DomainError("checkpoint must be a JSON object")
     if doc.get("version") != _CHECKPOINT_VERSION:
         raise DomainError(f"unsupported checkpoint version {doc.get('version')!r}")
+    if doc.get("kind") == "tabular":
+        return TabularDiscriminator(np.asarray(doc["support"], dtype=float),
+                                    np.asarray(doc["values"], dtype=float),
+                                    generator_name=doc["generator"])
     if doc.get("kind") != "net":
         raise DomainError(f"unsupported checkpoint kind {doc.get('kind')!r}")
     layers = doc["layers"]
@@ -420,9 +446,9 @@ def discriminator_from_dict(doc: dict) -> Discriminator:
     )
 
 
-def save_discriminator(disc: Discriminator, path) -> None:
+def save_discriminator(disc: Union[Discriminator, TabularDiscriminator], path) -> None:
     Path(path).write_text(json.dumps(discriminator_to_dict(disc), sort_keys=True))
 
 
-def load_discriminator(path) -> Discriminator:
+def load_discriminator(path) -> Union[Discriminator, TabularDiscriminator]:
     return discriminator_from_dict(json.loads(Path(path).read_text()))

@@ -53,6 +53,17 @@ def split_seeds(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
+def _row_positions(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Index in `reference` of each row of `points`, or -1 where it is absent.
+
+    Rows match when their float64 bytes are equal.  A row repeated in
+    `reference` maps to its last occurrence.  This is the one place that
+    aligns supports.
+    """
+    index = {row.tobytes(): i for i, row in enumerate(reference)}
+    return np.array([index.get(row.tobytes(), -1) for row in points], dtype=np.intp)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, copy=True)
     a.setflags(write=False)
@@ -86,7 +97,7 @@ class DiscreteDistribution:
         total = float(weights.sum())
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"weights sum to {total!r}, not 1")
-        if len({row.tobytes() for row in support}) != support.shape[0]:
+        if not np.array_equal(_row_positions(support, support), np.arange(support.shape[0])):
             raise DomainError("support points must be distinct")
         object.__setattr__(self, "support", _freeze(support))
         object.__setattr__(self, "weights", _freeze(weights))
@@ -303,10 +314,6 @@ def noised_mixture(model: ContinuousModel, schedule: OUSchedule, t: float) -> Co
     return model.mixture.noised(m, sigma).as_model()
 
 
-def _row_index(points: np.ndarray) -> dict[bytes, int]:
-    return {row.tobytes(): i for i, row in enumerate(points)}
-
-
 def discrete_ratio(nu: DiscreteDistribution, mu: DiscreteDistribution) -> np.ndarray:
     """Per-point density ratio d nu / d mu aligned to mu's support.
 
@@ -314,17 +321,16 @@ def discrete_ratio(nu: DiscreteDistribution, mu: DiscreteDistribution) -> np.nda
     AbsoluteContinuityError when nu has mass outside mu's support or at a
     point where mu has weight 0 (the +inf divergence case).
     """
-    index = _row_index(mu.support)
+    index = _row_positions(nu.support, mu.support)
+    outside = (index < 0) & (nu.weights > 0)
+    if outside.any():
+        j = int(np.flatnonzero(outside)[0])
+        raise AbsoluteContinuityError(
+            f"nu has mass {nu.weights[j]} at {nu.support[j]} outside mu's support"
+        )
+    inside = index >= 0
     nu_aligned = np.zeros(mu.n)
-    for row, w in zip(nu.support, nu.weights):
-        i = index.get(row.tobytes())
-        if i is None:
-            if w > 0:
-                raise AbsoluteContinuityError(
-                    f"nu has mass {w} at {row} outside mu's support"
-                )
-            continue
-        nu_aligned[i] = w
+    nu_aligned[index[inside]] = nu.weights[inside]
     ratio = np.zeros(mu.n)
     pos = mu.weights > 0
     if np.any(nu_aligned[~pos] > 0):
@@ -342,6 +348,8 @@ def model_from_spec(spec: dict):
     {"type": "discrete", "support": [...], "weights": [...]} or
     {"type": "gaussian_mixture", "means": [...], "covs": [...], "weights": [...]}.
     """
+    if not isinstance(spec, dict):
+        raise DomainError("distribution spec must be a JSON object")
     kind = spec.get("type")
     if kind == "discrete":
         try:

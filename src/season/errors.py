@@ -35,7 +35,7 @@ class ChainDivergenceError(SeasonError):
     def __init__(self, chain_index: int, step: int):
         self.chain_index = chain_index
         self.step = step
-        super().__init__(f"chain {chain_index} diverged at step {step} (|x| > 1e6)")
+        super().__init__(f"chain {chain_index} diverged at step {step} (|x| > 1e6 or not finite)")
 
 
 class ConfigError(SeasonError, ValueError):

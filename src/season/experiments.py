@@ -43,6 +43,7 @@ from .metrics import (
     generalization_report,
     ipm_at_witness,
     ipm_tabular_exact,
+    _tabular_sup,
 )
 from .oracle import HSpec, exact_optimal_h, primal_sup_tabular
 from .refine import refine_discrete, solve_lambda
@@ -216,13 +217,10 @@ def population_rademacher(population: DiscreteDistribution, n: int, *, norm: flo
     """
     rng = as_generator(seed)
     draws = np.empty(n_draws)
-    k = population.n
     for d in range(n_draws):
-        idx = rng.choice(k, size=n, p=population.weights)
+        idx = rng.choice(population.n, size=n, p=population.weights)
         zeta = rng.choice([-1.0, 1.0], size=n)
-        sums = np.zeros(k)
-        np.add.at(sums, idx, zeta)
-        draws[d] = norm / n * np.abs(sums).sum()
+        draws[d] = _tabular_sup(norm, idx, zeta)
     m = float(draws.mean())
     se = float(draws.std(ddof=1) / math.sqrt(n_draws))
     return MCEstimate(m, se, n_draws)

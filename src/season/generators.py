@@ -10,8 +10,10 @@ domain of the Fenchel conjugate f*.  The three built-ins are
 
 All closed forms here (f, f', f'^-1, f*, their derivatives) have numeric
 oracle twins used by the test suite: `conjugate_numeric` maximizes
-s*t - f(t) directly, and the derivatives are cross-checked against finite
-differences.  Only the closed forms run on hot paths.
+s*t - f(t) directly by golden-section search, and the derivatives are
+cross-checked against finite differences.  Only the closed forms run on
+hot paths.  The golden-section search (`_golden_max`, a fixed 300 steps)
+is shared with the tabular primal sup in `oracle`.
 
 The composite link Psi(eta) = f'(eta / (1 - eta)) ties class-probability
 estimates to real-valued discriminator outputs; partial losses and the
@@ -279,42 +281,51 @@ def conjugate(gen: GeneratorSpec, s: float) -> float:
     return float(gen.conjugate_fn(s))
 
 
-def conjugate_numeric(gen, s: float, *, max_log_t: float = 30.0, iters: int = 200) -> float:
+_GOLDEN_ITERS = 300
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """Maximize a unimodal fn on [a, b] by golden-section search.
+
+    Runs a fixed _GOLDEN_ITERS steps and returns (argmax, max).
+    """
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(_GOLDEN_ITERS):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = fn(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def conjugate_numeric(gen, s: float) -> float:
     """Oracle twin of `conjugate`: maximize s*t - f(t) by golden section.
 
     Works for any object exposing a vectorized ``.f`` (built-in generators
-    and perspective transforms).  The search runs in u = log t, where the
-    objective stays unimodal; the t = 0 boundary value -f(0) enters as an
-    explicit candidate.  An objective still increasing at t = e^max_log_t
-    is reported as +inf (unbounded supremum).
+    and perspective transforms).  The search runs in u = log t on
+    [-46, hi], where the objective stays unimodal; hi steps up from 1 while
+    the objective still rises, and an objective still rising at u = 30 is
+    reported as +inf (unbounded supremum).  The t = 0 boundary value
+    -f(0) enters as an explicit candidate.
     """
 
     def g(u: float) -> float:
         t = math.exp(u)
         return s * t - float(gen.f(t))
 
-    lo = -46.0
     hi = 1.0
-    while hi < max_log_t and g(hi) > g(hi - 0.5):
+    while hi < 30.0 and g(hi) > g(hi - 0.5):
         hi += 2.0
-    if hi >= max_log_t and g(hi) > g(hi - 0.5):
+    if hi >= 30.0 and g(hi) > g(hi - 0.5):
         return math.inf
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    gc, gd = g(c), g(d)
-    for _ in range(iters):
-        if gc >= gd:
-            b, d, gd = d, c, gc
-            c = b - invphi * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + invphi * (b - a)
-            gd = g(d)
-    best = max(gc, gd)
+    _, best = _golden_max(g, -46.0, hi)
 
     f0 = float(gen.f(0.0))
     boundary = -f0 if math.isfinite(f0) else -math.inf

@@ -15,14 +15,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .discriminator import (
-    Discriminator,
-    TabularDiscriminator,
-    TrainConfig,
-    init_discriminator,
-    train_linear_sup,
-)
-from .distributions import DiscreteDistribution, as_generator, split_seeds
+from .discriminator import TrainConfig, _h_values, init_discriminator, train_linear_sup
+from .distributions import DiscreteDistribution, _row_positions, as_generator, split_seeds
 from .errors import AbsoluteContinuityError, DomainError
 from .generators import GeneratorSpec, get_generator
 from .refine import solve_lambda
@@ -95,23 +89,13 @@ def exact_fdiv(nu: DiscreteDistribution, mu: DiscreteDistribution,
     return _masked_dot(mu.weights, np.asarray(gen.f(ratio)))
 
 
-def _h_values_on(disc, target) -> np.ndarray:
-    if isinstance(target, DiscreteDistribution):
-        if isinstance(disc, TabularDiscriminator):
-            return disc.h_for(target)
-        return disc.h_batch(target.support)
-    if isinstance(disc, TabularDiscriminator):
-        raise DomainError("tabular discriminators need discrete evaluation targets")
-    return disc.h_batch(np.atleast_2d(np.asarray(target, dtype=float)))
-
-
 def est_gain_direct(gen: GeneratorSpec, disc, mu_ref) -> MCEstimate:
     """Refinement gain I_f(mu_refined : mu) = E_mu[f(f'^-1(h - lambda))].
 
     Exact on a finite mu (stderr 0), Monte Carlo on a sample batch.
     """
     lam = solve_lambda(disc, gen, mu_ref)
-    h = _h_values_on(disc, mu_ref)
+    h = _h_values(disc, mu_ref)
     vals = np.asarray(gen.f(np.asarray(gen.f_prime_inv(h - lam))))
     if isinstance(mu_ref, DiscreteDistribution):
         return MCEstimate(_masked_dot(mu_ref.weights, vals), 0.0, mu_ref.n)
@@ -125,7 +109,7 @@ def est_gain_pushforward(gen: GeneratorSpec, disc, mu_samples: np.ndarray) -> MC
     direct estimator when lambda = 0.  eta = 1 contributes +inf and is the
     boundary flag.
     """
-    h = _h_values_on(disc, mu_samples)
+    h = _h_values(disc, mu_samples)
     r = np.asarray(gen.f_prime_inv(h))
     eta = r / (1.0 + r)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -140,8 +124,8 @@ def est_DfH(disc, gen: GeneratorSpec, nu_eval, mu_eval) -> Union[float, MCEstima
     Exact sums on discrete inputs (the exact sup when disc is the tabular
     optimum); a Monte Carlo estimate with standard error on batches.
     """
-    h_nu = _h_values_on(disc, nu_eval)
-    h_mu = _h_values_on(disc, mu_eval)
+    h_nu = _h_values(disc, nu_eval)
+    h_mu = _h_values(disc, mu_eval)
     conj = np.asarray(gen.conjugate_fn(h_mu))
     if isinstance(nu_eval, DiscreteDistribution) and isinstance(mu_eval, DiscreteDistribution):
         return _masked_dot(nu_eval.weights, h_nu) - _masked_dot(mu_eval.weights, conj)
@@ -150,17 +134,13 @@ def est_DfH(disc, gen: GeneratorSpec, nu_eval, mu_eval) -> Union[float, MCEstima
 
 
 def _aligned_weights(nu: DiscreteDistribution, mu: DiscreteDistribution):
-    """Weights of nu and mu on the union of their supports."""
-    rows = {row.tobytes(): row for row in nu.support}
-    rows.update({row.tobytes(): row for row in mu.support})
-    keys = list(rows)
-    index = {k: i for i, k in enumerate(keys)}
-    wn = np.zeros(len(keys))
-    wm = np.zeros(len(keys))
-    for row, w in zip(nu.support, nu.weights):
-        wn[index[row.tobytes()]] = w
-    for row, w in zip(mu.support, mu.weights):
-        wm[index[row.tobytes()]] = w
+    """Weights of nu and mu on the union of their supports: nu's points, then mu's others."""
+    index = _row_positions(mu.support, nu.support)
+    extra = index < 0
+    index[extra] = nu.n + np.arange(int(extra.sum()))
+    wn = np.concatenate([nu.weights, np.zeros(int(extra.sum()))])
+    wm = np.zeros(wn.size)
+    wm[index] = mu.weights
     return wn, wm
 
 
@@ -232,11 +212,13 @@ class NetClass:
     norm: float = 1.0
 
 
-def _group_indices(samples: np.ndarray) -> list[np.ndarray]:
-    groups: dict[bytes, list[int]] = {}
-    for i, row in enumerate(samples):
-        groups.setdefault(row.tobytes(), []).append(i)
-    return [np.asarray(ix) for ix in groups.values()]
+def _tabular_sup(norm: float, idx: np.ndarray, zeta: np.ndarray) -> float:
+    """Exact sup over |h_i| <= norm of (1/n) sum_i zeta_i h(x_i).
+
+    idx gives equal sample points equal labels; the sup is norm/n times
+    the sum over groups of |sum of zeta|.
+    """
+    return norm / zeta.size * np.abs(np.bincount(idx, weights=zeta)).sum()
 
 
 def rademacher_empirical(class_spec, samples: np.ndarray, n_sign_draws: int,
@@ -254,10 +236,10 @@ def rademacher_empirical(class_spec, samples: np.ndarray, n_sign_draws: int,
     draws = np.empty(n_sign_draws)
 
     if isinstance(class_spec, TabularClass):
-        groups = _group_indices(samples)
+        idx = _row_positions(samples, samples)
         for d in range(n_sign_draws):
             zeta = rng.choice([-1.0, 1.0], size=n)
-            draws[d] = class_spec.norm / n * sum(abs(zeta[g].sum()) for g in groups)
+            draws[d] = _tabular_sup(class_spec.norm, idx, zeta)
     elif isinstance(class_spec, SingletonClass):
         hx = np.asarray(class_spec.h(samples), dtype=float).ravel()
         for d in range(n_sign_draws):

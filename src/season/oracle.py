@@ -9,8 +9,10 @@ independent checks for strong duality and for the refinement identity.
 For the additively closed ball {g + c : ||g||_inf <= B}, the coordinate
 separability of R(h) means the optimum has h_i = clip(theta_i, w, w + 2B)
 with theta_i = f'(nu_i / mu_i) and a scalar window offset w; R as a
-function of w is concave, so golden-section is exact up to float
-precision.
+function of w is concave, so the golden-section search shared with
+`generators.conjugate_numeric` (a fixed 300 steps) is exact up to float
+precision.  R(h) is evaluated as the same zero-weight-skipping sums that
+`metrics.est_DfH` uses.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 from .discriminator import TabularDiscriminator, exact_tabular
 from .distributions import DiscreteDistribution, discrete_ratio
 from .errors import DomainError
-from .generators import GeneratorSpec
+from .generators import GeneratorSpec, _golden_max
+from .metrics import _masked_dot
 
 __all__ = [
     "HSpec",
@@ -128,25 +131,18 @@ def dual_grid_min(nu: DiscreteDistribution, mu: DiscreteDistribution, gen: Gener
     return DualResult(q_star=DiscreteDistribution(mu.support, q), value=float(total[best]))
 
 
-def _plugin_value(gen: GeneratorSpec, nu_w: np.ndarray, mu_w: np.ndarray,
-                  h: np.ndarray) -> float:
-    mask = nu_w > 0
-    nu_term = float(np.sum(nu_w[mask] * h[mask])) if mask.any() else 0.0
-    conj = np.asarray(gen.conjugate_fn(h))
-    mask_mu = mu_w > 0
-    return nu_term - float(np.sum(mu_w[mask_mu] * conj[mask_mu]))
-
-
 def primal_sup_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
-                       gen: GeneratorSpec, h_spec: HSpec,
-                       iters: int = 300) -> tuple[float, TabularDiscriminator]:
+                       gen: GeneratorSpec, h_spec: HSpec) -> tuple[float, TabularDiscriminator]:
     """Exact (or certified) sup of R(h) over the tabular class h_spec."""
     nu_w = discrete_ratio(nu, mu) * mu.weights
     mu_w = mu.weights
 
+    def plugin_value(h: np.ndarray) -> float:
+        return _masked_dot(nu_w, h) - _masked_dot(mu_w, np.asarray(gen.conjugate_fn(h)))
+
     if h_spec.kind == "rich":
         tab = exact_optimal_h(nu, mu, gen)
-        return _plugin_value(gen, nu_w, mu_w, tab.values), tab
+        return plugin_value(tab.values), tab
     if h_spec.kind == "constants":
         c = float(gen.f_prime(1.0))
         values = np.full(mu.n, c)
@@ -165,28 +161,9 @@ def primal_sup_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
     if lo >= hi:
         lo = hi - 1.0
 
-    def value_at(w: float) -> float:
-        h = np.clip(theta, w, w + width)
-        return _plugin_value(gen, nu_w, mu_w, h)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    vc, vd = value_at(c), value_at(d)
-    for _ in range(iters):
-        if vc >= vd:
-            b, d, vd = d, c, vc
-            c = b - invphi * (b - a)
-            vc = value_at(c)
-        else:
-            a, c, vc = c, d, vd
-            d = a + invphi * (b - a)
-            vd = value_at(d)
-    w_star = c if vc >= vd else d
+    w_star, best = _golden_max(lambda w: plugin_value(np.clip(theta, w, w + width)), lo, hi)
     h_star = np.clip(theta, w_star, w_star + width)
-    tab = TabularDiscriminator(mu.support, h_star, generator_name=gen.name)
-    return max(vc, vd), tab
+    return best, TabularDiscriminator(mu.support, h_star, generator_name=gen.name)
 
 
 @dataclass(frozen=True)

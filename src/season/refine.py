@@ -7,11 +7,13 @@ is exposed as a score field (for samplers) plus an unnormalized density
 
     E_mu[f'^-1(h - lambda)] = 1
 
-by bisection: the expectation is strictly decreasing in lambda because
-f'^-1 is increasing for strictly convex f.  At an exactly optimal
-discriminator from a class closed under additive constants the solution
-is lambda = 0; it is still always solved rather than assumed, since
-finitely trained discriminators are inexact.
+by Brent's method (scipy.optimize.brentq) on a bracket: the expectation
+is strictly decreasing in lambda because f'^-1 is increasing for strictly
+convex f, so one end has a closed form and a halving or doubling search
+finds the other.  At an exactly optimal discriminator from a class closed
+under additive constants the solution is lambda = 0; it is still always
+solved rather than assumed, since finitely trained discriminators are
+inexact.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .discriminator import Discriminator, TabularDiscriminator, input_grad
+from .discriminator import Discriminator, _h_values, input_grad
 from .distributions import ContinuousModel, DiscreteDistribution, as_generator
 from .errors import DegenerateDistributionError, DomainError, LambdaSolveError
 from .generators import GeneratorSpec
@@ -38,104 +41,81 @@ __all__ = [
     "export_refined_csv",
 ]
 
-_MAX_DOUBLINGS = 200
-_BISECT_ITERS = 200
+_MAX_BRACKET_STEPS = 200
 
 
-def _h_values(disc, x: np.ndarray) -> np.ndarray:
-    if isinstance(disc, TabularDiscriminator):
-        raise DomainError("tabular discriminators evaluate on distributions, not batches")
-    if isinstance(disc, Discriminator):
-        return disc.h_batch(x)
-    return np.asarray(disc(x), dtype=float)  # plain callable
-
-
-def _h_on_discrete(disc, mu: DiscreteDistribution) -> np.ndarray:
-    if isinstance(disc, TabularDiscriminator):
-        return disc.h_for(mu)
-    return _h_values(disc, mu.support)
+def _excess(lam: float, gen: GeneratorSpec, h: np.ndarray, w: np.ndarray) -> float:
+    """E_mu[f'^-1(h - lam)] - 1 for weights w on the values h."""
+    return float(w @ np.asarray(gen.f_prime_inv(h - lam))) - 1.0
 
 
 def solve_lambda(disc, gen: GeneratorSpec,
                  mu_ref: Union[DiscreteDistribution, np.ndarray], *,
                  tol: Optional[float] = None) -> float:
-    """Solve E_mu[f'^-1(h - lambda)] = 1 by bracketed bisection.
+    """Solve E_mu[f'^-1(h - lambda)] = 1 by Brent's method on a bracket.
 
     mu_ref is either a finite distribution (exact weighted sum, tolerance
     1e-10) or a sample batch from mu (Monte Carlo mean, tolerance 1e-6).
+
+    Zero-weight points are left out.  At lambda = max(h) - f'(1/2) every
+    term is at most 1/2, so E < 1 there.  The other end of the bracket
+    moves down from it: halving the distance to max(h) - sup dom f* when
+    that supremum is finite, doubling the step when it is not.  Raises
+    DegenerateDistributionError when h is -inf on all of mu's mass, and
+    LambdaSolveError when h is NaN or +inf there, when no bracket is found
+    or when the root misses the tolerance.
     """
+    h = _h_values(disc, mu_ref)
     if isinstance(mu_ref, DiscreteDistribution):
-        h = _h_on_discrete(disc, mu_ref)
         w = mu_ref.weights
         tol = 1e-10 if tol is None else tol
     else:
-        x = np.atleast_2d(np.asarray(mu_ref, dtype=float))
-        h = _h_values(disc, x)
         w = np.full(h.shape[0], 1.0 / h.shape[0])
         tol = 1e-6 if tol is None else tol
-
+    live = w > 0
+    h, w = h[live], w[live]
+    if np.any(np.isnan(h) | np.isposinf(h)):
+        raise LambdaSolveError("discriminator is NaN or +inf on mu")
     finite = np.isfinite(h)
     if not finite.any():
         raise DegenerateDistributionError("discriminator is -inf everywhere on mu")
 
-    def expect(lam: float) -> float:
-        return float(w @ np.asarray(gen.f_prime_inv(h - lam)))
-
-    hi_dom = gen.conjugate_domain[1]
-    if math.isfinite(hi_dom):
-        # lambda must exceed max(h) - hi_dom for every h - lambda to stay in dom
-        base = float(h[finite].max()) - hi_dom
-        delta = 1.0
-        for _ in range(_MAX_DOUBLINGS):
-            if expect(base + delta) >= 1.0:
-                break
-            delta *= 0.5
-        else:
-            raise LambdaSolveError("expectation never reaches 1 near the domain edge")
-        lo = base + delta
-        width = max(1.0, delta)
-        for _ in range(_MAX_DOUBLINGS):
-            if expect(base + width) <= 1.0:
-                break
-            width *= 2.0
-        else:
-            raise LambdaSolveError("expectation stays above 1; bracket expansion failed")
-        hi = base + width
-    else:
-        center = float(h[finite].mean())
-        step = 1.0
-        lo = center - step
-        for _ in range(_MAX_DOUBLINGS):
-            if expect(lo) >= 1.0:
-                break
-            step *= 2.0
-            lo = center - step
-        else:
-            raise LambdaSolveError("expectation stays below 1; bracket expansion failed")
-        step = 1.0
-        hi = center + step
-        for _ in range(_MAX_DOUBLINGS):
-            if expect(hi) <= 1.0:
-                break
-            step *= 2.0
-            hi = center + step
-        else:
-            raise LambdaSolveError("expectation stays above 1; bracket expansion failed")
-
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if expect(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, abs(mid)):
+    top = float(h[finite].max())
+    hi = top - float(gen.f_prime(0.5))
+    edge = top - gen.conjugate_domain[1]  # -inf when dom f* is unbounded above
+    bounded = math.isfinite(edge)
+    step = 0.5 * (hi - edge) if bounded else 1.0
+    for _ in range(_MAX_BRACKET_STEPS):
+        lo = edge + step if bounded else hi - step
+        if _excess(lo, gen, h, w) >= 0.0:
             break
-    lam = 0.5 * (lo + hi)
-    if abs(expect(lam) - 1.0) > tol:
-        raise LambdaSolveError(
-            f"bisection stalled: |E - 1| = {abs(expect(lam) - 1.0):.3e} > {tol}"
-        )
+        step = 0.5 * step if bounded else 2.0 * step
+    else:
+        raise LambdaSolveError("expectation never reaches 1; bracket search failed")
+    # Near the edge E changes on the scale of lo - edge, so xtol shrinks
+    # with it.  h and w go in as args: brentq wraps the function in a
+    # reference cycle, and a closure over them would keep them alive until
+    # the next cyclic garbage collection.
+    lam = brentq(_excess, lo, hi, args=(gen, h, w), xtol=1e-15 * min(1.0, lo - edge),
+                 disp=False)
+    residual = abs(_excess(lam, gen, h, w))
+    if not residual <= tol:
+        raise LambdaSolveError(f"root search stalled: |E - 1| = {residual:.3e} > {tol}")
     return lam
+
+
+def _refined_weights(mu: DiscreteDistribution, disc, gen: GeneratorSpec,
+                     lam: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Ratios f'^-1(h - lambda) on mu's support and the renormalized weights."""
+    h = _h_values(disc, mu)
+    if lam is None:
+        lam = solve_lambda(disc, gen, mu)
+    ratios = np.asarray(gen.f_prime_inv(h - lam))
+    weights = mu.weights * ratios
+    total = float(weights.sum())
+    if not math.isfinite(total) or total <= 0.0:
+        raise DegenerateDistributionError(f"refined mass is {total!r}")
+    return ratios, weights / total
 
 
 def refine_discrete(mu: DiscreteDistribution, disc, gen: GeneratorSpec, *,
@@ -146,15 +126,8 @@ def refine_discrete(mu: DiscreteDistribution, disc, gen: GeneratorSpec, *,
     passing lam=0.0 reproduces the ratio-renormalization heuristic used
     when the discriminator class is not closed under additive constants.
     """
-    h = _h_on_discrete(disc, mu)
-    if lam is None:
-        lam = solve_lambda(disc, gen, mu)
-    ratios = np.asarray(gen.f_prime_inv(h - lam))
-    weights = mu.weights * ratios
-    total = float(weights.sum())
-    if not math.isfinite(total) or total <= 0.0:
-        raise DegenerateDistributionError(f"refined mass is {total!r}")
-    return mu.reweighted(weights / total)
+    _, weights = _refined_weights(mu, disc, gen, lam)
+    return mu.reweighted(weights)
 
 
 def refined_score(base_score: Callable[[np.ndarray], np.ndarray], disc, gen: GeneratorSpec,
@@ -188,25 +161,19 @@ def refined_density_unnormalized(base: ContinuousModel, disc, gen: GeneratorSpec
 
 @dataclass(frozen=True)
 class RefinedModel:
-    """A refined model, either a reweighted finite distribution or a score field."""
+    """A continuous refined model: the base reweighted by f'^-1(h - lambda_h)."""
 
-    kind: str  # "discrete" | "continuous-score"
     gen: GeneratorSpec
     disc: object
     lambda_h: float
     base: object
-    refined: Optional[DiscreteDistribution] = None
     mc_residual: float = 0.0  # |E_mu[f'^-1(h - lambda)] - 1| recorded at construction
     mc_se: float = 0.0
 
     def score(self, x: np.ndarray) -> np.ndarray:
-        if self.kind != "continuous-score":
-            raise DomainError("score only defined for continuous refined models")
         return refined_score(self.base.score, self.disc, self.gen, x, lam=self.lambda_h)
 
     def unnormalized_density(self, x: np.ndarray) -> np.ndarray:
-        if self.kind != "continuous-score":
-            raise DomainError("density only defined for continuous refined models")
         return refined_density_unnormalized(self.base, self.disc, self.gen, x, lam=self.lambda_h)
 
 
@@ -219,26 +186,14 @@ def refine_continuous(base: ContinuousModel, disc, gen: GeneratorSpec, *,
     ratios = np.asarray(gen.f_prime_inv(_h_values(disc, batch) - lam))
     residual = abs(float(ratios.mean()) - 1.0)
     se = float(ratios.std(ddof=1) / math.sqrt(n_mc))
-    return RefinedModel(kind="continuous-score", gen=gen, disc=disc, lambda_h=lam,
-                        base=base, mc_residual=residual, mc_se=se)
-
-
-def refine_model_discrete(mu: DiscreteDistribution, disc, gen: GeneratorSpec) -> RefinedModel:
-    lam = solve_lambda(disc, gen, mu)
-    refined = refine_discrete(mu, disc, gen, lam=lam)
-    return RefinedModel(kind="discrete", gen=gen, disc=disc, lambda_h=lam,
-                        base=mu, refined=refined)
+    return RefinedModel(gen=gen, disc=disc, lambda_h=lam, base=base,
+                        mc_residual=residual, mc_se=se)
 
 
 def export_refined_csv(path, mu: DiscreteDistribution, disc, gen: GeneratorSpec, *,
                        lam: Optional[float] = None) -> None:
     """Write (support, base weight, ratio, refined weight) rows."""
-    h = _h_on_discrete(disc, mu)
-    if lam is None:
-        lam = solve_lambda(disc, gen, mu)
-    ratios = np.asarray(gen.f_prime_inv(h - lam))
-    weights = mu.weights * ratios
-    weights = weights / weights.sum()
+    ratios, weights = _refined_weights(mu, disc, gen, lam)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         dim_cols = [f"x{j}" for j in range(mu.dim)]

@@ -9,6 +9,10 @@ import numpy as np
 import pytest
 
 from season.cli import main
+from season.discriminator import exact_tabular
+from season.distributions import model_from_spec
+from season.generators import get_generator
+from season.refine import refine_discrete
 
 MIXTURE_SPEC = {"type": "gaussian_mixture", "means": [[0.0]], "covs": [[[1.0]]],
                 "weights": [1.0]}
@@ -118,6 +122,13 @@ class TestVerify:
         with pytest.raises(SystemExit):
             main(["verify", "everything"])  # argparse rejects the choice
 
+    def test_all_suites_pass(self, capsys):
+        assert main(["verify", "all"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [s["suite"] for s in payload["suites"]] == \
+            ["core", "identity", "bounds", "samplers"]
+        assert all(s["passed"] for s in payload["suites"])
+
 
 class TestThinSubcommands:
     def test_train_refine_roundtrip_tabular(self, tmp_path):
@@ -129,6 +140,17 @@ class TestThinSubcommands:
         doc = json.loads(out.read_text())
         assert doc["kind"] == "tabular"
         assert doc["values"][0] == pytest.approx(1 + math.log(2.0))
+
+        refined_csv = tmp_path / "refined.csv"
+        assert main(["refine", "--model", mu, "--disc", str(out),
+                     "--out", str(refined_csv)]) == 0
+        with open(refined_csv) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["x0", "base_weight", "ratio", "refined_weight"]
+        nu_d, mu_d = model_from_spec(DISCRETE_NU), model_from_spec(DISCRETE_MU)
+        kl = get_generator("kl")
+        expected = refine_discrete(mu_d, exact_tabular(nu_d, mu_d, kl), kl).weights
+        assert [float(r[3]) for r in rows[1:]] == expected.tolist()
 
     def test_train_net_and_refine_csv(self, tmp_path):
         nu = write_json(tmp_path / "nu.json", {
@@ -162,3 +184,43 @@ class TestThinSubcommands:
         out = tmp_path / "bound.json"
         assert main(["bounds", "--seed", "2", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["holds"] is True
+
+
+class TestInputErrors:
+    """Bad input files exit 2 with a one-line message and no traceback."""
+
+    def _argv(self, command, bad, tmp_path):
+        good = write_json(tmp_path / "good.json", MIXTURE_SPEC)
+        out = str(tmp_path / "out")
+        return {
+            "train-discriminator": ["train-discriminator", "--data", bad, "--model", good,
+                                    "--seed", "0", "--out", out],
+            "refine": ["refine", "--model", bad, "--disc", good, "--out", out],
+            "sample": ["sample", "--model", bad, "--seed", "0", "--out", out],
+        }[command]
+
+    @pytest.mark.parametrize("text", [None, '{"type": "discrete", "support": [', "[1, 2]"],
+                             ids=["missing", "malformed", "not-an-object"])
+    @pytest.mark.parametrize("command", ["train-discriminator", "refine", "sample"])
+    def test_bad_input_file_exits_2(self, command, text, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        if text is not None:
+            bad.write_text(text)
+        assert main(self._argv(command, str(bad), tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_checkpoint_not_an_object_exits_2(self, tmp_path, capsys):
+        model = write_json(tmp_path / "mu.json", DISCRETE_MU)
+        disc = write_json(tmp_path / "disc.json", [1, 2])
+        assert main(["refine", "--model", model, "--disc", disc,
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == "error: checkpoint must be a JSON object\n"
+
+    def test_diverging_chain_exits_3(self, tmp_path, capsys):
+        model = write_json(tmp_path / "narrow.json", {
+            "type": "gaussian_mixture", "means": [[0.0]], "covs": [[[1e-4]]],
+            "weights": [1.0]})
+        assert main(["sample", "--model", model, "--step-size", "1.0", "--steps", "50",
+                     "--chains", "4", "--seed", "0", "--out", str(tmp_path / "s.csv")]) == 3
+        assert "diverged" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from season.discriminator import (
     zero_discriminator,
 )
 from season.distributions import DiscreteDistribution, gaussian_mixture
-from season.errors import DegenerateDistributionError, DomainError
+from season.errors import DegenerateDistributionError, DomainError, LambdaSolveError
 from season.generators import GENERATOR_NAMES, get_generator, link
 from season.refine import (
     export_refined_csv,
@@ -68,6 +68,14 @@ class TestSolveLambda:
         tab = TabularDiscriminator(mu.support, np.array([-math.inf, -math.inf]))
         with pytest.raises(DegenerateDistributionError):
             solve_lambda(tab, KL, mu)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_or_plus_inf_h_raises(self, bad):
+        mu = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.4, 0.6]))
+        tab = TabularDiscriminator(mu.support, np.array([-0.5, bad]))
+        for gen in ALL:
+            with pytest.raises(LambdaSolveError):
+                solve_lambda(tab, gen, mu)
 
     def test_monte_carlo_tolerance(self):
         model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
@@ -234,3 +242,9 @@ class TestExportCSV:
         assert rows[0] == ["x0", "base_weight", "ratio", "refined_weight"]
         refined_w = np.array([float(r[3]) for r in rows[1:]])
         assert np.allclose(refined_w, nu.weights, atol=1e-10)
+
+    def test_zero_mass_raises(self, tmp_path):
+        mu = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        tab = TabularDiscriminator(mu.support, np.array([-np.inf, -np.inf]))
+        with pytest.raises(DegenerateDistributionError):
+            export_refined_csv(tmp_path / "refined.csv", mu, tab, KL, lam=0.0)

@@ -139,3 +139,14 @@ class TestExport:
         assert rows[0] == ["chain", "x0", "x1", "seed"]
         assert rows[1] == ["0", "0.5", "-1", "77"]
         assert len(rows) == 3
+
+
+def test_nan_score_stops_at_guard():
+    def nan_score(x, k=None):
+        return np.full_like(x, np.nan)
+
+    with pytest.raises(ChainDivergenceError):
+        langevin(nan_score, LangevinConfig(step_size=1e-2, n_steps=5, n_chains=4, seed=0))
+    cfg = ReverseDiffusionConfig(schedule=constant_schedule(1.0, 1.0), K=5, n_chains=4)
+    with pytest.raises(ChainDivergenceError):
+        reverse_em(nan_score, cfg)
