@@ -1,7 +1,9 @@
 """Batch experiment runner.
 
     season run <config.json>        run a named experiment from a config file
-    season verify <suite>           run property suites (core|identity|bounds|samplers|all)
+    season verify <suite>           run the acceptance criteria of one suite, or all:
+                                    core (4, 6), identity (1-3), bounds (5, 9-11),
+                                    samplers (7, 8)
     season train-discriminator ...  fit a discriminator between two distributions
     season refine ...               refine a discrete model with a checkpoint
     season sample ...               Langevin-sample a configured score field
@@ -43,7 +45,7 @@ from .experiments import (
 from .generators import GENERATOR_NAMES, get_generator
 from .refine import export_refined_csv
 from .samplers import LangevinConfig, export_samples_csv, langevin
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
@@ -226,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run a property suite")
-    p_verify.add_argument("suite", choices=["core", "identity", "bounds", "samplers", "all"])
+    p_verify.add_argument("suite", choices=[*SUITES, "all"])
     p_verify.set_defaults(func=cmd_verify)
 
     p_train = sub.add_parser("train-discriminator", help="fit a discriminator")

@@ -31,7 +31,13 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _row_positions, as_generator, discrete_ratio
+from .distributions import (
+    DiscreteDistribution,
+    _row_positions,
+    as_batch,
+    as_generator,
+    discrete_ratio,
+)
 from .errors import DomainError, TrainingDivergedError
 from .generators import GeneratorSpec, get_generator, sigmoid
 
@@ -373,8 +379,7 @@ def train(gen: GeneratorSpec, data_nu, data_mu, config: TrainConfig = TrainConfi
     """
     if isinstance(data_nu, DiscreteDistribution) and isinstance(data_mu, DiscreteDistribution):
         return exact_tabular(data_nu, data_mu, gen)
-    x_nu = np.atleast_2d(np.asarray(data_nu, dtype=float))
-    x_mu = np.atleast_2d(np.asarray(data_mu, dtype=float))
+    x_nu, x_mu = as_batch(data_nu), as_batch(data_mu)
     if x_nu.shape[1] != x_mu.shape[1]:
         raise DomainError("sample batches have mismatched dimensions")
     disc = init_discriminator(gen, x_nu.shape[1], config.width, config.seed,

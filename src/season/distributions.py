@@ -27,6 +27,7 @@ __all__ = [
     "GaussianMixture",
     "OUSchedule",
     "as_generator",
+    "as_batch",
     "split_seeds",
     "check_score_consistency",
     "gaussian_mixture",
@@ -46,6 +47,16 @@ def as_generator(seed: SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def as_batch(x) -> np.ndarray:
+    """Points as an (n, d) float array; a 1-d input is n points in R^1."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2:
+        raise DomainError(f"points must be (n,) or (n, d), got shape {x.shape}")
+    return x
 
 
 def split_seeds(seed: int, n: int) -> list[np.random.Generator]:
@@ -82,11 +93,7 @@ class DiscreteDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        support = np.asarray(self.support, dtype=float)
-        if support.ndim == 1:
-            support = support[:, None]
-        if support.ndim != 2:
-            raise DomainError(f"support must be (n,) or (n, d), got shape {support.shape}")
+        support = as_batch(self.support)
         weights = np.asarray(self.weights, dtype=float)
         if weights.shape != (support.shape[0],):
             raise DomainError(

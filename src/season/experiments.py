@@ -40,6 +40,7 @@ from .metrics import (
     est_gain_direct,
     est_gain_pushforward,
     est_DfH,
+    exact_fdiv,
     generalization_report,
     ipm_at_witness,
     ipm_tabular_exact,
@@ -94,13 +95,14 @@ def identity_terms(nu: DiscreteDistribution, mu: DiscreteDistribution,
     """Compute all identity terms exactly with the rich tabular class.
 
     d_H is evaluated at the attained witness h* (the sup over the class is
-    reached there), D at the tabular optimum, and the gain as an exact sum.
+    reached there), D at the tabular optimum, and the gain as the exact
+    I_f(refined : mu), with lambda solved once.
     """
     tab = exact_optimal_h(nu, mu, gen)
     d_value = est_DfH(tab, gen, nu, mu)
     lam = solve_lambda(tab, gen, mu)
     refined = refine_discrete(mu, tab, gen, lam=lam)
-    gain = est_gain_direct(gen, tab, mu).value
+    gain = exact_fdiv(refined, mu, gen)
     d_h = ipm_at_witness(tab.values, nu, refined)
     residual = abs(d_h - (d_value - gain))
     nu_aligned = discrete_ratio(nu, mu) * mu.weights

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .discriminator import TrainConfig, _h_values, init_discriminator, train_linear_sup
-from .distributions import DiscreteDistribution, _row_positions, as_generator, split_seeds
+from .distributions import DiscreteDistribution, _row_positions, as_batch, as_generator, split_seeds
 from .errors import AbsoluteContinuityError, DomainError
 from .generators import GeneratorSpec, get_generator
 from .refine import solve_lambda
@@ -177,8 +177,7 @@ def est_ipm(nu_eval, mu_eval, *, norm: float = 1.0,
     if isinstance(nu_eval, DiscreteDistribution) and isinstance(mu_eval, DiscreteDistribution):
         return ipm_tabular_exact(nu_eval, mu_eval, norm)
     cfg = trainer or TrainConfig()
-    x_nu = np.atleast_2d(np.asarray(nu_eval, dtype=float))
-    x_mu = np.atleast_2d(np.asarray(mu_eval, dtype=float))
+    x_nu, x_mu = as_batch(nu_eval), as_batch(mu_eval)
     x = np.vstack([x_nu, x_mu])
     coeffs = np.concatenate([
         np.full(x_nu.shape[0], 1.0 / x_nu.shape[0]),
@@ -230,7 +229,7 @@ def rademacher_empirical(class_spec, samples: np.ndarray, n_sign_draws: int,
     """
     if n_sign_draws < 1:
         raise DomainError("n_sign_draws must be >= 1")
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    samples = as_batch(samples)
     n = samples.shape[0]
     rng = as_generator(seed)
     draws = np.empty(n_sign_draws)

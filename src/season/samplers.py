@@ -31,7 +31,7 @@ import numpy as np
 # input_grad is unused here; bench/test_bench.py checks that tracing puts
 # samplers.input_grad back, so the name stays.
 from .discriminator import Discriminator, input_grad  # noqa: F401
-from .distributions import OUSchedule, as_generator
+from .distributions import OUSchedule, as_batch, as_generator
 from .errors import ChainDivergenceError, DomainError
 from .generators import GeneratorSpec
 from .refine import refined_score
@@ -72,9 +72,7 @@ def langevin(score: Callable[[np.ndarray], np.ndarray], cfg: LangevinConfig) -> 
     """Run unadjusted Langevin chains; returns the final (n_chains, dim) batch."""
     rng = as_generator(cfg.seed)
     if cfg.init is not None:
-        x = np.array(cfg.init, dtype=float, copy=True)
-        if x.ndim == 1:
-            x = x[:, None]
+        x = as_batch(cfg.init).copy()
         if x.shape[0] != cfg.n_chains:
             raise DomainError(f"init has {x.shape[0]} rows, config says {cfg.n_chains} chains")
     else:

@@ -1,253 +1,55 @@
-"""Acceptance gate: one test per criterion, each at its stated tolerance.
+"""Acceptance gate: `season verify all` once, then one test per criterion.
 
-Every test prints a single pass line once its assertions hold, so running
-``pytest -v tests/test_acceptance.py`` yields one line per criterion.
+The checks, tolerances and time limits live in `season.verify.CRITERIA`.
+One test per table entry asserts that every check of its criterion passed
+and prints one pass line, so ``pytest -v -rP tests/test_acceptance.py``
+yields one line per criterion.
 """
 
-import math
-import time
+import contextlib
+import io
+import json
 
-import numpy as np
 import pytest
 
-from season import generators as G
-from season.discriminator import grads, init_discriminator, input_grad, zero_discriminator
-from season.distributions import as_generator, constant_schedule, ou_params
-from season.experiments import (
-    bound_trials,
-    concordance_run,
-    identity_discrete_experiment,
-    random_discrete_pair,
-    refinement_benefit_experiment,
-)
-from season.generators import GENERATOR_NAMES, TWO_LOG_TWO, get_generator
-from season.metrics import (
-    ConvergenceBoundInputs,
-    convergence_bound,
-    exact_fdiv,
-    fdiv_kl_lemma_check,
-    slow_rate_term,
-    vi_duality_check,
-)
-from season.oracle import HSpec, simplex_grid, strong_duality_check
-from season.samplers import LangevinConfig, ReverseDiffusionConfig, langevin, reverse_em
-
-ALL = [get_generator(n) for n in GENERATOR_NAMES]
+from season import cli
+from season.verify import CRITERIA
 
 
-def report(n, text):
-    print(f"PASS criterion {n}: {text}")
+@pytest.fixture(scope="module")
+def verified():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "all"])
+    return code, json.loads(out.getvalue())
+
+
+def assert_criterion(verified, number):
+    _, payload = verified
+    [crit] = [c for s in payload["suites"] for c in s["criteria"] if c["criterion"] == number]
+    failed = [f"{c['name']}: {c['detail']}" for c in crit["checks"] if not c["passed"]]
+    assert crit["checks"] and not failed, failed
+    print(f"PASS criterion {number} ({crit['title']}, {crit['seconds']:.1f}s): "
+          + "; ".join(f"{c['name']} {c['detail']}" for c in crit["checks"]))
 
 
 class TestAcceptance:
-    def test_criterion_01_main_identity(self):
-        start = time.time()
-        rows = identity_discrete_experiment(n_instances=100, seed=7)
-        elapsed = time.time() - start
-        worst = max(r["residual"] for r in rows)
-        assert worst <= 1e-9
-        assert elapsed < 5.0
-        report(1, f"identity residual {worst:.2e} <= 1e-9 over "
-                  f"{len(rows)} instance-generator pairs in {elapsed:.2f}s")
+    def test_verify_all_exits_0_in_suite_order(self, verified):
+        code, payload = verified
+        assert code == 0 and payload["passed"] is True
+        assert [s["suite"] for s in payload["suites"]] == \
+            ["core", "identity", "bounds", "samplers"]
+        numbers = [c["criterion"] for s in payload["suites"] for c in s["criteria"]]
+        assert sorted(numbers) == list(range(1, 12))
 
-    def test_criterion_02_rich_recovery(self):
-        rows = identity_discrete_experiment(n_instances=100, seed=7)
-        worst_tv = max(r["tv_to_nu"] for r in rows)
-        worst_lam = max(abs(r["lambda"]) for r in rows)
-        assert worst_tv <= 1e-10
-        assert worst_lam <= 1e-10
-        report(2, f"refinement recovers nu: TV {worst_tv:.2e} <= 1e-10, "
-                  f"|lambda| {worst_lam:.2e} <= 1e-10")
 
-    def test_criterion_03_strong_duality(self):
-        rng = as_generator(21)
-        worst = 0.0
-        for _ in range(20):
-            nu, mu = random_discrete_pair(rng, 3, floor=0.2)
-            for gen in ALL:
-                res = strong_duality_check(nu, mu, gen, HSpec("ball", 0.5))
-                worst = max(worst, abs(res.gap))
-                assert res.within_tolerance
-        report(3, f"primal-dual gap {worst:.2e} <= 2/200 over 20 seeds x 3 generators")
+def criterion_test(number):
+    def test(self, verified):
+        assert_criterion(verified, number)
+    return test
 
-    def test_criterion_04_f_core(self):
-        t_grid = np.logspace(-3, 3, 50)
-        for gen in ALL:
-            fy = np.abs(np.asarray(gen.f(t_grid))
-                        + np.asarray(gen.conjugate_fn(gen.f_prime(t_grid)))
-                        - t_grid * np.asarray(gen.f_prime(t_grid))).max()
-            assert fy <= 1e-10
 
-            t_pred = np.linspace(1e-4, 1 - 1e-4, 20001)
-            pos = -np.asarray(gen.f_prime(t_pred / (1 - t_pred)))
-            neg = np.asarray(gen.conjugate_fn(gen.f_prime(t_pred / (1 - t_pred))))
-            for eta in np.arange(0.1, 0.95, 0.1):
-                grid_loss = eta * pos + (1 - eta) * neg
-                assert abs(t_pred[int(np.argmin(grid_loss))] - eta) <= 2 * (t_pred[1] - t_pred[0])
-                assert abs(float(grid_loss.min())
-                           - G.bayes_pointwise_loss(gen, float(eta))) <= 1e-6
-
-        js = get_generator("js_shifted")
-        for eta in np.linspace(0.01, 0.99, 99):
-            lhs = G.bayes_pointwise_loss(js, float(eta)) + 2 * (1 - eta) * math.log(2)
-            rhs = G.bayes_pointwise_loss(js, float(1 - eta)) + 2 * eta * math.log(2)
-            assert abs(lhs - rhs) <= 1e-12
-        assert G.eval_f(js, 0.0) == TWO_LOG_TWO
-        report(4, "Fenchel-Young <= 1e-10, properness argmin on grid, Bayes-loss "
-                  "closed form <= 1e-6, shifted-JS symmetry (affine-corrected) <= 1e-12, "
-                  "f(0) = 2 log 2 exactly")
-
-    def test_criterion_05_gain_estimator_concordance(self):
-        agree = 0
-        for seed in range(10):
-            direct, push = concordance_run(seed, n_eval=10_000)
-            if direct.agrees_with(push, k=3.0):
-                agree += 1
-        assert agree == 10
-        report(5, "direct and pushforward gain estimators agree within "
-                  "3 combined SE on 10/10 seeds (1e4 samples each)")
-
-    def test_criterion_06_gradient_suite(self):
-        rng = np.random.default_rng(3)
-        checked = 0
-        for trial in range(20):
-            gen = ALL[trial % 3]
-            width = int(rng.integers(3, 7))
-            dim = int(rng.integers(1, 3))
-            disc = init_discriminator(gen, dim, width, seed=int(rng.integers(1 << 30)))
-            disc.bias = float(rng.uniform(-0.3, 0.1))
-            x_nu = rng.standard_normal((8, dim))
-            x_mu = rng.standard_normal((10, dim))
-            analytic, _ = grads(disc, gen, x_nu, x_mu)
-
-            from season.discriminator import objective_R
-
-            eps = 1e-5
-            for name in ("w1", "b1", "w2", "b2", "w3"):
-                arr = getattr(disc, name)
-                flat = arr.ravel()
-                aflat = np.asarray(analytic[name]).ravel()
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + eps
-                    up = objective_R(disc, gen, x_nu, x_mu)
-                    flat[i] = orig - eps
-                    down = objective_R(disc, gen, x_nu, x_mu)
-                    flat[i] = orig
-                    fd = (up - down) / (2 * eps)
-                    assert abs(aflat[i] - fd) <= 1e-4 * max(abs(fd), 1.0)
-            for name in ("b3", "bias"):
-                orig = getattr(disc, name)
-                setattr(disc, name, orig + eps)
-                up = objective_R(disc, gen, x_nu, x_mu)
-                setattr(disc, name, orig - eps)
-                down = objective_R(disc, gen, x_nu, x_mu)
-                setattr(disc, name, orig)
-                fd = (up - down) / (2 * eps)
-                assert abs(analytic[name] - fd) <= 1e-4 * max(abs(fd), 1.0)
-
-            x_probe = rng.standard_normal((25, dim))
-            gin = input_grad(disc, x_probe)
-            for j in range(dim):
-                xp = x_probe.copy(); xp[:, j] += eps
-                xm = x_probe.copy(); xm[:, j] -= eps
-                fd = (disc.h_batch(xp) - disc.h_batch(xm)) / (2 * eps)
-                assert (np.abs(gin[:, j] - fd) / np.maximum(np.abs(fd), 1.0)).max() <= 1e-4
-            checked += 1
-        assert checked == 20
-        report(6, "parameter and input gradients within 1e-4 of central "
-                  "differences on 20 fuzzed nets")
-
-    def test_criterion_07_sampling(self):
-        cfg = LangevinConfig(step_size=1e-3, n_steps=5000, n_chains=10_000, dim=1, seed=0)
-        out = langevin(lambda x: -x, cfg)
-        se = out.std(ddof=1) / math.sqrt(cfg.n_chains)
-        assert abs(out.mean()) <= 3 * se
-        assert abs(out.var(ddof=1) - 1.0) <= 0.05
-
-        sched = constant_schedule(1.0, 2.0)
-        rcfg = ReverseDiffusionConfig(schedule=sched, K=50, n_chains=2000, dim=1, seed=5)
-        unguided = reverse_em(lambda x, k: -x, rcfg)
-        js = get_generator("js_shifted")
-        guided = reverse_em(lambda x, k: -x, rcfg, js,
-                            [zero_discriminator(js, 1) for _ in range(rcfg.K)])
-        assert np.array_equal(unguided, guided)
-        report(7, f"ULA mean {out.mean():+.4f} within 3 SE of 0, variance "
-                  f"{out.var(ddof=1):.4f} within 5% of 1; constant-discriminator "
-                  "guidance bit-identical to unguided")
-
-    def test_criterion_08_refinement_benefit(self):
-        start = time.time()
-        wins = sum(refinement_benefit_experiment(seed).improved for seed in range(10))
-        elapsed = time.time() - start
-        assert wins >= 8
-        assert elapsed < 120.0
-        report(8, f"guided reverse diffusion beat unguided on {wins}/10 seeds "
-                  f"in {elapsed:.0f}s")
-
-    def test_criterion_09_generalization_bound(self):
-        sr = slow_rate_term(1.0, 0.05, 200)
-        exact = 2.0 * math.sqrt(math.log(20.0) / 400.0)
-        assert abs(sr - exact) <= 1e-15
-        # the criterion's printed constant 0.173083 is mis-rounded; the
-        # formula value is 0.17308184, i.e. 0.173082 at six decimals
-        assert abs(sr - 0.173082) <= 1e-6
-        held, _ = bound_trials(n_trials=100, seed=13)
-        assert held >= 95
-        report(9, f"bound held in {held}/100 trials (n=200, delta=0.05); "
-                  f"slow rate {sr:.8f} matches 2 sqrt(ln 20 / 400)")
-
-    def test_criterion_10_appendix_lemmas(self):
-        rng = as_generator(5)
-        kl = get_generator("kl")
-        js = get_generator("js_shifted")
-        for _ in range(1000):
-            nu, mu = random_discrete_pair(rng, int(rng.integers(2, 5)))
-            assert exact_fdiv(nu, mu, js) <= exact_fdiv(nu, mu, kl) + 1e-12
-            for gen in ALL:
-                assert fdiv_kl_lemma_check(nu, mu, gen).holds
-
-        assert convergence_bound(
-            ConvergenceBoundInputs(0, 0, 0, 1, 1.0, 10, 1.0, 0.0)) == 0.0
-        rng2 = np.random.default_rng(6)
-        for _ in range(100):
-            base = ConvergenceBoundInputs(
-                eps_theta=float(rng2.uniform(0, 2)), L=float(rng2.uniform(0, 2)),
-                m2=float(rng2.uniform(0, 2)), d=int(rng2.integers(1, 3)),
-                T=float(rng2.uniform(0.5, 3)), K=int(rng2.integers(5, 50)),
-                norm_H=float(rng2.uniform(0.5, 2)),
-                forward_gap_If=float(rng2.uniform(0, 1)))
-            v0 = convergence_bound(base)
-            for fld in ("eps_theta", "L", "m2"):
-                kw = dict(base.__dict__)
-                kw[fld] = getattr(base, fld) + float(rng2.uniform(0.01, 1.0))
-                assert convergence_bound(ConvergenceBoundInputs(**kw)) >= v0 - 1e-12
-
-        sched = constant_schedule(1.3, 3.0)
-        for t in np.random.default_rng(8).uniform(0, 3.0, 20):
-            m, sigma = ou_params(sched, float(t))
-            assert abs(m * m + sigma * sigma - 1.0) <= 1e-10
-        report(10, "I_js <= KL and the witness bound held on 1000 random pairs; "
-                   "convergence bound zero at zero and monotone; m^2 + sigma^2 = 1 "
-                   "within 1e-10")
-
-    def test_criterion_11_vi_duality(self):
-        rng = as_generator(9)
-        for _ in range(100):
-            mu, _ = random_discrete_pair(rng, 3, floor=0.15)
-            L = rng.uniform(-1.5, 1.5, 3)
-            res = vi_duality_check(mu, L)
-            assert res.residual <= 1e-10
-
-        mu, _ = random_discrete_pair(rng, 3, floor=0.15)
-        L = rng.uniform(-1, 1, 3)
-        res = vi_duality_check(mu, L)
-        grid = simplex_grid(3, 1.0 / 200.0)
-        interior = grid[np.all(grid > 0, axis=1)]
-        obj = (interior @ L) + np.asarray(
-            [float(np.sum(q * np.log(q / mu.weights))) for q in interior])
-        assert obj.min() >= res.rhs - 1e-12
-        tv = 0.5 * float(np.abs(interior[int(np.argmin(obj))] - res.gibbs.weights).sum())
-        assert tv <= 0.03
-        report(11, "log-partition identity <= 1e-10 on 100 instances; simplex "
-                   "grid confirms the Gibbs posterior as minimizer")
+# one test per table entry, e.g. test_criterion_01_main_identity
+for crit in sorted(CRITERIA, key=lambda c: c.number):
+    name = f"test_criterion_{crit.number:02d}_{crit.title.replace(' ', '_')}"
+    setattr(TestAcceptance, name, criterion_test(crit.number))

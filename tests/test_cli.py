@@ -4,10 +4,12 @@ import csv
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from season import verify
 from season.cli import main
 from season.discriminator import exact_tabular
 from season.distributions import model_from_spec
@@ -110,24 +112,44 @@ class TestRunBounds:
         assert report["holds"] is True
 
 
+def stub_criteria(monkeypatch, failing=None):
+    """Swap every check for an instant stub; criterion `failing` reports a failed check."""
+    def stub(number):
+        return lambda: [verify.CheckResult(f"stub-{number}", number != failing, "stub")]
+    monkeypatch.setattr(verify, "CRITERIA", tuple(
+        replace(c, check=stub(c.number)) for c in verify.CRITERIA))
+
+
 class TestVerify:
-    def test_identity_suite_passes(self, capsys):
+    # the real checks run once, in tests/test_acceptance.py
+    def test_identity_suite_passes(self, capsys, monkeypatch):
+        stub_criteria(monkeypatch)
         assert main(["verify", "identity"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
-        names = {c["name"] for c in payload["suites"][0]["checks"]}
-        assert "identity-residual" in names and "strong-duality-gap" in names
+        [suite] = payload["suites"]
+        assert [c["criterion"] for c in suite["criteria"]] == [1, 2, 3]
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit):
             main(["verify", "everything"])  # argparse rejects the choice
 
-    def test_all_suites_pass(self, capsys):
-        assert main(["verify", "all"]) == 0
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        stub_criteria(monkeypatch, failing=9)
+        assert main(["verify", "bounds"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert [s["suite"] for s in payload["suites"]] == \
-            ["core", "identity", "bounds", "samplers"]
-        assert all(s["passed"] for s in payload["suites"])
+        assert payload["passed"] is False
+        failed = [c["criterion"] for c in payload["suites"][0]["criteria"] if not c["passed"]]
+        assert failed == [9]
+
+    def test_time_limit_overrun_exits_1(self, capsys, monkeypatch):
+        stub_criteria(monkeypatch)
+        monkeypatch.setattr(verify, "CRITERIA", tuple(
+            replace(c, time_limit=0.0) if c.number == 8 else c for c in verify.CRITERIA))
+        assert main(["verify", "samplers"]) == 1
+        [_, crit8] = json.loads(capsys.readouterr().out)["suites"][0]["criteria"]
+        assert [(c["name"], c["passed"]) for c in crit8["checks"]] == \
+            [("stub-8", True), ("time-limit", False)]
 
 
 class TestThinSubcommands:

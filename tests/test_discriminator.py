@@ -260,6 +260,12 @@ class TestTraining:
         assert np.all(np.diff(eta) > -1e-3)
         assert eta[0] < 0.4 and eta[-1] > 0.6
 
+    def test_1d_batches_are_points_on_the_line(self):
+        rng = np.random.default_rng(11)
+        cfg = TrainConfig(width=4, steps=5, seed=0)
+        disc = train(KL, rng.standard_normal(50), rng.standard_normal(50) + 1.0, cfg)
+        assert disc.dim == 1
+
     def test_training_reports_convergence(self):
         rng = np.random.default_rng(10)
         x_nu = rng.standard_normal((100, 1)) + 0.5

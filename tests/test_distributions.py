@@ -8,6 +8,7 @@ import pytest
 from season.distributions import (
     DiscreteDistribution,
     OUSchedule,
+    as_batch,
     check_score_consistency,
     constant_schedule,
     discrete_ratio,
@@ -51,6 +52,17 @@ class TestDiscreteDistribution:
     def test_sampler_deterministic(self):
         d = two_point(0.3, 0.7)
         assert np.array_equal(d.sample(5, 100), d.sample(5, 100))
+
+
+class TestAsBatch:
+    def test_1d_input_is_a_column(self):
+        assert as_batch([1.0, 2.0, 3.0]).shape == (3, 1)
+        assert as_batch(np.zeros((4, 2))).shape == (4, 2)
+
+    @pytest.mark.parametrize("shape", [(), (2, 2, 2)])
+    def test_other_ranks_rejected(self, shape):
+        with pytest.raises(DomainError):
+            as_batch(np.zeros(shape))
 
 
 class TestDiscreteRatio:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from season import experiments, metrics, refine
 from season.experiments import (
     bound_trial,
     bound_trials,
@@ -18,6 +19,7 @@ from season.experiments import (
     refinement_benefit_experiment,
 )
 from season.generators import get_generator
+from season.refine import solve_lambda
 
 
 class TestIdentityPipeline:
@@ -37,6 +39,18 @@ class TestIdentityPipeline:
         rows = identity_discrete_experiment(n_instances=5, seed=1)
         assert len(rows) == 15
         assert {"instance_id", "d_H", "D_fH", "gain", "residual"} <= set(rows[0])
+
+    def test_one_lambda_solve_per_instance(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_lambda(*args, **kwargs)
+
+        for module in (experiments, metrics, refine):
+            monkeypatch.setattr(module, "solve_lambda", counted)
+        rows = identity_discrete_experiment(n_instances=100, seed=7)
+        assert len(rows) == 300 and len(calls) == 300
 
     def test_deterministic_per_seed(self):
         a = identity_discrete_experiment(n_instances=5, seed=2)

@@ -219,6 +219,13 @@ class TestIPM:
         assert 1.5 <= value <= 2.0 + 1e-9
         assert isinstance(converged, bool)
 
+    def test_1d_batches_are_points_on_the_line(self):
+        rng = np.random.default_rng(16)
+        x_nu, x_mu = rng.standard_normal(50) + 1.0, rng.standard_normal(50)
+        trainer = TrainConfig(width=4, steps=20, seed=0)
+        assert est_ipm(x_nu, x_mu, trainer=trainer) == \
+            est_ipm(x_nu[:, None], x_mu[:, None], trainer=trainer)
+
 
 class TestRademacher:
     def test_singleton_class_near_zero(self):
@@ -227,6 +234,11 @@ class TestRademacher:
         est = rademacher_empirical(SingletonClass(lambda x: x[:, 0]), samples,
                                    n_sign_draws=400, seed=3)
         assert abs(est.value) <= 4 * est.stderr
+
+    def test_1d_samples_are_points_on_the_line(self):
+        cls = SingletonClass(lambda x: x[:, 0])
+        x = np.linspace(-1.0, 1.0, 50)
+        assert rademacher_empirical(cls, x, 200) == rademacher_empirical(cls, x[:, None], 200)
 
     def test_tabular_distinct_points_exactly_norm(self):
         samples = np.arange(50, dtype=float)[:, None]
