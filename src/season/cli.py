@@ -235,9 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True, help="JSON distribution spec (nu)")
     p_train.add_argument("--model", required=True, help="JSON distribution spec (mu)")
     p_train.add_argument("--generator", default="js_shifted", choices=GENERATOR_NAMES)
-    p_train.add_argument("--width", type=int, default=32)
-    p_train.add_argument("--steps", type=int, default=500)
-    p_train.add_argument("--lr", type=float, default=0.1)
+    p_train.add_argument("--width", type=int, default=TrainConfig.width)
+    p_train.add_argument("--steps", type=int, default=TrainConfig.steps)
+    p_train.add_argument("--lr", type=float, default=TrainConfig.step_size)
     p_train.add_argument("--n-samples", type=int, default=2000)
     p_train.add_argument("--seed", type=int, required=True)
     p_train.add_argument("--out", required=True)

@@ -14,10 +14,15 @@ A "clamp" head replaces the link with a hard clip of z to [-B, B]; it is
 the bounded raw-output class used for IPM and Rademacher estimation and
 carries no free bias (the class must stay sup-norm bounded).
 
+All parameters live in one flat float64 vector, `params` (layout in
+`_param_views`); w1, b1, w2, b2, w3 are views into it and b3, b read from
+it.  Training, copying, freezing and checkpoints handle that one array,
+and parameter gradients come back flat in the same layout.
+
 All gradients (parameters and inputs) are exact reverse-mode, written out
 by hand; the test suite checks every one against central finite
-differences.  Training is plain gradient ascent with optional step halving
-whenever the objective decreases.
+differences.  Training is plain gradient ascent on `params` that halves
+the step whenever the objective decreases.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -64,64 +69,74 @@ __all__ = [
 ]
 
 
+def _param_views(flat: np.ndarray, dim: int, width: int) -> list[np.ndarray]:
+    """Views w1, b1, w2, b2, w3, b3 and b into a vector laid out like `params`.
+
+    This is the one definition of the flat layout: layer by layer, weights
+    before bias, as a checkpoint lists them, then the free bias b.  The
+    gradient of `_backprop` follows it.
+    """
+    shapes = [(width, dim), (width,), (width, width), (width,), (width,), (), ()]
+    sizes = [math.prod(shape) for shape in shapes]
+    if flat.shape != (sum(sizes),):
+        raise DomainError(f"{flat.size} parameters do not fit a net of dim {dim} "
+                          f"and width {width} ({sum(sizes)} expected)")
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+
+
 @dataclass
 class Discriminator:
-    """Two-hidden-layer net with a link or clamp head.
+    """Two-hidden-layer tanh net with a link or clamp head.
 
-    Mutable only during training; `freeze` makes the arrays read-only and
-    the instance safe to share across threads.
+    `params` holds every parameter (zeros when None).  Mutable only during
+    training; `freeze` makes it read-only and the instance safe to share
+    across threads.
     """
 
     generator: Optional[GeneratorSpec]
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: float
-    bias: float = 0.0
-    activation: str = "tanh"
+    dim: int
+    width: int
+    params: Optional[np.ndarray] = None
     head: str = "link"
     norm_bound: float = 1.0
     converged: Optional[bool] = None
     final_objective: Optional[float] = None
 
-    PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3", "bias")
-
     def __post_init__(self):
         if self.head not in ("link", "clamp"):
             raise DomainError(f"unknown head {self.head!r}")
-        if self.activation not in ("tanh", "identity"):
-            raise DomainError(f"unknown activation {self.activation!r}")
         if self.head == "link" and self.generator is None:
             raise DomainError("link head requires a generator")
+        if self.params is None:
+            self.params = np.zeros(self.width * (self.dim + self.width + 3) + 2)
+        self._views = _param_views(self.params, self.dim, self.width)
+        self.w1, self.b1, self.w2, self.b2, self.w3, self._b3, self._bias = self._views
 
     @property
-    def dim(self) -> int:
-        return self.w1.shape[1]
+    def b3(self) -> float:
+        return float(self._b3)
 
     @property
-    def width(self) -> int:
-        return self.w1.shape[0]
+    def bias(self) -> float:
+        return float(self._bias)
 
-    def _act(self, z):
-        return np.tanh(z) if self.activation == "tanh" else z
-
-    def _act_deriv(self, z, a):
-        return 1.0 - a * a if self.activation == "tanh" else np.ones_like(z)
+    @bias.setter
+    def bias(self, value: float) -> None:
+        self._bias[...] = value
 
     def _forward_full(self, x: np.ndarray) -> dict:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = as_batch(x)
         z1 = x @ self.w1.T + self.b1
-        a1 = self._act(z1)
+        a1 = np.tanh(z1)
         z2 = a1 @ self.w2.T + self.b2
-        a2 = self._act(z2)
+        a2 = np.tanh(z2)
         z3 = a2 @ self.w3 + self.b3
         if self.head == "link":
             h = self.generator.link_of_logit(z3) + self.bias
         else:
             h = np.clip(z3, -self.norm_bound, self.norm_bound)
-        return {"x": x, "z1": z1, "a1": a1, "z2": z2, "a2": a2, "z3": z3, "h": h}
+        return {"x": x, "a1": a1, "a2": a2, "z3": z3, "h": h}
 
     def forward_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cache = self._forward_full(x)
@@ -133,46 +148,31 @@ class Discriminator:
     def _backprop(self, cache: dict, dh: np.ndarray, want_inputs: bool = False):
         """Push dL/dh back through the net.
 
-        Returns (param_grads, input_grads); the latter is None unless
-        requested.
+        Returns (param_grads laid out like params, input_grads); the latter
+        is None unless requested.
         """
-        z3, a2, z2, a1, z1, x = (cache[k] for k in ("z3", "a2", "z2", "a1", "z1", "x"))
+        z3, a2, a1, x = (cache[k] for k in ("z3", "a2", "a1", "x"))
         if self.head == "link":
             dz3 = dh * np.asarray(self.generator.link_of_logit_deriv(z3))
             dbias = float(dh.sum())
         else:
-            inside = np.abs(z3) < self.norm_bound
-            dz3 = dh * inside
+            dz3 = dh * (np.abs(z3) < self.norm_bound)
             dbias = 0.0
-        dw3 = a2.T @ dz3
-        db3 = float(dz3.sum())
-        da2 = np.outer(dz3, self.w3)
-        dz2 = da2 * self._act_deriv(z2, a2)
-        dw2 = dz2.T @ a1
-        db2 = dz2.sum(axis=0)
-        da1 = dz2 @ self.w2
-        dz1 = da1 * self._act_deriv(z1, a1)
-        dw1 = dz1.T @ x
-        db1 = dz1.sum(axis=0)
-        param_grads = {
-            "w1": dw1, "b1": db1, "w2": dw2, "b2": db2,
-            "w3": dw3, "b3": db3, "bias": dbias,
-        }
+        dz2 = np.outer(dz3, self.w3) * (1.0 - a2 * a2)
+        dz1 = (dz2 @ self.w2) * (1.0 - a1 * a1)
+        # in the order of _param_views; concatenate is far cheaper than writing views
+        param_grads = np.concatenate((dz1.T @ x, dz1.sum(axis=0), dz2.T @ a1, dz2.sum(axis=0),
+                                      a2.T @ dz3, dz3.sum(), dbias), axis=None)
         dx = dz1 @ self.w1 if want_inputs else None
         return param_grads, dx
 
     def copy(self) -> "Discriminator":
-        return Discriminator(
-            generator=self.generator,
-            w1=self.w1.copy(), b1=self.b1.copy(),
-            w2=self.w2.copy(), b2=self.b2.copy(),
-            w3=self.w3.copy(), b3=self.b3, bias=self.bias,
-            activation=self.activation, head=self.head, norm_bound=self.norm_bound,
-        )
+        return Discriminator(self.generator, self.dim, self.width, self.params.copy(),
+                             head=self.head, norm_bound=self.norm_bound)
 
     def freeze(self) -> "Discriminator":
-        for name in ("w1", "b1", "w2", "b2", "w3"):
-            getattr(self, name).setflags(write=False)
+        for array in (self.params, *self._views):
+            array.setflags(write=False)
         return self
 
 
@@ -217,7 +217,7 @@ def _h_values(disc, target) -> np.ndarray:
         return disc.h_for(target)
     if isinstance(target, DiscreteDistribution):
         target = target.support
-    return disc.h_batch(np.atleast_2d(np.asarray(target, dtype=float)))
+    return disc.h_batch(target)
 
 
 @dataclass(frozen=True)
@@ -226,33 +226,21 @@ class TrainConfig:
     steps: int = 500
     step_size: float = 0.1
     seed: int = 0
-    halve_on_decrease: bool = True
-    activation: str = "tanh"
 
 
 def init_discriminator(gen: Optional[GeneratorSpec], dim: int, width: int, seed=0, *,
-                       activation: str = "tanh", head: str = "link",
-                       norm_bound: float = 1.0) -> Discriminator:
+                       head: str = "link", norm_bound: float = 1.0) -> Discriminator:
+    """Gaussian weights scaled by 1/sqrt(fan-in), zero biases."""
     rng = as_generator(seed)
-    def w(shape, fan_in):
-        return rng.standard_normal(shape) / math.sqrt(fan_in)
-    return Discriminator(
-        generator=gen,
-        w1=w((width, dim), dim), b1=np.zeros(width),
-        w2=w((width, width), width), b2=np.zeros(width),
-        w3=w(width, width), b3=0.0, bias=0.0,
-        activation=activation, head=head, norm_bound=norm_bound,
-    )
+    disc = Discriminator(gen, dim, width, head=head, norm_bound=norm_bound)
+    for weights, fan_in in ((disc.w1, dim), (disc.w2, width), (disc.w3, width)):
+        weights[...] = rng.standard_normal(weights.shape) / math.sqrt(fan_in)
+    return disc
 
 
 def zero_discriminator(gen: GeneratorSpec, dim: int, width: int = 4) -> Discriminator:
     """All-zero net: eta = 1/2 and h = f'(1) everywhere (neutral constant)."""
-    return Discriminator(
-        generator=gen,
-        w1=np.zeros((width, dim)), b1=np.zeros(width),
-        w2=np.zeros((width, width)), b2=np.zeros(width),
-        w3=np.zeros(width), b3=0.0, bias=0.0,
-    )
+    return Discriminator(gen, dim, width)
 
 
 def forward(disc: Discriminator, x) -> tuple[float, float]:
@@ -288,25 +276,22 @@ def objective_R(disc: Discriminator, gen: GeneratorSpec, samples_nu: np.ndarray,
 
 
 def grads(disc: Discriminator, gen: GeneratorSpec, samples_nu: np.ndarray,
-          samples_mu: np.ndarray) -> tuple[dict, float]:
-    """Exact parameter gradients of objective_R, plus its value."""
+          samples_mu: np.ndarray) -> tuple[np.ndarray, float]:
+    """Exact gradient of objective_R, laid out like disc.params, plus its value."""
     cache_nu = disc._forward_full(samples_nu)
     cache_mu = disc._forward_full(samples_mu)
-    n_nu = cache_nu["h"].shape[0]
-    n_mu = cache_mu["h"].shape[0]
     h_mu, mask = _clamped_mu_values(gen, cache_mu["h"])
     value = float(cache_nu["h"].mean() - gen.conjugate_fn(h_mu).mean())
-    g_nu, _ = disc._backprop(cache_nu, np.full(n_nu, 1.0 / n_nu))
+    g_nu, _ = disc._backprop(cache_nu, np.full(cache_nu["h"].size, 1.0 / cache_nu["h"].size))
     # d/dh of -mean f*(h) is -f'^-1(h)/n, zero where the clamp is active
-    dmu = -np.asarray(gen.f_prime_inv(h_mu)) * mask / n_mu
+    dmu = -np.asarray(gen.f_prime_inv(h_mu)) * mask / h_mu.size
     g_mu, _ = disc._backprop(cache_mu, dmu)
-    total = {k: g_nu[k] + g_mu[k] for k in g_nu}
-    return total, value
+    return g_nu + g_mu, value
 
 
 def linear_objective_grads(disc: Discriminator, x: np.ndarray,
-                           coeffs: np.ndarray) -> tuple[dict, float]:
-    """Gradients of sum_i coeffs_i h(x_i); drives IPM and Rademacher sups."""
+                           coeffs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Flat gradient of sum_i coeffs_i h(x_i); drives IPM and Rademacher sups."""
     cache = disc._forward_full(x)
     value = float(cache["h"] @ coeffs)
     g, _ = disc._backprop(cache, np.asarray(coeffs, dtype=float))
@@ -316,8 +301,7 @@ def linear_objective_grads(disc: Discriminator, x: np.ndarray,
 def input_grad(disc: Discriminator, x: np.ndarray) -> np.ndarray:
     """Exact gradient of h with respect to the inputs, shape (n, d)."""
     cache = disc._forward_full(x)
-    n = cache["h"].shape[0]
-    _, dx = disc._backprop(cache, np.ones(n), want_inputs=True)
+    _, dx = disc._backprop(cache, np.ones_like(cache["h"]), want_inputs=True)
     return dx
 
 
@@ -339,30 +323,22 @@ def exact_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
 
 
 def _ascend(disc: Discriminator,
-            value_and_grads: Callable[[Discriminator], tuple[dict, float]],
-            steps: int, step_size: float, halve_on_decrease: bool) -> Discriminator:
-    lr = float(step_size)
-    prev = -math.inf
+            value_and_grads: Callable[[Discriminator], tuple[np.ndarray, float]],
+            config: TrainConfig) -> Discriminator:
+    """Gradient ascent on disc.params, halving the step when the objective drops."""
+    lr = float(config.step_size)
     history: list[float] = []
-    for step in range(steps):
+    for step in range(config.steps):
         g, value = value_and_grads(disc)
         if not math.isfinite(value):
             raise TrainingDivergedError(step)
-        history.append(value)
-        if halve_on_decrease and value < prev:
+        if history and value < history[-1]:
             lr *= 0.5
-        prev = value
-        disc.w1 += lr * g["w1"]
-        disc.b1 += lr * g["b1"]
-        disc.w2 += lr * g["w2"]
-        disc.b2 += lr * g["b2"]
-        disc.w3 += lr * g["w3"]
-        disc.b3 += lr * g["b3"]
-        if disc.head == "link":
-            disc.bias += lr * g["bias"]
+        history.append(value)
+        disc.params += lr * g
     _, final = value_and_grads(disc)
     if not math.isfinite(final):
-        raise TrainingDivergedError(steps)
+        raise TrainingDivergedError(config.steps)
     disc.final_objective = final
     trailing = max(history[-100:]) if history else final
     disc.converged = (trailing - final) <= 1e-8
@@ -382,17 +358,16 @@ def train(gen: GeneratorSpec, data_nu, data_mu, config: TrainConfig = TrainConfi
     x_nu, x_mu = as_batch(data_nu), as_batch(data_mu)
     if x_nu.shape[1] != x_mu.shape[1]:
         raise DomainError("sample batches have mismatched dimensions")
-    disc = init_discriminator(gen, x_nu.shape[1], config.width, config.seed,
-                              activation=config.activation)
-    return _ascend(disc, lambda d: grads(d, gen, x_nu, x_mu),
-                   config.steps, config.step_size, config.halve_on_decrease)
+    disc = init_discriminator(gen, x_nu.shape[1], config.width, config.seed)
+    return _ascend(disc, lambda d: grads(d, gen, x_nu, x_mu), config)
 
 
-def train_linear_sup(disc: Discriminator, x: np.ndarray, coeffs: np.ndarray,
-                     config: TrainConfig) -> Discriminator:
-    """Maximize sum_i coeffs_i h(x_i) over a clamp-head net in place."""
-    return _ascend(disc, lambda d: linear_objective_grads(d, x, coeffs),
-                   config.steps, config.step_size, config.halve_on_decrease)
+def train_linear_sup(x: np.ndarray, coeffs: np.ndarray, config: TrainConfig,
+                     norm_bound: float, seed) -> Discriminator:
+    """Maximize sum_i coeffs_i h(x_i) over clamp-head nets with |h| <= norm_bound."""
+    disc = init_discriminator(None, x.shape[1], config.width, seed, head="clamp",
+                              norm_bound=norm_bound)
+    return _ascend(disc, lambda d: linear_objective_grads(d, x, coeffs), config)
 
 
 _CHECKPOINT_VERSION = 1
@@ -411,17 +386,16 @@ def discriminator_to_dict(disc: Union[Discriminator, TabularDiscriminator]) -> d
         "version": _CHECKPOINT_VERSION,
         "kind": "net",
         "generator": disc.generator.name if disc.generator is not None else None,
-        "activation": disc.activation,
+        "activation": "tanh",
         "head": disc.head,
         "norm_bound": disc.norm_bound,
         "bias": disc.bias,
         "layers": [
-            {"shape": list(disc.w1.shape), "weights": disc.w1.ravel().tolist(),
+            {"shape": [disc.width, disc.dim], "weights": disc.w1.ravel().tolist(),
              "bias": disc.b1.tolist()},
-            {"shape": list(disc.w2.shape), "weights": disc.w2.ravel().tolist(),
+            {"shape": [disc.width, disc.width], "weights": disc.w2.ravel().tolist(),
              "bias": disc.b2.tolist()},
-            {"shape": [1, disc.w3.shape[0]], "weights": disc.w3.ravel().tolist(),
-             "bias": [disc.b3]},
+            {"shape": [1, disc.width], "weights": disc.w3.tolist(), "bias": [disc.b3]},
         ],
     }
 
@@ -437,18 +411,20 @@ def discriminator_from_dict(doc: dict) -> Union[Discriminator, TabularDiscrimina
                                     generator_name=doc["generator"])
     if doc.get("kind") != "net":
         raise DomainError(f"unsupported checkpoint kind {doc.get('kind')!r}")
+    if doc.get("activation") != "tanh":
+        raise DomainError(f"unsupported activation {doc.get('activation')!r}")
     layers = doc["layers"]
-    def arr(layer):
-        return np.asarray(layer["weights"], dtype=float).reshape(layer["shape"])
+    first = layers[0]["shape"] if layers else None
+    width, dim = first if isinstance(first, list) and len(first) == 2 else (0, 0)
+    if [layer["shape"] for layer in layers] != [[width, dim], [width, width], [1, width]] or any(
+            len(layer["weights"]) != math.prod(layer["shape"])
+            or len(layer["bias"]) != layer["shape"][0] for layer in layers):
+        raise DomainError("checkpoint layer shapes do not match their weights and biases")
+    # layer by layer, weights before bias, then the free bias: the layout of params
+    params = [v for layer in layers for v in layer["weights"] + layer["bias"]] + [doc["bias"]]
     gen = get_generator(doc["generator"]) if doc["generator"] is not None else None
-    return Discriminator(
-        generator=gen,
-        w1=arr(layers[0]), b1=np.asarray(layers[0]["bias"], dtype=float),
-        w2=arr(layers[1]), b2=np.asarray(layers[1]["bias"], dtype=float),
-        w3=arr(layers[2]).ravel(), b3=float(layers[2]["bias"][0]),
-        bias=float(doc["bias"]), activation=doc["activation"],
-        head=doc["head"], norm_bound=float(doc["norm_bound"]),
-    )
+    return Discriminator(gen, dim, width, np.asarray(params, dtype=float),
+                         head=doc["head"], norm_bound=float(doc["norm_bound"]))
 
 
 def save_discriminator(disc: Union[Discriminator, TabularDiscriminator], path) -> None:

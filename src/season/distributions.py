@@ -304,7 +304,7 @@ def ou_params(schedule: OUSchedule, t: float) -> tuple[float, float]:
 def noise_sample(x0: np.ndarray, schedule: OUSchedule, t: float, seed: SeedLike) -> np.ndarray:
     """Forward-noise points: m_t x0 + sigma_t Z, deterministic per seed."""
     rng = as_generator(seed)
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    x0 = as_batch(x0)
     m, sigma = ou_params(schedule, t)
     if sigma == 0.0:
         return x0.copy()

@@ -44,10 +44,11 @@ from .metrics import (
     generalization_report,
     ipm_at_witness,
     ipm_tabular_exact,
+    _masked_dot,
     _tabular_sup,
 )
 from .oracle import HSpec, exact_optimal_h, primal_sup_tabular
-from .refine import refine_discrete, solve_lambda
+from .refine import _refined_weights, refine_discrete, solve_lambda
 from .samplers import ReverseDiffusionConfig, reverse_em, w1_1d
 
 __all__ = [
@@ -256,9 +257,9 @@ def bound_trial(seed: int, *, gen_name: str = "js_shifted", n: int = 200,
         rademacher = population_rademacher(population, n, norm=norm,
                                            seed=seed + 10_000).value
     d_value, h_star = primal_sup_tabular(p_hat, model, gen, HSpec("ball", norm))
-    refined = refine_discrete(model, h_star, gen)
-    gain = est_gain_direct(gen, h_star, model).value
-    lhs = ipm_tabular_exact(population, refined, norm)
+    ratios, weights = _refined_weights(model, h_star, gen, None)
+    gain = _masked_dot(model.weights, np.asarray(gen.f(ratios)))
+    lhs = ipm_tabular_exact(population, model.reweighted(weights), norm)
     return generalization_report(lhs, d_value, gain, rademacher,
                                  norm_H=norm, delta=delta, n=n)
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .discriminator import TrainConfig, _h_values, init_discriminator, train_linear_sup
+from .discriminator import TrainConfig, _h_values, train_linear_sup
 from .distributions import DiscreteDistribution, _row_positions, as_batch, as_generator, split_seeds
 from .errors import AbsoluteContinuityError, DomainError
 from .generators import GeneratorSpec, get_generator
@@ -183,9 +183,7 @@ def est_ipm(nu_eval, mu_eval, *, norm: float = 1.0,
         np.full(x_nu.shape[0], 1.0 / x_nu.shape[0]),
         np.full(x_mu.shape[0], -1.0 / x_mu.shape[0]),
     ])
-    disc = init_discriminator(None, x.shape[1], cfg.width, cfg.seed,
-                              activation=cfg.activation, head="clamp", norm_bound=norm)
-    disc = train_linear_sup(disc, x, coeffs, cfg)
+    disc = train_linear_sup(x, coeffs, cfg, norm, cfg.seed)
     return disc.final_objective, bool(disc.converged)
 
 
@@ -248,10 +246,7 @@ def rademacher_empirical(class_spec, samples: np.ndarray, n_sign_draws: int,
         rngs = split_seeds(seed if isinstance(seed, int) else 0, n_sign_draws)
         for d, sub in enumerate(rngs):
             zeta = sub.choice([-1.0, 1.0], size=n)
-            disc = init_discriminator(None, samples.shape[1], class_spec.config.width,
-                                      sub, activation=class_spec.config.activation,
-                                      head="clamp", norm_bound=class_spec.norm)
-            disc = train_linear_sup(disc, samples, zeta / n, class_spec.config)
+            disc = train_linear_sup(samples, zeta / n, class_spec.config, class_spec.norm, sub)
             draws[d] = disc.final_objective
     else:
         raise DomainError(f"unknown class spec {class_spec!r}")

@@ -10,8 +10,13 @@ import numpy as np
 import pytest
 
 from season import verify
-from season.cli import main
-from season.discriminator import exact_tabular
+from season.cli import build_parser, main
+from season.discriminator import (
+    TrainConfig,
+    discriminator_to_dict,
+    exact_tabular,
+    init_discriminator,
+)
 from season.distributions import model_from_spec
 from season.generators import get_generator
 from season.refine import refine_discrete
@@ -193,6 +198,14 @@ class TestThinSubcommands:
         total = sum(float(r[3]) for r in rows[1:])
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_train_defaults_are_train_config_defaults(self):
+        args = build_parser().parse_args(["train-discriminator", "--data", "nu.json",
+                                          "--model", "mu.json", "--seed", "0", "--out", "o"])
+        assert (args.width, args.steps, args.lr) == (32, 500, 0.1)
+        defaults = TrainConfig()
+        assert (args.width, args.steps, args.lr) == \
+            (defaults.width, defaults.steps, defaults.step_size)
+
     def test_sample_subcommand(self, tmp_path):
         model = write_json(tmp_path / "model.json", MIXTURE_SPEC)
         out = tmp_path / "samples.csv"
@@ -238,6 +251,23 @@ class TestInputErrors:
         assert main(["refine", "--model", model, "--disc", disc,
                      "--out", str(tmp_path / "out.csv")]) == 2
         assert capsys.readouterr().err == "error: checkpoint must be a JSON object\n"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("activation", "identity", "error: unsupported activation 'identity'\n"),
+        ("shape", [4, 4], "error: checkpoint layer shapes do not match their weights "
+                          "and biases\n"),
+    ])
+    def test_malformed_net_checkpoint_exits_2(self, key, value, message, tmp_path, capsys):
+        doc = discriminator_to_dict(init_discriminator(get_generator("js_shifted"), 1, 4))
+        if key == "shape":
+            doc["layers"][0]["shape"] = value  # 4 x 4 does not fit 4 weights
+        else:
+            doc[key] = value
+        model = write_json(tmp_path / "mu.json", DISCRETE_MU)
+        disc = write_json(tmp_path / "disc.json", doc)
+        assert main(["refine", "--model", model, "--disc", disc,
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == message
 
     def test_diverging_chain_exits_3(self, tmp_path, capsys):
         model = write_json(tmp_path / "narrow.json", {

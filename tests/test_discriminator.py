@@ -26,7 +26,7 @@ from season.discriminator import (
     zero_discriminator,
 )
 from season.distributions import DiscreteDistribution, gaussian_mixture
-from season.errors import TrainingDivergedError
+from season.errors import DomainError, TrainingDivergedError
 from season.generators import GENERATOR_NAMES, get_generator
 from season.metrics import exact_fdiv
 
@@ -39,38 +39,16 @@ def two_point(w0, w1):
     return DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([w0, w1]))
 
 
-def param_arrays(disc):
-    return {
-        "w1": disc.w1, "b1": disc.b1, "w2": disc.w2, "b2": disc.b2,
-        "w3": disc.w3,
-    }
-
-
 def numeric_param_grads(make_value, disc, eps=1e-5):
-    """Central finite differences of a scalar objective in every parameter."""
-    out = {}
-    for name, arr in param_arrays(disc).items():
-        g = np.empty_like(arr)
-        flat = arr.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = make_value(disc)
-            flat[i] = orig - eps
-            down = make_value(disc)
-            flat[i] = orig
-            gflat[i] = (up - down) / (2 * eps)
-        out[name] = g
-    for name in ("b3", "bias"):
-        orig = getattr(disc, name)
-        setattr(disc, name, orig + eps)
+    """Central finite differences of a scalar objective in every entry of disc.params."""
+    g = np.empty(disc.params.size)
+    for i, orig in enumerate(disc.params):
+        disc.params[i] = orig + eps
         up = make_value(disc)
-        setattr(disc, name, orig - eps)
-        down = make_value(disc)
-        setattr(disc, name, orig)
-        out[name] = (up - down) / (2 * eps)
-    return out
+        disc.params[i] = orig - eps
+        g[i] = (up - make_value(disc)) / (2 * eps)
+        disc.params[i] = orig
+    return g
 
 
 class TestForward:
@@ -92,11 +70,51 @@ class TestForward:
         x = np.array([0.4, -0.2])
         assert forward(disc, x) == forward(disc, x)
 
+    def test_1d_batch_is_points_on_the_line(self):
+        disc = init_discriminator(JS, 1, 8, seed=1)
+        x = np.linspace(-3, 3, 50)
+        assert np.array_equal(disc.h_batch(x), disc.h_batch(x[:, None]))
+
     def test_h_stays_in_link_range_plus_bias(self):
         disc = init_discriminator(JS, 1, 8, seed=1)
         disc.bias = 0.3
         h = disc.h_batch(np.linspace(-3, 3, 50)[:, None])
         assert np.all(h - disc.bias < 0)  # range of f' for js is (-inf, 0)
+
+
+class TestParams:
+    def test_one_array_with_named_views(self):
+        disc = init_discriminator(JS, 3, 5, seed=0)
+        assert disc.params.shape == (5 * 3 + 5 + 5 * 5 + 5 + 5 + 2,)
+        assert all(np.shares_memory(disc.params, view)
+                   for view in (disc.w1, disc.b1, disc.w2, disc.b2, disc.w3))
+        disc.params[-2:] = [0.25, -0.5]
+        assert (disc.b3, disc.bias) == (0.25, -0.5)
+        disc.bias = 1.5
+        assert disc.params[-1] == 1.5
+
+    def test_size_must_fit_dim_and_width(self):
+        with pytest.raises(DomainError, match="do not fit"):
+            Discriminator(JS, 2, 4, np.zeros(10))
+
+    def test_freeze_covers_the_whole_net(self):
+        rng = np.random.default_rng(0)
+        disc = train(JS, rng.standard_normal((20, 1)), rng.standard_normal((20, 1)),
+                     TrainConfig(width=4, steps=3))
+        with pytest.raises(ValueError, match="read-only"):
+            disc.bias = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            disc.params[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            disc.w1[0, 0] = 1.0
+
+    def test_copy_is_independent_and_writable(self):
+        disc = init_discriminator(JS, 2, 4, seed=0).freeze()
+        clone = disc.copy()
+        clone.bias = 2.0
+        clone.w2[0, 0] += 1.0
+        assert disc.bias == 0.0 and not np.shares_memory(disc.params, clone.params)
+        assert np.count_nonzero(clone.params != disc.params) == 2
 
 
 class TestObjective:
@@ -146,11 +164,8 @@ class TestGradients:
             x_mu = rng.standard_normal((11, dim))
             analytic, _ = grads(disc, gen, x_nu, x_mu)
             numeric = numeric_param_grads(lambda d: objective_R(d, gen, x_nu, x_mu), disc)
-            for name in analytic:
-                a = np.asarray(analytic[name], dtype=float)
-                n = np.asarray(numeric[name], dtype=float)
-                scale = max(float(np.abs(n).max()), 1.0)
-                assert np.abs(a - n).max() / scale <= 1e-4, f"{gen.name}/{name}"
+            assert analytic.shape == disc.params.shape
+            assert (np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1.0)).max() <= 1e-4
 
     def test_bias_gradient_identity(self):
         rng = np.random.default_rng(4)
@@ -161,7 +176,8 @@ class TestGradients:
             analytic, _ = grads(disc, gen, x_nu, x_mu)
             h_mu = disc.h_batch(x_mu)
             expected = 1.0 - float(np.asarray(gen.f_prime_inv(h_mu)).mean())
-            assert analytic["bias"] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            # the free bias is the last entry of the layout
+            assert analytic[-1] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_linear_objective_grads(self):
         rng = np.random.default_rng(5)
@@ -170,12 +186,10 @@ class TestGradients:
         coeffs = rng.standard_normal(12) / 12
         analytic, value = linear_objective_grads(disc, x, coeffs)
         assert value == pytest.approx(float(disc.h_batch(x) @ coeffs))
-        numeric = numeric_param_grads(
-            lambda d: float(d.h_batch(x) @ coeffs), disc)
-        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
-            a = np.asarray(analytic[name], dtype=float)
-            n = np.asarray(numeric[name], dtype=float)
-            assert np.abs(a - n).max() <= 1e-6 + 1e-4 * np.abs(n).max()
+        numeric = numeric_param_grads(lambda d: float(d.h_batch(x) @ coeffs), disc)
+        assert analytic.shape == disc.params.shape
+        assert np.abs(analytic - numeric).max() <= 1e-6 + 1e-4 * np.abs(numeric).max()
+        assert analytic[-1] == 0.0  # the clamp head carries no free bias
 
 
 class TestInputGradients:
@@ -197,19 +211,6 @@ class TestInputGradients:
             fd = (disc.h_batch(xp) - disc.h_batch(xm)) / (2 * eps)
             scale = np.maximum(np.abs(fd), 1.0)
             assert (np.abs(g[:, j] - fd) / scale).max() <= 1e-4
-
-    def test_linear_ablation_constant_gradient(self):
-        # identity activations collapse the net to a linear map, so
-        # grad h = psi'(z3) * (w3 @ W2 @ W1) row by row
-        disc = init_discriminator(KL, 2, 4, seed=7, activation="identity")
-        x = np.random.default_rng(1).standard_normal((20, 2))
-        g = input_grad(disc, x)
-        composed = disc.w3 @ disc.w2 @ disc.w1
-        z3 = disc._forward_full(x)["z3"]
-        expected = np.asarray(KL.link_of_logit_deriv(z3))[:, None] * composed[None, :]
-        assert np.allclose(g, expected, atol=1e-12)
-        # for kl the link derivative is 1, so the gradient is constant
-        assert np.allclose(g, composed[None, :], atol=1e-12)
 
 
 class TestTraining:
@@ -278,10 +279,9 @@ class TestTraining:
         rng = np.random.default_rng(11)
         x_nu = rng.standard_normal((30, 1)) + 3.0
         x_mu = rng.standard_normal((30, 1))
-        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
-            train(KL, x_nu, x_mu,
-                  TrainConfig(width=8, steps=200, step_size=1e6, seed=0,
-                              halve_on_decrease=False))
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as exc:
+            train(KL, x_nu, x_mu, TrainConfig(width=8, steps=200, step_size=1e6, seed=0))
+        assert exc.value.step == 1  # the first step overshoots; halving comes too late
 
 
 class TestSerialization:
@@ -290,9 +290,8 @@ class TestSerialization:
         disc.bias = -0.12345678901234567
         doc = discriminator_to_dict(disc)
         back = discriminator_from_dict(json.loads(json.dumps(doc)))
-        for name in ("w1", "b1", "w2", "b2", "w3"):
-            assert np.array_equal(getattr(disc, name), getattr(back, name))
-        assert back.b3 == disc.b3 and back.bias == disc.bias
+        assert np.array_equal(disc.params, back.params)
+        assert back.bias == disc.bias
         x = np.random.default_rng(2).standard_normal((20, 3))
         assert np.array_equal(disc.h_batch(x), back.h_batch(x))
 

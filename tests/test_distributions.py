@@ -170,6 +170,13 @@ class TestNoiseSample:
         x0 = np.random.default_rng(0).standard_normal((10, 2))
         assert np.array_equal(noise_sample(x0, sched, 0.0, 1), x0)
 
+    def test_1d_batch_is_points_on_the_line(self):
+        sched = constant_schedule(1.0, 2.0)
+        x0 = np.linspace(-1.0, 1.0, 50)
+        column = noise_sample(x0[:, None], sched, 1.0, 7)
+        assert column.shape == (50, 1)
+        assert np.array_equal(noise_sample(x0, sched, 1.0, 7), column)
+
     def test_deterministic_per_seed(self):
         sched = constant_schedule(1.0, 2.0)
         x0 = np.ones((5, 1))

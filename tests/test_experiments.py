@@ -22,6 +22,20 @@ from season.generators import get_generator
 from season.refine import solve_lambda
 
 
+@pytest.fixture
+def lambda_solves(monkeypatch):
+    """Counts solve_lambda calls made through every module that imports it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_lambda(*args, **kwargs)
+
+    for module in (experiments, metrics, refine):
+        monkeypatch.setattr(module, "solve_lambda", counted)
+    return calls
+
+
 class TestIdentityPipeline:
     def test_terms_exact_on_random_instances(self):
         rng = np.random.default_rng(0)
@@ -40,17 +54,9 @@ class TestIdentityPipeline:
         assert len(rows) == 15
         assert {"instance_id", "d_H", "D_fH", "gain", "residual"} <= set(rows[0])
 
-    def test_one_lambda_solve_per_instance(self, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return solve_lambda(*args, **kwargs)
-
-        for module in (experiments, metrics, refine):
-            monkeypatch.setattr(module, "solve_lambda", counted)
+    def test_one_lambda_solve_per_instance(self, lambda_solves):
         rows = identity_discrete_experiment(n_instances=100, seed=7)
-        assert len(rows) == 300 and len(calls) == 300
+        assert len(rows) == 300 and len(lambda_solves) == 300
 
     def test_deterministic_per_seed(self):
         a = identity_discrete_experiment(n_instances=5, seed=2)
@@ -104,6 +110,10 @@ class TestBoundPipeline:
         # the duality identity keeps D - gain equal to the empirical IPM gap,
         # which is nonnegative
         assert d["D_fH"] - d["gain_If"] >= -1e-9
+
+    def test_one_lambda_solve_per_trial(self, lambda_solves):
+        bound_trial(11)
+        assert len(lambda_solves) == 1
 
     def test_trials_mostly_hold(self):
         held, reports = bound_trials(20, seed=41)

@@ -123,6 +123,12 @@ class TestGainEstimators:
         oracle = float(np.trapezoid(integrand, x[:, 0]))
         assert abs(est.value - oracle) <= 3 * est.stderr + 1e-3
 
+    @pytest.mark.parametrize("estimator", [est_gain_direct, est_gain_pushforward])
+    def test_1d_batch_is_points_on_the_line(self, estimator):
+        disc = init_discriminator(JS, 1, 8, seed=4)
+        batch = np.random.default_rng(6).standard_normal(50)
+        assert estimator(JS, disc, batch) == estimator(JS, disc, batch[:, None])
+
     def test_pushforward_neutral_eta_is_zero(self):
         disc = zero_discriminator(JS, dim=1)
         batch = np.random.default_rng(6).standard_normal((500, 1))

@@ -85,6 +85,11 @@ class TestSolveLambda:
         h = disc.h_batch(batch)
         assert abs(float(np.mean(JS.f_prime_inv(h - lam))) - 1.0) <= 1e-6
 
+    def test_1d_batch_is_points_on_the_line(self):
+        disc = init_discriminator(JS, 1, 8, seed=3)
+        batch = np.random.default_rng(4).standard_normal(50)
+        assert solve_lambda(disc, JS, batch) == solve_lambda(disc, JS, batch[:, None])
+
 
 class TestRefineDiscrete:
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
