@@ -21,8 +21,9 @@ and parameter gradients come back flat in the same layout.
 
 All gradients (parameters and inputs) are exact reverse-mode, written out
 by hand; the test suite checks every one against central finite
-differences.  Training is plain gradient ascent on `params` that halves
-the step whenever the objective decreases.
+differences.  A backward pass builds either the parameter gradient or the
+input gradient, never both.  Training is plain gradient ascent on
+`params` that halves the step whenever the objective decreases.
 """
 
 from __future__ import annotations
@@ -145,11 +146,11 @@ class Discriminator:
     def h_batch(self, x: np.ndarray) -> np.ndarray:
         return self._forward_full(x)["h"]
 
-    def _backprop(self, cache: dict, dh: np.ndarray, want_inputs: bool = False):
+    def _backprop(self, cache: dict, dh: np.ndarray, inputs: bool = False) -> np.ndarray:
         """Push dL/dh back through the net.
 
-        Returns (param_grads laid out like params, input_grads); the latter
-        is None unless requested.
+        Returns the parameter gradient laid out like params or, with
+        inputs=True, the (n, d) input gradient instead; never both.
         """
         z3, a2, a1, x = (cache[k] for k in ("z3", "a2", "a1", "x"))
         if self.head == "link":
@@ -160,11 +161,11 @@ class Discriminator:
             dbias = 0.0
         dz2 = np.outer(dz3, self.w3) * (1.0 - a2 * a2)
         dz1 = (dz2 @ self.w2) * (1.0 - a1 * a1)
+        if inputs:
+            return dz1 @ self.w1
         # in the order of _param_views; concatenate is far cheaper than writing views
-        param_grads = np.concatenate((dz1.T @ x, dz1.sum(axis=0), dz2.T @ a1, dz2.sum(axis=0),
-                                      a2.T @ dz3, dz3.sum(), dbias), axis=None)
-        dx = dz1 @ self.w1 if want_inputs else None
-        return param_grads, dx
+        return np.concatenate((dz1.T @ x, dz1.sum(axis=0), dz2.T @ a1, dz2.sum(axis=0),
+                               a2.T @ dz3, dz3.sum(), dbias), axis=None)
 
     def copy(self) -> "Discriminator":
         return Discriminator(self.generator, self.dim, self.width, self.params.copy(),
@@ -188,7 +189,7 @@ class TabularDiscriminator:
     generator_name: Optional[str] = None
 
     def __post_init__(self):
-        self.support = np.atleast_2d(np.asarray(self.support, dtype=float))
+        self.support = as_batch(self.support)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.support.shape[0],):
             raise DomainError("one value per support point required")
@@ -282,10 +283,10 @@ def grads(disc: Discriminator, gen: GeneratorSpec, samples_nu: np.ndarray,
     cache_mu = disc._forward_full(samples_mu)
     h_mu, mask = _clamped_mu_values(gen, cache_mu["h"])
     value = float(cache_nu["h"].mean() - gen.conjugate_fn(h_mu).mean())
-    g_nu, _ = disc._backprop(cache_nu, np.full(cache_nu["h"].size, 1.0 / cache_nu["h"].size))
+    g_nu = disc._backprop(cache_nu, np.full(cache_nu["h"].size, 1.0 / cache_nu["h"].size))
     # d/dh of -mean f*(h) is -f'^-1(h)/n, zero where the clamp is active
     dmu = -np.asarray(gen.f_prime_inv(h_mu)) * mask / h_mu.size
-    g_mu, _ = disc._backprop(cache_mu, dmu)
+    g_mu = disc._backprop(cache_mu, dmu)
     return g_nu + g_mu, value
 
 
@@ -294,15 +295,23 @@ def linear_objective_grads(disc: Discriminator, x: np.ndarray,
     """Flat gradient of sum_i coeffs_i h(x_i); drives IPM and Rademacher sups."""
     cache = disc._forward_full(x)
     value = float(cache["h"] @ coeffs)
-    g, _ = disc._backprop(cache, np.asarray(coeffs, dtype=float))
+    g = disc._backprop(cache, np.asarray(coeffs, dtype=float))
     return g, value
 
 
-def input_grad(disc: Discriminator, x: np.ndarray) -> np.ndarray:
-    """Exact gradient of h with respect to the inputs, shape (n, d)."""
+def input_grad(disc: Discriminator, x: np.ndarray,
+               outer_deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
+    """Exact gradient of h with respect to the inputs, shape (n, d).
+
+    With outer_deriv = g' it is the gradient of g(h(x)) instead: by the
+    chain rule, row i of grad_x h times g'(h)[i].  The net runs forward
+    once; outer_deriv gets that pass's h before the input-only backward
+    pass, so an error it raises costs no backward pass.
+    """
     cache = disc._forward_full(x)
-    _, dx = disc._backprop(cache, np.ones_like(cache["h"]), want_inputs=True)
-    return dx
+    factor = None if outer_deriv is None else np.asarray(outer_deriv(cache["h"]))
+    dx = disc._backprop(cache, np.ones_like(cache["h"]), inputs=True)
+    return dx if factor is None else factor[:, None] * dx
 
 
 def tabular_objective_grad(tab: TabularDiscriminator, gen: GeneratorSpec,

@@ -3,7 +3,9 @@
 The refined model reweights the base model mu by f'^-1(h - lambda): on a
 finite support this is an explicit reweighting, on a continuous model it
 is exposed as a score field (for samplers) plus an unnormalized density
-(for quadrature oracles).  The normalizer lambda solves
+(for quadrature oracles).  The score field is the inner loop of every
+sampler, so it runs the net forward once per call and takes the guidance
+from one input-only backward pass.  The normalizer lambda solves
 
     E_mu[f'^-1(h - lambda)] = 1
 
@@ -27,7 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .discriminator import Discriminator, _h_values, input_grad
-from .distributions import ContinuousModel, DiscreteDistribution, as_generator
+from .distributions import ContinuousModel, DiscreteDistribution, as_batch, as_generator
 from .errors import DegenerateDistributionError, DomainError, LambdaSolveError
 from .generators import GeneratorSpec
 
@@ -136,25 +138,35 @@ def refined_score(base_score: Callable[[np.ndarray], np.ndarray], disc, gen: Gen
 
     guidance(x) = (d/ds log f'^-1)(h(x) - lam) * grad_x h(x), with the
     closed-form derivative from the generator (no numeric differentiation).
+    The guidance is the input gradient of log f'^-1(h - lam), so it takes
+    one forward and one input-only backward pass through `input_grad`.  The
+    domain check runs on that forward's h, before the backward pass: h - lam
+    must lie inside the range of f', or DomainError names the first point
+    outside it.
     """
     if not isinstance(disc, Discriminator):
         raise DomainError("refined_score needs a net discriminator with input gradients")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    h = disc.h_batch(x) - lam
+    x = as_batch(x)
     lo, hi = gen.conjugate_domain
-    if np.any(h <= lo) or np.any(h >= hi):
-        bad = int(np.flatnonzero((h <= lo) | (h >= hi))[0])
-        raise DomainError(
-            f"h - lambda = {h[bad]} at x = {x[bad]} leaves the range of f' {gen.conjugate_domain}"
-        )
-    factor = np.asarray(gen.log_ratio_deriv(h))[:, None]
-    return base_score(x) + factor * input_grad(disc, x)
+
+    def log_ratio_deriv(h: np.ndarray) -> np.ndarray:
+        s = h - lam
+        if np.any(s <= lo) or np.any(s >= hi):
+            bad = int(np.flatnonzero((s <= lo) | (s >= hi))[0])
+            raise DomainError(
+                f"h - lambda = {s[bad]} at x = {x[bad]} leaves the range of f' "
+                f"{gen.conjugate_domain}"
+            )
+        return gen.log_ratio_deriv(s)
+
+    guidance = input_grad(disc, x, log_ratio_deriv)
+    return base_score(x) + guidance
 
 
 def refined_density_unnormalized(base: ContinuousModel, disc, gen: GeneratorSpec,
                                  x: np.ndarray, *, lam: float = 0.0) -> np.ndarray:
     """density(x) * f'^-1(h(x) - lam); used by 1-d and 2-d quadrature oracles."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = as_batch(x)
     h = _h_values(disc, x) - lam
     return np.exp(base.log_density(x)) * np.asarray(gen.f_prime_inv(h))
 

@@ -142,7 +142,7 @@ def w1_1d(a: np.ndarray, b: np.ndarray) -> float:
 
 def export_samples_csv(path, batch: np.ndarray, seed: int) -> None:
     """One row per sample: chain id, coordinates, seed."""
-    batch = np.atleast_2d(np.asarray(batch, dtype=float))
+    batch = as_batch(batch)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["chain"] + [f"x{j}" for j in range(batch.shape[1])] + ["seed"])

@@ -203,14 +203,16 @@ class TestInputGradients:
         rng = np.random.default_rng(6)
         disc = init_discriminator(gen, 2, 8, seed=11)
         x = rng.standard_normal((100, 2))
-        g = input_grad(disc, x)
         eps = 1e-6
-        for j in range(2):
-            xp = x.copy(); xp[:, j] += eps
-            xm = x.copy(); xm[:, j] -= eps
-            fd = (disc.h_batch(xp) - disc.h_batch(xm)) / (2 * eps)
-            scale = np.maximum(np.abs(fd), 1.0)
-            assert (np.abs(g[:, j] - fd) / scale).max() <= 1e-4
+        # grad h, then grad g(h) through the chain rule with outer_deriv = g'
+        for outer, outer_deriv in ((lambda h: h, None), (np.sin, np.cos)):
+            g = input_grad(disc, x, outer_deriv)
+            for j in range(2):
+                xp = x.copy(); xp[:, j] += eps
+                xm = x.copy(); xm[:, j] -= eps
+                fd = (outer(disc.h_batch(xp)) - outer(disc.h_batch(xm))) / (2 * eps)
+                scale = np.maximum(np.abs(fd), 1.0)
+                assert (np.abs(g[:, j] - fd) / scale).max() <= 1e-4
 
 
 class TestTraining:
@@ -223,6 +225,12 @@ class TestTraining:
             h = tab.h_for(d)
             value = float(d.weights @ h - d.weights @ np.asarray(gen.conjugate_fn(h)))
             assert value == pytest.approx(0.0, abs=1e-14)
+
+    def test_tabular_1d_support_is_points_on_the_line(self):
+        tab = TabularDiscriminator(np.array([0.0, 1.0]), np.array([0.1, 0.2]))
+        assert tab.support.shape == (2, 1)
+        dist = DiscreteDistribution(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+        assert np.array_equal(tab.h_for(dist), [0.2, 0.1])
 
     def test_tabular_two_point_example(self):
         nu = two_point(0.5, 0.5)

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from season.discriminator import (
+    Discriminator,
     TabularDiscriminator,
     TrainConfig,
     exact_tabular,
     init_discriminator,
+    input_grad,
     train,
     zero_discriminator,
 )
@@ -158,8 +160,6 @@ class TestRefinedScore:
                            atol=1e-12)
 
     def test_kl_guidance_is_plain_input_gradient(self):
-        from season.discriminator import input_grad
-
         model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(KL, 1, 8, seed=4)
         x = np.linspace(-2, 2, 31)[:, None]
@@ -180,6 +180,39 @@ class TestRefinedScore:
         fd = (up - down) / (2 * eps)
         rel = np.abs(score[:, 0] - fd) / np.maximum(np.abs(fd), 1.0)
         assert rel.max() <= 1e-4
+
+    def test_one_forward_pass_per_call(self, monkeypatch):
+        calls = []
+        original = Discriminator._forward_full
+
+        def counting(disc, x):
+            calls.append(len(x))
+            return original(disc, x)
+
+        monkeypatch.setattr(Discriminator, "_forward_full", counting)
+        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        disc = init_discriminator(JS, 1, 8, seed=4)
+        refined_score(model.score, disc, JS, np.linspace(-2, 2, 31)[:, None], lam=0.1)
+        assert calls == [31]
+
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    def test_bit_identical_to_two_pass_formula(self, gen):
+        model = gaussian_mixture([[-1.0], [1.5]], [[[0.5]], [[0.8]]], [0.4, 0.6])
+        disc = init_discriminator(gen, 1, 8, seed=5)
+        disc.bias = -0.2 if math.isfinite(gen.conjugate_domain[1]) else 0.3
+        x = np.linspace(-2.5, 2.5, 100)[:, None]
+        lam = 0.05
+        factor = np.asarray(gen.log_ratio_deriv(disc.h_batch(x) - lam))
+        expected = model.score(x) + factor[:, None] * input_grad(disc, x)
+        assert np.array_equal(refined_score(model.score, disc, gen, x, lam=lam), expected)
+
+    def test_1d_batch_is_points_on_the_line(self):
+        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        disc = init_discriminator(JS, 1, 8, seed=4)
+        x = np.linspace(-1, 1, 5)
+        for fn, base in ((refined_score, model.score), (refined_density_unnormalized, model)):
+            assert np.array_equal(fn(base, disc, JS, x, lam=0.1),
+                                  fn(base, disc, JS, x[:, None], lam=0.1))
 
     def test_domain_boundary_reported_with_location(self):
         disc = zero_discriminator(JS, dim=1)

@@ -140,6 +140,15 @@ class TestExport:
         assert rows[1] == ["0", "0.5", "-1", "77"]
         assert len(rows) == 3
 
+    def test_1d_batch_is_one_chain_per_value(self, tmp_path):
+        flat, column = tmp_path / "flat.csv", tmp_path / "column.csv"
+        export_samples_csv(flat, np.array([0.1, 0.2, 0.3]), seed=7)
+        export_samples_csv(column, np.array([[0.1], [0.2], [0.3]]), seed=7)
+        expected = "chain,x0,seed\r\n0,0.10000000000000001,7\r\n1,0.20000000000000001,7\r\n" \
+                   "2,0.29999999999999999,7\r\n"
+        assert column.read_bytes() == expected.encode()
+        assert flat.read_bytes() == column.read_bytes()
+
 
 def test_nan_score_stops_at_guard():
     def nan_score(x, k=None):
