@@ -64,7 +64,6 @@ from .metrics import (
     exact_fdiv,
     fdiv_kl_lemma_check,
     generalization_report,
-    rademacher_empirical,
     vi_duality_check,
 )
 from .oracle import HSpec, dual_grid_min, exact_optimal_h, primal_sup_tabular

@@ -1,7 +1,7 @@
 """Small feed-forward discriminators with exact reverse-mode gradients.
 
-The net is two hidden tanh layers plus a scalar readout z(x).  The default
-"link" head routes z through the composite link of the attached generator:
+The net is two hidden tanh layers plus a scalar readout z(x).  Its "link"
+head routes z through the composite link of the attached generator:
 
     eta(x) = sigmoid(z(x))          class-probability estimate
     h(x)   = f'(eta / (1 - eta)) + b = f'(exp(z(x))) + b
@@ -9,10 +9,6 @@ The net is two hidden tanh layers plus a scalar readout z(x).  The default
 The free additive bias b realizes closure of the discriminator class under
 additive constants.  The link parametrization keeps h - b inside the range
 of f', so f'^-1(h - b) >= 0 and f* stays finite wherever it must.
-
-A "clamp" head replaces the link with a hard clip of z to [-B, B]; it is
-the bounded raw-output class used for IPM and Rademacher estimation and
-carries no free bias (the class must stay sup-norm bounded).
 
 All parameters live in one flat float64 vector, `params` (layout in
 `_param_views`); w1, b1, w2, b2, w3 are views into it and b3, b read from
@@ -60,7 +56,6 @@ __all__ = [
     "forward",
     "objective_R",
     "grads",
-    "linear_objective_grads",
     "input_grad",
     "tabular_objective_grad",
     "train",
@@ -88,27 +83,23 @@ def _param_views(flat: np.ndarray, dim: int, width: int) -> list[np.ndarray]:
 
 @dataclass
 class Discriminator:
-    """Two-hidden-layer tanh net with a link or clamp head.
+    """Two-hidden-layer tanh net with the link head.
 
     `params` holds every parameter (zeros when None).  Mutable only during
     training; `freeze` makes it read-only and the instance safe to share
     across threads.
     """
 
-    generator: Optional[GeneratorSpec]
+    generator: GeneratorSpec
     dim: int
     width: int
     params: Optional[np.ndarray] = None
-    head: str = "link"
-    norm_bound: float = 1.0
     converged: Optional[bool] = None
     final_objective: Optional[float] = None
 
     def __post_init__(self):
-        if self.head not in ("link", "clamp"):
-            raise DomainError(f"unknown head {self.head!r}")
-        if self.head == "link" and self.generator is None:
-            raise DomainError("link head requires a generator")
+        if self.generator is None:
+            raise DomainError("the link head requires a generator")
         if self.params is None:
             self.params = np.zeros(self.width * (self.dim + self.width + 3) + 2)
         self._views = _param_views(self.params, self.dim, self.width)
@@ -133,10 +124,7 @@ class Discriminator:
         z2 = a1 @ self.w2.T + self.b2
         a2 = np.tanh(z2)
         z3 = a2 @ self.w3 + self.b3
-        if self.head == "link":
-            h = self.generator.link_of_logit(z3) + self.bias
-        else:
-            h = np.clip(z3, -self.norm_bound, self.norm_bound)
+        h = self.generator.link_of_logit(z3) + self.bias
         return {"x": x, "a1": a1, "a2": a2, "z3": z3, "h": h}
 
     def forward_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,23 +141,17 @@ class Discriminator:
         inputs=True, the (n, d) input gradient instead; never both.
         """
         z3, a2, a1, x = (cache[k] for k in ("z3", "a2", "a1", "x"))
-        if self.head == "link":
-            dz3 = dh * np.asarray(self.generator.link_of_logit_deriv(z3))
-            dbias = float(dh.sum())
-        else:
-            dz3 = dh * (np.abs(z3) < self.norm_bound)
-            dbias = 0.0
+        dz3 = dh * np.asarray(self.generator.link_of_logit_deriv(z3))
         dz2 = np.outer(dz3, self.w3) * (1.0 - a2 * a2)
         dz1 = (dz2 @ self.w2) * (1.0 - a1 * a1)
         if inputs:
             return dz1 @ self.w1
         # in the order of _param_views; concatenate is far cheaper than writing views
         return np.concatenate((dz1.T @ x, dz1.sum(axis=0), dz2.T @ a1, dz2.sum(axis=0),
-                               a2.T @ dz3, dz3.sum(), dbias), axis=None)
+                               a2.T @ dz3, dz3.sum(), dh.sum()), axis=None)
 
     def copy(self) -> "Discriminator":
-        return Discriminator(self.generator, self.dim, self.width, self.params.copy(),
-                             head=self.head, norm_bound=self.norm_bound)
+        return Discriminator(self.generator, self.dim, self.width, self.params.copy())
 
     def freeze(self) -> "Discriminator":
         for array in (self.params, *self._views):
@@ -229,11 +211,10 @@ class TrainConfig:
     seed: int = 0
 
 
-def init_discriminator(gen: Optional[GeneratorSpec], dim: int, width: int, seed=0, *,
-                       head: str = "link", norm_bound: float = 1.0) -> Discriminator:
+def init_discriminator(gen: GeneratorSpec, dim: int, width: int, seed=0) -> Discriminator:
     """Gaussian weights scaled by 1/sqrt(fan-in), zero biases."""
     rng = as_generator(seed)
-    disc = Discriminator(gen, dim, width, head=head, norm_bound=norm_bound)
+    disc = Discriminator(gen, dim, width)
     for weights, fan_in in ((disc.w1, dim), (disc.w2, width), (disc.w3, width)):
         weights[...] = rng.standard_normal(weights.shape) / math.sqrt(fan_in)
     return disc
@@ -288,15 +269,6 @@ def grads(disc: Discriminator, gen: GeneratorSpec, samples_nu: np.ndarray,
     dmu = -np.asarray(gen.f_prime_inv(h_mu)) * mask / h_mu.size
     g_mu = disc._backprop(cache_mu, dmu)
     return g_nu + g_mu, value
-
-
-def linear_objective_grads(disc: Discriminator, x: np.ndarray,
-                           coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Flat gradient of sum_i coeffs_i h(x_i); drives IPM and Rademacher sups."""
-    cache = disc._forward_full(x)
-    value = float(cache["h"] @ coeffs)
-    g = disc._backprop(cache, np.asarray(coeffs, dtype=float))
-    return g, value
 
 
 def input_grad(disc: Discriminator, x: np.ndarray,
@@ -371,14 +343,6 @@ def train(gen: GeneratorSpec, data_nu, data_mu, config: TrainConfig = TrainConfi
     return _ascend(disc, lambda d: grads(d, gen, x_nu, x_mu), config)
 
 
-def train_linear_sup(x: np.ndarray, coeffs: np.ndarray, config: TrainConfig,
-                     norm_bound: float, seed) -> Discriminator:
-    """Maximize sum_i coeffs_i h(x_i) over clamp-head nets with |h| <= norm_bound."""
-    disc = init_discriminator(None, x.shape[1], config.width, seed, head="clamp",
-                              norm_bound=norm_bound)
-    return _ascend(disc, lambda d: linear_objective_grads(d, x, coeffs), config)
-
-
 _CHECKPOINT_VERSION = 1
 
 
@@ -394,10 +358,11 @@ def discriminator_to_dict(disc: Union[Discriminator, TabularDiscriminator]) -> d
     return {
         "version": _CHECKPOINT_VERSION,
         "kind": "net",
-        "generator": disc.generator.name if disc.generator is not None else None,
+        "generator": disc.generator.name,
         "activation": "tanh",
-        "head": disc.head,
-        "norm_bound": disc.norm_bound,
+        # earlier readers of version 1 require both keys; the link head ignores norm_bound
+        "head": "link",
+        "norm_bound": 1.0,
         "bias": disc.bias,
         "layers": [
             {"shape": [disc.width, disc.dim], "weights": disc.w1.ravel().tolist(),
@@ -422,6 +387,8 @@ def discriminator_from_dict(doc: dict) -> Union[Discriminator, TabularDiscrimina
         raise DomainError(f"unsupported checkpoint kind {doc.get('kind')!r}")
     if doc.get("activation") != "tanh":
         raise DomainError(f"unsupported activation {doc.get('activation')!r}")
+    if doc.get("head", "link") != "link":
+        raise DomainError(f"unsupported head {doc.get('head')!r}: only link-head nets load")
     layers = doc["layers"]
     first = layers[0]["shape"] if layers else None
     width, dim = first if isinstance(first, list) and len(first) == 2 else (0, 0)
@@ -431,9 +398,8 @@ def discriminator_from_dict(doc: dict) -> Union[Discriminator, TabularDiscrimina
         raise DomainError("checkpoint layer shapes do not match their weights and biases")
     # layer by layer, weights before bias, then the free bias: the layout of params
     params = [v for layer in layers for v in layer["weights"] + layer["bias"]] + [doc["bias"]]
-    gen = get_generator(doc["generator"]) if doc["generator"] is not None else None
-    return Discriminator(gen, dim, width, np.asarray(params, dtype=float),
-                         head=doc["head"], norm_bound=float(doc["norm_bound"]))
+    return Discriminator(get_generator(doc["generator"]), dim, width,
+                         np.asarray(params, dtype=float))
 
 
 def save_discriminator(disc: Union[Discriminator, TabularDiscriminator], path) -> None:

@@ -36,7 +36,6 @@ from .generators import GeneratorSpec, get_generator
 from .metrics import (
     BoundReport,
     MCEstimate,
-    TabularClass,
     est_gain_direct,
     est_gain_pushforward,
     est_DfH,

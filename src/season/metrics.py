@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .discriminator import TrainConfig, _h_values, train_linear_sup
-from .distributions import DiscreteDistribution, _row_positions, as_batch, as_generator, split_seeds
+from .discriminator import _h_values
+from .distributions import DiscreteDistribution, _row_positions, as_generator
 from .errors import AbsoluteContinuityError, DomainError
 from .generators import GeneratorSpec, get_generator
 from .refine import solve_lambda
@@ -34,10 +34,6 @@ __all__ = [
     "ipm_tabular_exact",
     "ipm_at_witness",
     "est_ipm",
-    "TabularClass",
-    "SingletonClass",
-    "NetClass",
-    "rademacher_empirical",
     "slow_rate_term",
     "generalization_report",
     "convergence_bound",
@@ -167,46 +163,11 @@ def ipm_at_witness(h_values: np.ndarray, nu: DiscreteDistribution,
     return float(np.sum(diff[mask] * h[mask])) if mask.any() else 0.0
 
 
-def est_ipm(nu_eval, mu_eval, *, norm: float = 1.0,
-            trainer: Optional[TrainConfig] = None) -> Union[float, tuple[float, bool]]:
-    """IPM over the norm-bounded class.
-
-    Discrete pairs are exact (sign-function optimum).  Batches train a
-    clamp-head net and return (plug-in sup estimate, convergence flag).
-    """
-    if isinstance(nu_eval, DiscreteDistribution) and isinstance(mu_eval, DiscreteDistribution):
-        return ipm_tabular_exact(nu_eval, mu_eval, norm)
-    cfg = trainer or TrainConfig()
-    x_nu, x_mu = as_batch(nu_eval), as_batch(mu_eval)
-    x = np.vstack([x_nu, x_mu])
-    coeffs = np.concatenate([
-        np.full(x_nu.shape[0], 1.0 / x_nu.shape[0]),
-        np.full(x_mu.shape[0], -1.0 / x_mu.shape[0]),
-    ])
-    disc = train_linear_sup(x, coeffs, cfg, norm, cfg.seed)
-    return disc.final_objective, bool(disc.converged)
-
-
-@dataclass(frozen=True)
-class TabularClass:
-    """Per-point functions bounded by norm; sup is exact per sign draw."""
-
-    norm: float = 1.0
-
-
-@dataclass(frozen=True)
-class SingletonClass:
-    """A single fixed function; the sup is vacuous."""
-
-    h: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class NetClass:
-    """Clamp-head nets trained afresh for every sign draw."""
-
-    config: TrainConfig
-    norm: float = 1.0
+def est_ipm(nu: DiscreteDistribution, mu: DiscreteDistribution, *, norm: float = 1.0) -> float:
+    """IPM over the norm-bounded class between two finite distributions (exact)."""
+    if not (isinstance(nu, DiscreteDistribution) and isinstance(mu, DiscreteDistribution)):
+        raise DomainError("est_ipm is exact on finite distributions only")
+    return ipm_tabular_exact(nu, mu, norm)
 
 
 def _tabular_sup(norm: float, idx: np.ndarray, zeta: np.ndarray) -> float:
@@ -216,41 +177,6 @@ def _tabular_sup(norm: float, idx: np.ndarray, zeta: np.ndarray) -> float:
     the sum over groups of |sum of zeta|.
     """
     return norm / zeta.size * np.abs(np.bincount(idx, weights=zeta)).sum()
-
-
-def rademacher_empirical(class_spec, samples: np.ndarray, n_sign_draws: int,
-                         seed=0) -> MCEstimate:
-    """Average over sign draws of sup_h (1/n) sum_i zeta_i h(x_i).
-
-    The tabular class admits the exact per-draw sup norm * (1/n)
-    sum_groups |sum zeta|, grouping repeated sample points.
-    """
-    if n_sign_draws < 1:
-        raise DomainError("n_sign_draws must be >= 1")
-    samples = as_batch(samples)
-    n = samples.shape[0]
-    rng = as_generator(seed)
-    draws = np.empty(n_sign_draws)
-
-    if isinstance(class_spec, TabularClass):
-        idx = _row_positions(samples, samples)
-        for d in range(n_sign_draws):
-            zeta = rng.choice([-1.0, 1.0], size=n)
-            draws[d] = _tabular_sup(class_spec.norm, idx, zeta)
-    elif isinstance(class_spec, SingletonClass):
-        hx = np.asarray(class_spec.h(samples), dtype=float).ravel()
-        for d in range(n_sign_draws):
-            zeta = rng.choice([-1.0, 1.0], size=n)
-            draws[d] = float(zeta @ hx) / n
-    elif isinstance(class_spec, NetClass):
-        rngs = split_seeds(seed if isinstance(seed, int) else 0, n_sign_draws)
-        for d, sub in enumerate(rngs):
-            zeta = sub.choice([-1.0, 1.0], size=n)
-            disc = train_linear_sup(samples, zeta / n, class_spec.config, class_spec.norm, sub)
-            draws[d] = disc.final_objective
-    else:
-        raise DomainError(f"unknown class spec {class_spec!r}")
-    return _mc(draws)
 
 
 def slow_rate_term(norm_H: float, delta: float, n: int) -> float:

@@ -256,6 +256,7 @@ class TestInputErrors:
         ("activation", "identity", "error: unsupported activation 'identity'\n"),
         ("shape", [4, 4], "error: checkpoint layer shapes do not match their weights "
                           "and biases\n"),
+        ("head", "clamp", "error: unsupported head 'clamp': only link-head nets load\n"),
     ])
     def test_malformed_net_checkpoint_exits_2(self, key, value, message, tmp_path, capsys):
         doc = discriminator_to_dict(init_discriminator(get_generator("js_shifted"), 1, 4))

@@ -17,7 +17,6 @@ from season.discriminator import (
     grads,
     init_discriminator,
     input_grad,
-    linear_objective_grads,
     load_discriminator,
     objective_R,
     save_discriminator,
@@ -178,18 +177,6 @@ class TestGradients:
             expected = 1.0 - float(np.asarray(gen.f_prime_inv(h_mu)).mean())
             # the free bias is the last entry of the layout
             assert analytic[-1] == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-    def test_linear_objective_grads(self):
-        rng = np.random.default_rng(5)
-        disc = init_discriminator(None, 2, 5, seed=3, head="clamp", norm_bound=0.8)
-        x = rng.standard_normal((12, 2))
-        coeffs = rng.standard_normal(12) / 12
-        analytic, value = linear_objective_grads(disc, x, coeffs)
-        assert value == pytest.approx(float(disc.h_batch(x) @ coeffs))
-        numeric = numeric_param_grads(lambda d: float(d.h_batch(x) @ coeffs), disc)
-        assert analytic.shape == disc.params.shape
-        assert np.abs(analytic - numeric).max() <= 1e-6 + 1e-4 * np.abs(numeric).max()
-        assert analytic[-1] == 0.0  # the clamp head carries no free bias
 
 
 class TestInputGradients:

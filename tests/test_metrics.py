@@ -7,7 +7,6 @@ import pytest
 
 from season.discriminator import (
     TabularDiscriminator,
-    TrainConfig,
     exact_tabular,
     init_discriminator,
     zero_discriminator,
@@ -17,9 +16,6 @@ from season.errors import DomainError
 from season.generators import GENERATOR_NAMES, TWO_LOG_TWO, get_generator
 from season.metrics import (
     ConvergenceBoundInputs,
-    NetClass,
-    SingletonClass,
-    TabularClass,
     convergence_bound,
     est_DfH,
     est_gain_direct,
@@ -30,8 +26,8 @@ from season.metrics import (
     generalization_report,
     ipm_at_witness,
     ipm_tabular_exact,
+    _tabular_sup,
     perturbed_score,
-    rademacher_empirical,
     score_error_mc,
     slow_rate_term,
     vi_duality_check,
@@ -214,61 +210,17 @@ class TestIPM:
         refined = refine_discrete(mu, tab, JS)
         assert abs(ipm_at_witness(tab.values, nu, refined)) <= 1e-12
 
-    def test_net_estimate_on_separated_gaussians(self):
-        rng = np.random.default_rng(14)
-        x_nu = rng.standard_normal((800, 1)) + 4.0
-        x_mu = rng.standard_normal((800, 1)) - 4.0
-        value, converged = est_ipm(x_nu, x_mu, norm=1.0,
-                                   trainer=TrainConfig(width=8, steps=300,
-                                                       step_size=0.5, seed=0))
-        # almost disjoint classes: the bounded IPM approaches 2 * norm
-        assert 1.5 <= value <= 2.0 + 1e-9
-        assert isinstance(converged, bool)
-
-    def test_1d_batches_are_points_on_the_line(self):
-        rng = np.random.default_rng(16)
-        x_nu, x_mu = rng.standard_normal(50) + 1.0, rng.standard_normal(50)
-        trainer = TrainConfig(width=4, steps=20, seed=0)
-        assert est_ipm(x_nu, x_mu, trainer=trainer) == \
-            est_ipm(x_nu[:, None], x_mu[:, None], trainer=trainer)
-
 
 class TestRademacher:
-    def test_singleton_class_near_zero(self):
-        rng = np.random.default_rng(15)
-        samples = rng.standard_normal((200, 1))
-        est = rademacher_empirical(SingletonClass(lambda x: x[:, 0]), samples,
-                                   n_sign_draws=400, seed=3)
-        assert abs(est.value) <= 4 * est.stderr
-
-    def test_1d_samples_are_points_on_the_line(self):
-        cls = SingletonClass(lambda x: x[:, 0])
-        x = np.linspace(-1.0, 1.0, 50)
-        assert rademacher_empirical(cls, x, 200) == rademacher_empirical(cls, x[:, None], 200)
-
     def test_tabular_distinct_points_exactly_norm(self):
-        samples = np.arange(50, dtype=float)[:, None]
-        est = rademacher_empirical(TabularClass(norm=1.0), samples,
-                                   n_sign_draws=10, seed=4)
-        assert est.value == pytest.approx(1.0, abs=0.0)
-        assert est.stderr == 0.0
+        zeta = np.random.default_rng(4).choice([-1.0, 1.0], size=50)
+        assert _tabular_sup(1.0, np.arange(50), zeta) == 1.0
 
     def test_tabular_grouped_points_hand_formula(self):
-        samples = np.array([[0.0]] * 3 + [[1.0]] * 5)
-        rng = np.random.default_rng(5)
-        zeta = rng.choice([-1.0, 1.0], size=8)
+        idx = np.array([0] * 3 + [1] * 5)
+        zeta = np.random.default_rng(5).choice([-1.0, 1.0], size=8)
         expected = (abs(zeta[:3].sum()) + abs(zeta[3:].sum())) / 8.0
-        est = rademacher_empirical(TabularClass(norm=1.0), samples,
-                                   n_sign_draws=1, seed=5)
-        assert est.value == pytest.approx(expected, abs=1e-15)
-
-    def test_net_estimate_bounded_by_norm(self):
-        rng = np.random.default_rng(16)
-        samples = rng.standard_normal((40, 1))
-        est = rademacher_empirical(
-            NetClass(TrainConfig(width=6, steps=120, step_size=0.5), norm=0.7),
-            samples, n_sign_draws=3, seed=6)
-        assert 0.0 <= est.value <= 0.7 + 1e-9
+        assert _tabular_sup(1.0, idx, zeta) == pytest.approx(expected, abs=1e-15)
 
 
 class TestBoundAssembly:
