@@ -236,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--model", required=True, help="JSON distribution spec (mu)")
     p_train.add_argument("--generator", default="js_shifted", choices=GENERATOR_NAMES)
     p_train.add_argument("--width", type=int, default=TrainConfig.width)
-    p_train.add_argument("--steps", type=int, default=TrainConfig.steps)
+    p_train.add_argument("--steps", type=int, default=TrainConfig.steps,
+                         help="maximum steps; training stops earlier once the objective "
+                              "stalls within its Monte Carlo error")
     p_train.add_argument("--lr", type=float, default=TrainConfig.step_size)
     p_train.add_argument("--n-samples", type=int, default=2000)
     p_train.add_argument("--seed", type=int, required=True)

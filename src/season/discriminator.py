@@ -18,8 +18,16 @@ and parameter gradients come back flat in the same layout.
 All gradients (parameters and inputs) are exact reverse-mode, written out
 by hand; the test suite checks every one against central finite
 differences.  A backward pass builds either the parameter gradient or the
-input gradient, never both.  Training is plain gradient ascent on
-`params` that halves the step whenever the objective decreases.
+input gradient, never both.
+
+Training is plain gradient ascent on `params` that halves the step
+whenever the objective decreases.  `TrainConfig.steps` caps the number of
+updates; training stops earlier once the objective R has gained less than
+STOP_FRACTION times its own Monte Carlo standard error over the last
+STOP_WINDOW steps.  That standard error, sqrt(var(h_nu) / n_nu +
+var(f*(h_mu)) / n_mu), comes from the per-row terms of the forward pass
+that gives R, so the rule costs no extra pass, and it is deterministic
+per seed.
 """
 
 from __future__ import annotations
@@ -46,6 +54,8 @@ from .generators import GeneratorSpec, get_generator, sigmoid
 logger = logging.getLogger(__name__)
 
 CLAMP_MARGIN = 1e-6
+STOP_WINDOW = 50  # steps over which the objective's gain is measured
+STOP_FRACTION = 0.05  # stop once that gain is below this fraction of one SE
 
 __all__ = [
     "Discriminator",
@@ -205,10 +215,21 @@ def _h_values(disc, target) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Net width, step cap, initial step size and initialization seed.
+
+    steps is the maximum number of gradient steps: training stops earlier
+    when the objective stalls within its Monte Carlo error (module
+    docstring), so a fit makes at most steps + 1 objective evaluations.
+    """
+
     width: int = 32
     steps: int = 500
     step_size: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        if self.steps < 0:
+            raise DomainError(f"steps must be >= 0, got {self.steps}")
 
 
 def init_discriminator(gen: GeneratorSpec, dim: int, width: int, seed=0) -> Discriminator:
@@ -258,17 +279,24 @@ def objective_R(disc: Discriminator, gen: GeneratorSpec, samples_nu: np.ndarray,
 
 
 def grads(disc: Discriminator, gen: GeneratorSpec, samples_nu: np.ndarray,
-          samples_mu: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact gradient of objective_R, laid out like disc.params, plus its value."""
+          samples_mu: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Exact gradient of objective_R, laid out like disc.params, its value and its SE.
+
+    The Monte Carlo standard error of the value is
+    sqrt(var(h_nu) / n_nu + var(f*(h_mu)) / n_mu) over the same rows.
+    """
     cache_nu = disc._forward_full(samples_nu)
     cache_mu = disc._forward_full(samples_mu)
+    h_nu = cache_nu["h"]
     h_mu, mask = _clamped_mu_values(gen, cache_mu["h"])
-    value = float(cache_nu["h"].mean() - gen.conjugate_fn(h_mu).mean())
-    g_nu = disc._backprop(cache_nu, np.full(cache_nu["h"].size, 1.0 / cache_nu["h"].size))
+    conj = np.asarray(gen.conjugate_fn(h_mu))
+    value = float(h_nu.mean() - conj.mean())
+    se = math.sqrt(h_nu.var() / h_nu.size + conj.var() / conj.size)
+    g_nu = disc._backprop(cache_nu, np.full(h_nu.size, 1.0 / h_nu.size))
     # d/dh of -mean f*(h) is -f'^-1(h)/n, zero where the clamp is active
     dmu = -np.asarray(gen.f_prime_inv(h_mu)) * mask / h_mu.size
     g_mu = disc._backprop(cache_mu, dmu)
-    return g_nu + g_mu, value
+    return g_nu + g_mu, value, se
 
 
 def input_grad(disc: Discriminator, x: np.ndarray,
@@ -303,26 +331,31 @@ def exact_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
     return TabularDiscriminator(mu.support, values, generator_name=gen.name)
 
 
-def _ascend(disc: Discriminator,
-            value_and_grads: Callable[[Discriminator], tuple[np.ndarray, float]],
+def _ascend(disc: Discriminator, gen: GeneratorSpec, x_nu: np.ndarray, x_mu: np.ndarray,
             config: TrainConfig) -> Discriminator:
-    """Gradient ascent on disc.params, halving the step when the objective drops."""
+    """Gradient ascent on disc.params under the stopping rule of the module docstring.
+
+    Each step evaluates R, its SE and its gradient in one `grads` call.  When
+    the rule fires, or when config.steps updates are done, the parameters
+    just evaluated are returned frozen, with that value as final_objective
+    and `converged` telling whether the rule fired.
+    """
     lr = float(config.step_size)
     history: list[float] = []
-    for step in range(config.steps):
-        g, value = value_and_grads(disc)
+    for step in range(config.steps + 1):
+        g, value, se = grads(disc, gen, x_nu, x_mu)
         if not math.isfinite(value):
             raise TrainingDivergedError(step)
+        stalled = (len(history) >= STOP_WINDOW
+                   and value - history[-STOP_WINDOW] < STOP_FRACTION * se)
+        if stalled or step == config.steps:
+            break
         if history and value < history[-1]:
             lr *= 0.5
         history.append(value)
         disc.params += lr * g
-    _, final = value_and_grads(disc)
-    if not math.isfinite(final):
-        raise TrainingDivergedError(config.steps)
-    disc.final_objective = final
-    trailing = max(history[-100:]) if history else final
-    disc.converged = (trailing - final) <= 1e-8
+    disc.final_objective = value
+    disc.converged = stalled
     return disc.freeze()
 
 
@@ -332,7 +365,7 @@ def train(gen: GeneratorSpec, data_nu, data_mu, config: TrainConfig = TrainConfi
 
     Two discrete distributions short-circuit to the closed-form tabular
     optimum.  Sample batches train a net by plain gradient ascent on the
-    variational objective.
+    variational objective, for at most config.steps steps.
     """
     if isinstance(data_nu, DiscreteDistribution) and isinstance(data_mu, DiscreteDistribution):
         return exact_tabular(data_nu, data_mu, gen)
@@ -340,7 +373,7 @@ def train(gen: GeneratorSpec, data_nu, data_mu, config: TrainConfig = TrainConfi
     if x_nu.shape[1] != x_mu.shape[1]:
         raise DomainError("sample batches have mismatched dimensions")
     disc = init_discriminator(gen, x_nu.shape[1], config.width, config.seed)
-    return _ascend(disc, lambda d: grads(d, gen, x_nu, x_mu), config)
+    return _ascend(disc, gen, x_nu, x_mu, config)
 
 
 _CHECKPOINT_VERSION = 1

@@ -192,13 +192,13 @@ class GaussianMixture:
         return self._log_norm[None, :] - 0.5 * quad_form
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = as_batch(x)
         comp = self._component_log_densities(x) + np.log(self.weights)[None, :]
         m = comp.max(axis=1, keepdims=True)
         return (m + np.log(np.exp(comp - m).sum(axis=1, keepdims=True)))[:, 0]
 
     def score(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = as_batch(x)
         comp = self._component_log_densities(x) + np.log(self.weights)[None, :]
         m = comp.max(axis=1, keepdims=True)
         resp = np.exp(comp - m)

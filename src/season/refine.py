@@ -15,7 +15,10 @@ convex f, so one end has a closed form and a halving or doubling search
 finds the other.  At an exactly optimal discriminator from a class closed
 under additive constants the solution is lambda = 0; it is still always
 solved rather than assumed, since finitely trained discriminators are
-inexact.
+inexact.  `solve_lambda` solves it for a discriminator on a finite
+distribution or a sample batch; `refined_score` without a given lambda
+solves it on the h of its own forward pass, which is how guided reverse
+diffusion gets one lambda per noise level from the chains themselves.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ __all__ = [
 ]
 
 _MAX_BRACKET_STEPS = 200
+_EXACT_TOL = 1e-10  # |E - 1| allowed on a finite distribution
+_MC_TOL = 1e-6  # |E - 1| allowed on a sample batch
 
 
 def _excess(lam: float, gen: GeneratorSpec, h: np.ndarray, w: np.ndarray) -> float:
@@ -58,6 +63,18 @@ def solve_lambda(disc, gen: GeneratorSpec,
 
     mu_ref is either a finite distribution (exact weighted sum, tolerance
     1e-10) or a sample batch from mu (Monte Carlo mean, tolerance 1e-6).
+    It evaluates disc's h there and hands it to `_solve_lambda`.
+    """
+    h = _h_values(disc, mu_ref)
+    if isinstance(mu_ref, DiscreteDistribution):
+        w, default_tol = mu_ref.weights, _EXACT_TOL
+    else:
+        w, default_tol = np.full(h.shape[0], 1.0 / h.shape[0]), _MC_TOL
+    return _solve_lambda(gen, h, w, default_tol if tol is None else tol)
+
+
+def _solve_lambda(gen: GeneratorSpec, h: np.ndarray, w: np.ndarray, tol: float) -> float:
+    """Solve sum_i w_i f'^-1(h_i - lambda) = 1 for the values h with weights w.
 
     Zero-weight points are left out.  At lambda = max(h) - f'(1/2) every
     term is at most 1/2, so E < 1 there.  The other end of the bracket
@@ -65,15 +82,8 @@ def solve_lambda(disc, gen: GeneratorSpec,
     that supremum is finite, doubling the step when it is not.  Raises
     DegenerateDistributionError when h is -inf on all of mu's mass, and
     LambdaSolveError when h is NaN or +inf there, when no bracket is found
-    or when the root misses the tolerance.
+    or when |E - 1| at the root exceeds tol.
     """
-    h = _h_values(disc, mu_ref)
-    if isinstance(mu_ref, DiscreteDistribution):
-        w = mu_ref.weights
-        tol = 1e-10 if tol is None else tol
-    else:
-        w = np.full(h.shape[0], 1.0 / h.shape[0])
-        tol = 1e-6 if tol is None else tol
     live = w > 0
     h, w = h[live], w[live]
     if np.any(np.isnan(h) | np.isposinf(h)):
@@ -133,16 +143,18 @@ def refine_discrete(mu: DiscreteDistribution, disc, gen: GeneratorSpec, *,
 
 
 def refined_score(base_score: Callable[[np.ndarray], np.ndarray], disc, gen: GeneratorSpec,
-                  x: np.ndarray, *, lam: float = 0.0) -> np.ndarray:
+                  x: np.ndarray, *, lam: Optional[float] = None) -> np.ndarray:
     """Score of the refined model: base score plus the guidance term.
 
     guidance(x) = (d/ds log f'^-1)(h(x) - lam) * grad_x h(x), with the
     closed-form derivative from the generator (no numeric differentiation).
     The guidance is the input gradient of log f'^-1(h - lam), so it takes
-    one forward and one input-only backward pass through `input_grad`.  The
-    domain check runs on that forward's h, before the backward pass: h - lam
-    must lie inside the range of f', or DomainError names the first point
-    outside it.
+    one forward and one input-only backward pass through `input_grad`.
+    lam=None solves the normalizer on the batch itself, the mean of
+    f'^-1(h - lam) over x equal to 1, from that forward's h; the solved
+    lam keeps every h - lam inside the range of f'.  The domain check runs
+    on that forward's h, before the backward pass: h - lam must lie inside
+    the range of f', or DomainError names the first point outside it.
     """
     if not isinstance(disc, Discriminator):
         raise DomainError("refined_score needs a net discriminator with input gradients")
@@ -150,7 +162,8 @@ def refined_score(base_score: Callable[[np.ndarray], np.ndarray], disc, gen: Gen
     lo, hi = gen.conjugate_domain
 
     def log_ratio_deriv(h: np.ndarray) -> np.ndarray:
-        s = h - lam
+        s = h - (_solve_lambda(gen, h, np.full(h.size, 1.0 / h.size), _MC_TOL)
+                 if lam is None else lam)
         if np.any(s <= lo) or np.any(s >= hi):
             bad = int(np.flatnonzero((s <= lo) | (s >= hi))[0])
             raise DomainError(

@@ -11,7 +11,9 @@ starting from the standard Gaussian prior.  During step k the guidance
 term comes from the discriminator at level tau_{k+1}: discs[k] is trained
 at forward time T - tau_{k+1}, and the score handle is queried at step
 index k (forward time T - tau_k).  Guidance adds
-(d/ds log f'^-1)(h(y)) * grad h(y) and vanishes for constant
+(d/ds log f'^-1)(h(y) - lambda_k) * grad h(y), where lambda_k solves the
+normalizer equation on the current chain batch, mean of
+f'^-1(h(y) - lambda_k) equal to 1.  It vanishes for constant
 discriminators, leaving trajectories bit-identical to the unguided run.
 
 Both samplers are deterministic per seed; noise is drawn once per step
@@ -108,7 +110,8 @@ def reverse_em(score: Callable[[np.ndarray, int], np.ndarray], cfg: ReverseDiffu
 
     score(x, k) is the model score during [tau_k, tau_{k+1}].  With discs
     given (one per step, aligned to level tau_{k+1}) the drift adds the
-    guidance term of `refined_score` at lambda = 0, domain check included.
+    guidance term of `refined_score`, domain check included, with lambda
+    solved for that level on the chains.
     """
     if discs is not None:
         if gen is None:

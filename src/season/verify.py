@@ -221,7 +221,7 @@ def _gradient_suite() -> list[CheckResult]:
         disc.bias = float(rng.uniform(-0.3, 0.1))
         x_nu = rng.standard_normal((8, dim))
         x_mu = rng.standard_normal((10, dim))
-        analytic, _ = grads(disc, gen, x_nu, x_mu)
+        analytic, _, _ = grads(disc, gen, x_nu, x_mu)
         fd = _central_differences(disc.params, lambda: objective_R(disc, gen, x_nu, x_mu))
         param_errs.append(np.abs(analytic - fd) / np.maximum(np.abs(fd), 1.0))
 

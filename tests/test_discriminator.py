@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from season import discriminator
 from season.discriminator import (
+    STOP_FRACTION,
+    STOP_WINDOW,
     Discriminator,
     TabularDiscriminator,
     TrainConfig,
@@ -48,6 +51,35 @@ def numeric_param_grads(make_value, disc, eps=1e-5):
         g[i] = (up - make_value(disc)) / (2 * eps)
         disc.params[i] = orig
     return g
+
+
+def recorded_fit(monkeypatch, x_nu, x_mu, cfg):
+    """Train a net, recording (value, se) of every grads call made through the module."""
+    calls = []
+    real = discriminator.grads
+
+    def recording(*args):
+        g, value, se = real(*args)
+        calls.append((value, se))
+        return g, value, se
+
+    monkeypatch.setattr(discriminator, "grads", recording)
+    return train(JS, x_nu, x_mu, cfg), calls
+
+
+def first_stall(calls):
+    """First evaluation at which R gained less than STOP_FRACTION SE over STOP_WINDOW steps."""
+    for t in range(STOP_WINDOW, len(calls)):
+        value, se = calls[t]
+        if value - calls[t - STOP_WINDOW][0] < STOP_FRACTION * se:
+            return t
+    return None
+
+
+def gaussian_pair(n, seed=0):
+    """n rows of N(1, 1) data and n rows of an N(0, 1) model."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, 1)) + 1.0, rng.standard_normal((n, 1))
 
 
 class TestForward:
@@ -161,7 +193,7 @@ class TestGradients:
             disc.bias = float(rng.uniform(-0.3, 0.1))
             x_nu = rng.standard_normal((9, dim))
             x_mu = rng.standard_normal((11, dim))
-            analytic, _ = grads(disc, gen, x_nu, x_mu)
+            analytic, _, _ = grads(disc, gen, x_nu, x_mu)
             numeric = numeric_param_grads(lambda d: objective_R(d, gen, x_nu, x_mu), disc)
             assert analytic.shape == disc.params.shape
             assert (np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1.0)).max() <= 1e-4
@@ -172,7 +204,7 @@ class TestGradients:
             disc = init_discriminator(gen, 1, 6, seed=9)
             x_nu = rng.standard_normal((15, 1))
             x_mu = rng.standard_normal((17, 1))
-            analytic, _ = grads(disc, gen, x_nu, x_mu)
+            analytic, _, _ = grads(disc, gen, x_nu, x_mu)
             h_mu = disc.h_batch(x_mu)
             expected = 1.0 - float(np.asarray(gen.f_prime_inv(h_mu)).mean())
             # the free bias is the last entry of the layout
@@ -269,6 +301,39 @@ class TestTraining:
         disc = train(KL, x_nu, x_mu, TrainConfig(width=4, steps=800, step_size=0.05, seed=1))
         assert disc.converged is True
         assert math.isfinite(disc.final_objective)
+
+    def test_same_seed_fits_are_byte_identical(self):
+        x_nu, x_mu = gaussian_pair(500)
+        cfg = TrainConfig(width=8, steps=300, step_size=0.5, seed=3)
+        a, b = train(JS, x_nu, x_mu, cfg), train(JS, x_nu, x_mu, cfg)
+        assert a.params.tobytes() == b.params.tobytes()
+        assert (a.converged, a.final_objective) == (b.converged, b.final_objective)
+
+    @pytest.mark.parametrize("steps", [0, 30, 120])
+    def test_steps_cap_the_grads_calls(self, steps, monkeypatch):
+        x_nu, x_mu = gaussian_pair(200)
+        _, calls = recorded_fit(monkeypatch, x_nu, x_mu,
+                                TrainConfig(width=4, steps=steps, step_size=0.5, seed=0))
+        assert 1 <= len(calls) <= steps + 1
+
+    def test_negative_step_cap_rejected(self):
+        with pytest.raises(DomainError, match="steps must be >= 0"):
+            TrainConfig(steps=-1)
+
+    @pytest.mark.parametrize("steps, fires", [(30, False), (600, True)])
+    def test_converged_exactly_when_the_rule_fired(self, steps, fires, monkeypatch):
+        # 30 steps end before the first window fills; on 4000 rows the rule fires before 600
+        x_nu, x_mu = gaussian_pair(4000)
+        disc, calls = recorded_fit(monkeypatch, x_nu, x_mu,
+                                   TrainConfig(width=16, steps=steps, step_size=0.5, seed=0))
+        stall = first_stall(calls)
+        assert disc.converged is fires
+        if fires:
+            assert stall == len(calls) - 1 < steps
+        else:
+            assert stall is None and len(calls) == steps + 1
+        # the value of the last evaluation, with no extra pass after it
+        assert disc.final_objective == calls[-1][0]
 
     def test_divergence_raises_with_step_index(self):
         rng = np.random.default_rng(11)

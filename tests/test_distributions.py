@@ -116,6 +116,13 @@ class TestGaussianMixture:
         dens = np.exp(model.log_density(x))
         assert np.trapezoid(dens, x[:, 0]) == pytest.approx(1.0, abs=1e-4)
 
+    def test_1d_batch_is_points_on_the_line(self):
+        model = gaussian_mixture([[-1.0], [1.0]], [[[0.5]], [[0.5]]], [0.3, 0.7])
+        x = np.linspace(-1, 1, 5)
+        assert model.score(x).shape == (5, 1)
+        assert np.array_equal(model.score(x), model.score(x[:, None]))
+        assert np.array_equal(model.log_density(x), model.log_density(x[:, None]))
+
     def test_sampler_moments(self):
         model = gaussian_mixture([[-1.0], [1.0]], [[[0.25]], [[0.25]]], [0.5, 0.5])
         draws = model.sample(7, 200_000)

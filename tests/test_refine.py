@@ -219,7 +219,16 @@ class TestRefinedScore:
         disc.bias = 2.0  # pushes h to f'(1) + 2 > 0, outside the range of f'
         model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
         with pytest.raises(DomainError):
-            refined_score(model.score, disc, JS, np.zeros((1, 1)))
+            refined_score(model.score, disc, JS, np.zeros((1, 1)), lam=0.0)
+
+    def test_lambda_solved_on_the_batch_by_default(self):
+        disc = init_discriminator(JS, 1, 8, seed=4)
+        disc.bias = 2.0
+        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        x = np.linspace(-2, 2, 31)[:, None]
+        lam = solve_lambda(disc, JS, x)
+        assert np.array_equal(refined_score(model.score, disc, JS, x),
+                              refined_score(model.score, disc, JS, x, lam=lam))
 
 
 class TestRefinedDensity:

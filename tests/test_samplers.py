@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from season.discriminator import zero_discriminator
+from season.discriminator import init_discriminator, zero_discriminator
 from season.distributions import constant_schedule, gaussian_mixture
 from season.errors import ChainDivergenceError, DomainError
 from season.generators import get_generator
+from season.refine import refined_score
 from season.samplers import (
     LangevinConfig,
     ReverseDiffusionConfig,
@@ -83,6 +84,18 @@ class TestReverseEM:
         neutral = [zero_discriminator(JS, 1) for _ in range(cfg.K)]
         guided = reverse_em(lambda x, k: -x, cfg, JS, neutral)
         assert np.array_equal(unguided, guided)
+
+    def test_positive_bias_guidance_solves_lambda_per_level(self):
+        # the free bias lifts h above sup dom f* = 0 on part of the prior's mass
+        disc = init_discriminator(JS, 1, 8, seed=0)
+        disc.bias = 0.5
+        cfg = ReverseDiffusionConfig(schedule=constant_schedule(1.0, 2.0), K=8,
+                                     n_chains=500, dim=1, seed=0)
+        prior = np.random.default_rng(0).standard_normal((500, 1))  # the chains' start
+        with pytest.raises(DomainError, match="leaves the range"):
+            refined_score(lambda y: -y, disc, JS, prior, lam=0.0)
+        out = reverse_em(lambda y, k: -y, cfg, JS, [disc] * cfg.K)
+        assert np.isfinite(out).all()
 
     def test_level_misalignment_rejected(self):
         sched = constant_schedule(1.0, 2.0)
