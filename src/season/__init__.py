@@ -21,18 +21,16 @@ from .generators import (
     inverse_link,
     link,
     partial_losses,
-    perspective_prior,
 )
 from .distributions import (
-    ContinuousModel,
     DiscreteDistribution,
+    GaussianMixture,
     OUSchedule,
     constant_schedule,
     discrete_ratio,
     gaussian_mixture,
     noise_sample,
     ou_params,
-    standard_normal_model,
 )
 from .discriminator import (
     Discriminator,
@@ -60,12 +58,11 @@ from .metrics import (
     est_DfH,
     est_gain_direct,
     est_gain_pushforward,
-    est_ipm,
     exact_fdiv,
     fdiv_kl_lemma_check,
     generalization_report,
     vi_duality_check,
 )
-from .oracle import HSpec, dual_grid_min, exact_optimal_h, primal_sup_tabular
+from .oracle import HSpec, dual_grid_min, primal_sup_tabular
 
 __version__ = "0.1.0"

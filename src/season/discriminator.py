@@ -67,7 +67,6 @@ __all__ = [
     "objective_R",
     "grads",
     "input_grad",
-    "tabular_objective_grad",
     "train",
     "exact_tabular",
     "save_discriminator",
@@ -314,17 +313,9 @@ def input_grad(disc: Discriminator, x: np.ndarray,
     return dx if factor is None else factor[:, None] * dx
 
 
-def tabular_objective_grad(tab: TabularDiscriminator, gen: GeneratorSpec,
-                           nu: DiscreteDistribution, mu: DiscreteDistribution) -> np.ndarray:
-    """dR/dh_i = nu_i - mu_i f'^-1(h_i) for the per-point class."""
-    h = tab.h_for(mu)
-    nu_aligned = discrete_ratio(nu, mu) * mu.weights
-    return nu_aligned - mu.weights * np.asarray(gen.f_prime_inv(h))
-
-
 def exact_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
                   gen: GeneratorSpec) -> TabularDiscriminator:
-    """Closed-form optimum h_i = f'(nu_i / mu_i) on mu's support."""
+    """Closed-form optimum h_i = f'(nu_i / mu_i) on mu's support; -inf where nu vanishes."""
     ratio = discrete_ratio(nu, mu)
     with np.errstate(divide="ignore"):
         values = np.asarray(gen.f_prime(ratio))

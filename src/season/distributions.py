@@ -1,9 +1,9 @@
 """Toy data and model distributions plus the forward noising process.
 
-Provides finite discrete distributions, Gaussian-mixture continuous models
-with exact log-densities and scores, the standard Gaussian prior, and the
-mean-reverting (Ornstein-Uhlenbeck) forward process X_t | X_0 ~
-N(m_t X_0, sigma_t^2 I) with m_t = exp(-int_0^t beta) and
+Provides finite discrete distributions, Gaussian mixtures (the one
+continuous model type) with exact log-densities, scores, samplers and
+noised laws, and the mean-reverting (Ornstein-Uhlenbeck) forward process
+X_t | X_0 ~ N(m_t X_0, sigma_t^2 I) with m_t = exp(-int_0^t beta) and
 sigma_t^2 = 1 - m_t^2.
 
 Everything is immutable after construction.  Samplers take explicit seed
@@ -23,7 +23,6 @@ from .errors import AbsoluteContinuityError, DomainError
 
 __all__ = [
     "DiscreteDistribution",
-    "ContinuousModel",
     "GaussianMixture",
     "OUSchedule",
     "as_generator",
@@ -31,7 +30,6 @@ __all__ = [
     "split_seeds",
     "check_score_consistency",
     "gaussian_mixture",
-    "standard_normal_model",
     "constant_schedule",
     "ou_params",
     "noise_sample",
@@ -126,26 +124,6 @@ class DiscreteDistribution:
         return self.support[idx]
 
 
-@dataclass(frozen=True)
-class ContinuousModel:
-    """Density / score / sampler handle bundle for a toy distribution.
-
-    log_density maps (n, d) -> (n,), score maps (n, d) -> (n, d), and
-    sampler maps (rng, n) -> (n, d).  `mixture` carries the closed-form
-    parameters when the model is a Gaussian mixture, which keeps exact
-    noised versions available.
-    """
-
-    dim: int
-    log_density: Callable[[np.ndarray], np.ndarray]
-    score: Callable[[np.ndarray], np.ndarray]
-    sampler: Callable[[np.random.Generator, int], np.ndarray]
-    mixture: Optional["GaussianMixture"] = None
-
-    def sample(self, seed: SeedLike, n: int) -> np.ndarray:
-        return self.sampler(as_generator(seed), n)
-
-
 class GaussianMixture:
     """Closed-form Gaussian mixture in low dimension."""
 
@@ -222,17 +200,8 @@ class GaussianMixture:
             self.weights,
         )
 
-    def as_model(self) -> ContinuousModel:
-        return ContinuousModel(
-            dim=self.dim,
-            log_density=self.log_density,
-            score=self.score,
-            sampler=self.sample,
-            mixture=self,
-        )
 
-
-def check_score_consistency(model: ContinuousModel, rng: SeedLike = 0, n_probes: int = 100,
+def check_score_consistency(model: GaussianMixture, rng: SeedLike = 0, n_probes: int = 100,
                             rtol: float = 1e-4) -> float:
     """Compare score against central differences of log_density at probes.
 
@@ -256,17 +225,12 @@ def check_score_consistency(model: ContinuousModel, rng: SeedLike = 0, n_probes:
     return err
 
 
-def gaussian_mixture(means, covs, weights, *, validate: bool = True) -> ContinuousModel:
-    """Build a Gaussian-mixture ContinuousModel with exact score and sampler."""
-    model = GaussianMixture(means, covs, weights).as_model()
+def gaussian_mixture(means, covs, weights, *, validate: bool = True) -> GaussianMixture:
+    """Build a Gaussian mixture, checking its score against finite differences."""
+    model = GaussianMixture(means, covs, weights)
     if validate:
         check_score_consistency(model)
     return model
-
-
-def standard_normal_model(dim: int) -> ContinuousModel:
-    """The d-dimensional standard Gaussian prior."""
-    return gaussian_mixture(np.zeros((1, dim)), [np.eye(dim)], [1.0], validate=False)
 
 
 @dataclass(frozen=True)
@@ -311,14 +275,12 @@ def noise_sample(x0: np.ndarray, schedule: OUSchedule, t: float, seed: SeedLike)
     return m * x0 + sigma * rng.standard_normal(x0.shape)
 
 
-def noised_mixture(model: ContinuousModel, schedule: OUSchedule, t: float) -> ContinuousModel:
+def noised_mixture(model: GaussianMixture, schedule: OUSchedule, t: float) -> GaussianMixture:
     """Exact law of the forward-noised mixture at time t."""
-    if model.mixture is None:
-        raise DomainError("noised_mixture needs a model with Gaussian-mixture parameters")
     m, sigma = ou_params(schedule, t)
     if sigma == 0.0:
         return model
-    return model.mixture.noised(m, sigma).as_model()
+    return model.noised(m, sigma)
 
 
 def discrete_ratio(nu: DiscreteDistribution, mu: DiscreteDistribution) -> np.ndarray:

@@ -14,16 +14,15 @@ can be assembled term by term and checked across seeded trials.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .discriminator import TrainConfig, train
+from .discriminator import TrainConfig, exact_tabular, train
 from .distributions import (
-    ContinuousModel,
     DiscreteDistribution,
+    GaussianMixture,
     as_generator,
     constant_schedule,
     discrete_ratio,
@@ -44,9 +43,10 @@ from .metrics import (
     ipm_at_witness,
     ipm_tabular_exact,
     _masked_dot,
+    _mc,
     _tabular_sup,
 )
-from .oracle import HSpec, exact_optimal_h, primal_sup_tabular
+from .oracle import HSpec, primal_sup_tabular
 from .refine import _refined_weights, refine_discrete, solve_lambda
 from .samplers import ReverseDiffusionConfig, reverse_em, w1_1d
 
@@ -98,7 +98,7 @@ def identity_terms(nu: DiscreteDistribution, mu: DiscreteDistribution,
     reached there), D at the tabular optimum, and the gain as the exact
     I_f(refined : mu), with lambda solved once.
     """
-    tab = exact_optimal_h(nu, mu, gen)
+    tab = exact_tabular(nu, mu, gen)
     d_value = est_DfH(tab, gen, nu, mu)
     lam = solve_lambda(tab, gen, mu)
     refined = refine_discrete(mu, tab, gen, lam=lam)
@@ -144,7 +144,7 @@ class RefinementBenefit:
     samples_guided: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-def _bimodal_pair() -> tuple[ContinuousModel, ContinuousModel]:
+def _bimodal_pair() -> tuple[GaussianMixture, GaussianMixture]:
     """Data distribution and a base model with deliberately wrong weights."""
     data = gaussian_mixture([[-2.0], [2.0]], [[[0.25]], [[0.25]]], [0.5, 0.5])
     base = gaussian_mixture([[-2.0], [2.0]], [[[0.25]], [[0.25]]], [0.25, 0.75])
@@ -223,9 +223,7 @@ def population_rademacher(population: DiscreteDistribution, n: int, *, norm: flo
         idx = rng.choice(population.n, size=n, p=population.weights)
         zeta = rng.choice([-1.0, 1.0], size=n)
         draws[d] = _tabular_sup(norm, idx, zeta)
-    m = float(draws.mean())
-    se = float(draws.std(ddof=1) / math.sqrt(n_draws))
-    return MCEstimate(m, se, n_draws)
+    return _mc(draws)
 
 
 def empirical_from_draws(population: DiscreteDistribution, rng, n: int) -> DiscreteDistribution:

@@ -24,7 +24,7 @@ binary-classification view of the divergence explicit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,7 +36,6 @@ TWO_LOG_TWO = 2.0 * math.log(2.0)
 __all__ = [
     "GeneratorSpec",
     "PartialLossPair",
-    "PerspectiveGenerator",
     "GENERATOR_NAMES",
     "get_generator",
     "eval_f",
@@ -46,9 +45,7 @@ __all__ = [
     "link",
     "inverse_link",
     "partial_losses",
-    "pointwise_loss",
     "bayes_pointwise_loss",
-    "perspective_prior",
     "sigmoid",
     "TWO_LOG_TWO",
 ]
@@ -305,15 +302,14 @@ def _golden_max(fn: Callable[[float], float], a: float, b: float) -> tuple[float
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def conjugate_numeric(gen, s: float) -> float:
+def conjugate_numeric(gen: GeneratorSpec, s: float) -> float:
     """Oracle twin of `conjugate`: maximize s*t - f(t) by golden section.
 
-    Works for any object exposing a vectorized ``.f`` (built-in generators
-    and perspective transforms).  The search runs in u = log t on
-    [-46, hi], where the objective stays unimodal; hi steps up from 1 while
-    the objective still rises, and an objective still rising at u = 30 is
-    reported as +inf (unbounded supremum).  The t = 0 boundary value
-    -f(0) enters as an explicit candidate.
+    The search runs in u = log t on [-46, hi], where the objective stays
+    unimodal; hi steps up from 1 while the objective still rises, and an
+    objective still rising at u = 30 is reported as +inf (unbounded
+    supremum).  The t = 0 boundary value -f(0) enters as an explicit
+    candidate.
     """
 
     def g(u: float) -> float:
@@ -365,12 +361,6 @@ def partial_losses(gen: GeneratorSpec, eta: float) -> PartialLossPair:
     return PartialLossPair(loss_pos=-z, loss_neg=conjugate(gen, z))
 
 
-def pointwise_loss(gen: GeneratorSpec, eta: float, t: float) -> float:
-    """Expected loss eta * l+(t) + (1 - eta) * l-(t) of predicting t in (0, 1)."""
-    pl = partial_losses(gen, t)
-    return eta * pl.loss_pos + (1.0 - eta) * pl.loss_neg
-
-
 def bayes_pointwise_loss(gen: GeneratorSpec, eta: float) -> float:
     """Pointwise Bayes loss -(1 - eta) f(eta / (1 - eta)), with endpoint limits."""
     if not (0.0 <= eta <= 1.0):
@@ -380,37 +370,3 @@ def bayes_pointwise_loss(gen: GeneratorSpec, eta: float) -> float:
     if eta == 1.0:
         return gen.bayes_loss_at_one
     return -(1.0 - eta) * float(gen.f(eta / (1.0 - eta)))
-
-
-@dataclass(frozen=True)
-class PerspectiveGenerator:
-    """Generator rebuilt from a Bayes loss under a class prior pi.
-
-    f_pi(u) = -(1 - pi + pi u) * Lbar(pi u / (1 - pi + pi u)).  Convexity
-    is inherited from concavity of Lbar; there is no closed-form
-    conjugate, use `conjugate_numeric`.
-    """
-
-    pi: float
-    bayes_loss: Callable[[float], float]
-    name: str = field(default="perspective")
-
-    def f(self, u):
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
-        vals = np.empty_like(u)
-        for i, ui in enumerate(u):
-            if ui < 0:
-                vals[i] = np.inf
-                continue
-            denom = 1.0 - self.pi + self.pi * ui
-            vals[i] = -denom * self.bayes_loss(self.pi * ui / denom)
-        return vals[0] if scalar else vals
-
-
-def perspective_prior(bayes_loss: Callable[[float], float], pi: float) -> PerspectiveGenerator:
-    """Tilt a pointwise Bayes loss by a prior pi in (0, 1)."""
-    if not (0.0 < pi < 1.0):
-        raise DomainError(f"prior must lie in (0, 1), got {pi}")
-    return PerspectiveGenerator(pi=pi, bayes_loss=bayes_loss)

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .discriminator import _h_values
-from .distributions import DiscreteDistribution, _row_positions, as_generator
+from .distributions import DiscreteDistribution, _row_positions
 from .errors import AbsoluteContinuityError, DomainError
 from .generators import GeneratorSpec, get_generator
-from .refine import solve_lambda
+from .refine import _solve_lambda
 
 __all__ = [
     "MCEstimate",
@@ -33,14 +33,11 @@ __all__ = [
     "est_DfH",
     "ipm_tabular_exact",
     "ipm_at_witness",
-    "est_ipm",
     "slow_rate_term",
     "generalization_report",
     "convergence_bound",
     "fdiv_kl_lemma_check",
     "vi_duality_check",
-    "perturbed_score",
-    "score_error_mc",
 ]
 
 
@@ -90,8 +87,8 @@ def est_gain_direct(gen: GeneratorSpec, disc, mu_ref) -> MCEstimate:
 
     Exact on a finite mu (stderr 0), Monte Carlo on a sample batch.
     """
-    lam = solve_lambda(disc, gen, mu_ref)
     h = _h_values(disc, mu_ref)
+    lam = _solve_lambda(gen, h, mu_ref)
     vals = np.asarray(gen.f(np.asarray(gen.f_prime_inv(h - lam))))
     if isinstance(mu_ref, DiscreteDistribution):
         return MCEstimate(_masked_dot(mu_ref.weights, vals), 0.0, mu_ref.n)
@@ -102,8 +99,9 @@ def est_gain_pushforward(gen: GeneratorSpec, disc, mu_samples: np.ndarray) -> MC
     """Gain through the class-probability pushforward: mean of f(eta / (1 - eta)).
 
     eta is recovered from h as f'^-1(h) / (1 + f'^-1(h)); identical to the
-    direct estimator when lambda = 0.  eta = 1 contributes +inf and is the
-    boundary flag.
+    direct estimator when lambda = 0.  There is no domain check: where h
+    exceeds sup dom f*, f'^-1(h) < 0 and the mean is not finite (-inf for
+    js_shifted).
     """
     h = _h_values(disc, mu_samples)
     r = np.asarray(gen.f_prime_inv(h))
@@ -161,13 +159,6 @@ def ipm_at_witness(h_values: np.ndarray, nu: DiscreteDistribution,
     h = np.asarray(h_values, dtype=float)
     mask = diff != 0.0
     return float(np.sum(diff[mask] * h[mask])) if mask.any() else 0.0
-
-
-def est_ipm(nu: DiscreteDistribution, mu: DiscreteDistribution, *, norm: float = 1.0) -> float:
-    """IPM over the norm-bounded class between two finite distributions (exact)."""
-    if not (isinstance(nu, DiscreteDistribution) and isinstance(mu, DiscreteDistribution)):
-        raise DomainError("est_ipm is exact on finite distributions only")
-    return ipm_tabular_exact(nu, mu, norm)
 
 
 def _tabular_sup(norm: float, idx: np.ndarray, zeta: np.ndarray) -> float:
@@ -316,21 +307,3 @@ def vi_duality_check(mu: DiscreteDistribution, L_values: Sequence[float],
     residual = abs(lhs + rhs)
     return VIDualityResult(lhs=lhs, rhs=rhs, gibbs=gibbs, residual=residual,
                            holds=bool(residual <= tol))
-
-
-def perturbed_score(score: Callable[[np.ndarray], np.ndarray], amplitude: float,
-                    wavenumber: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
-    """Add a bounded smooth field to an exact score (emulates a learned score)."""
-
-    def perturbed(x: np.ndarray) -> np.ndarray:
-        return score(x) + amplitude * np.sin(wavenumber * np.asarray(x, dtype=float))
-
-    return perturbed
-
-
-def score_error_mc(score_a, score_b, sampler, n: int, seed=0) -> MCEstimate:
-    """Monte Carlo estimate of E ||score_a(X) - score_b(X)||^2 under the sampler."""
-    rng = as_generator(seed)
-    x = sampler(rng, n)
-    d2 = np.sum((np.asarray(score_a(x)) - np.asarray(score_b(x))) ** 2, axis=1)
-    return _mc(d2)

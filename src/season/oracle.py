@@ -33,18 +33,11 @@ __all__ = [
     "HSpec",
     "DualResult",
     "DualityCheck",
-    "exact_optimal_h",
     "simplex_grid",
     "dual_grid_min",
     "primal_sup_tabular",
     "strong_duality_check",
 ]
-
-
-def exact_optimal_h(nu: DiscreteDistribution, mu: DiscreteDistribution,
-                    gen: GeneratorSpec) -> TabularDiscriminator:
-    """The variational witness h_i = f'(nu_i / mu_i); -inf where nu vanishes."""
-    return exact_tabular(nu, mu, gen)
 
 
 @dataclass(frozen=True)
@@ -141,7 +134,7 @@ def primal_sup_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
         return _masked_dot(nu_w, h) - _masked_dot(mu_w, np.asarray(gen.conjugate_fn(h)))
 
     if h_spec.kind == "rich":
-        tab = exact_optimal_h(nu, mu, gen)
+        tab = exact_tabular(nu, mu, gen)
         return plugin_value(tab.values), tab
     if h_spec.kind == "constants":
         c = float(gen.f_prime(1.0))

@@ -2,10 +2,10 @@
 
 The refined model reweights the base model mu by f'^-1(h - lambda): on a
 finite support this is an explicit reweighting, on a continuous model it
-is exposed as a score field (for samplers) plus an unnormalized density
-(for quadrature oracles).  The score field is the inner loop of every
-sampler, so it runs the net forward once per call and takes the guidance
-from one input-only backward pass.  The normalizer lambda solves
+is exposed as a score field (for samplers) plus an unnormalized density.
+The score field is the inner loop of every sampler, so it runs the net
+forward once per call and takes the guidance from one input-only
+backward pass.  The normalizer lambda solves
 
     E_mu[f'^-1(h - lambda)] = 1
 
@@ -16,9 +16,11 @@ finds the other.  At an exactly optimal discriminator from a class closed
 under additive constants the solution is lambda = 0; it is still always
 solved rather than assumed, since finitely trained discriminators are
 inexact.  `solve_lambda` solves it for a discriminator on a finite
-distribution or a sample batch; `refined_score` without a given lambda
-solves it on the h of its own forward pass, which is how guided reverse
-diffusion gets one lambda per noise level from the chains themselves.
+distribution or a sample batch; callers that already hold h there solve
+it on those values through `_solve_lambda`, so the net runs forward once.
+`refined_score` without a given lambda solves it on the h of its own
+forward pass, which is how guided reverse diffusion gets one lambda per
+noise level from the chains themselves.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .discriminator import Discriminator, _h_values, input_grad
-from .distributions import ContinuousModel, DiscreteDistribution, as_batch, as_generator
+from .distributions import DiscreteDistribution, GaussianMixture, as_batch, as_generator
 from .errors import DegenerateDistributionError, DomainError, LambdaSolveError
 from .generators import GeneratorSpec
 
@@ -65,25 +67,28 @@ def solve_lambda(disc, gen: GeneratorSpec,
     1e-10) or a sample batch from mu (Monte Carlo mean, tolerance 1e-6).
     It evaluates disc's h there and hands it to `_solve_lambda`.
     """
-    h = _h_values(disc, mu_ref)
+    return _solve_lambda(gen, _h_values(disc, mu_ref), mu_ref, tol)
+
+
+def _solve_lambda(gen: GeneratorSpec, h: np.ndarray,
+                  mu_ref: Union[DiscreteDistribution, np.ndarray],
+                  tol: Optional[float] = None) -> float:
+    """Solve E_mu[f'^-1(h - lambda)] = 1 for h already evaluated on mu_ref.
+
+    The weights and default tolerance come from mu_ref as in
+    `solve_lambda`; zero-weight points are left out.  At lambda = max(h) -
+    f'(1/2) every term is at most 1/2, so E < 1 there.  The other end of
+    the bracket moves down from it: halving the distance to max(h) - sup
+    dom f* when that supremum is finite, doubling the step when it is not.
+    Raises DegenerateDistributionError when h is -inf on all of mu's mass,
+    and LambdaSolveError when h is NaN or +inf there, when no bracket is
+    found or when |E - 1| at the root exceeds tol.
+    """
     if isinstance(mu_ref, DiscreteDistribution):
         w, default_tol = mu_ref.weights, _EXACT_TOL
     else:
         w, default_tol = np.full(h.shape[0], 1.0 / h.shape[0]), _MC_TOL
-    return _solve_lambda(gen, h, w, default_tol if tol is None else tol)
-
-
-def _solve_lambda(gen: GeneratorSpec, h: np.ndarray, w: np.ndarray, tol: float) -> float:
-    """Solve sum_i w_i f'^-1(h_i - lambda) = 1 for the values h with weights w.
-
-    Zero-weight points are left out.  At lambda = max(h) - f'(1/2) every
-    term is at most 1/2, so E < 1 there.  The other end of the bracket
-    moves down from it: halving the distance to max(h) - sup dom f* when
-    that supremum is finite, doubling the step when it is not.  Raises
-    DegenerateDistributionError when h is -inf on all of mu's mass, and
-    LambdaSolveError when h is NaN or +inf there, when no bracket is found
-    or when |E - 1| at the root exceeds tol.
-    """
+    tol = default_tol if tol is None else tol
     live = w > 0
     h, w = h[live], w[live]
     if np.any(np.isnan(h) | np.isposinf(h)):
@@ -121,7 +126,7 @@ def _refined_weights(mu: DiscreteDistribution, disc, gen: GeneratorSpec,
     """Ratios f'^-1(h - lambda) on mu's support and the renormalized weights."""
     h = _h_values(disc, mu)
     if lam is None:
-        lam = solve_lambda(disc, gen, mu)
+        lam = _solve_lambda(gen, h, mu)
     ratios = np.asarray(gen.f_prime_inv(h - lam))
     weights = mu.weights * ratios
     total = float(weights.sum())
@@ -162,8 +167,7 @@ def refined_score(base_score: Callable[[np.ndarray], np.ndarray], disc, gen: Gen
     lo, hi = gen.conjugate_domain
 
     def log_ratio_deriv(h: np.ndarray) -> np.ndarray:
-        s = h - (_solve_lambda(gen, h, np.full(h.size, 1.0 / h.size), _MC_TOL)
-                 if lam is None else lam)
+        s = h - (_solve_lambda(gen, h, x) if lam is None else lam)
         if np.any(s <= lo) or np.any(s >= hi):
             bad = int(np.flatnonzero((s <= lo) | (s >= hi))[0])
             raise DomainError(
@@ -176,9 +180,9 @@ def refined_score(base_score: Callable[[np.ndarray], np.ndarray], disc, gen: Gen
     return base_score(x) + guidance
 
 
-def refined_density_unnormalized(base: ContinuousModel, disc, gen: GeneratorSpec,
+def refined_density_unnormalized(base: GaussianMixture, disc, gen: GeneratorSpec,
                                  x: np.ndarray, *, lam: float = 0.0) -> np.ndarray:
-    """density(x) * f'^-1(h(x) - lam); used by 1-d and 2-d quadrature oracles."""
+    """density(x) * f'^-1(h(x) - lam), the refined density up to its normalizer."""
     x = as_batch(x)
     h = _h_values(disc, x) - lam
     return np.exp(base.log_density(x)) * np.asarray(gen.f_prime_inv(h))
@@ -191,7 +195,7 @@ class RefinedModel:
     gen: GeneratorSpec
     disc: object
     lambda_h: float
-    base: object
+    base: GaussianMixture
     mc_residual: float = 0.0  # |E_mu[f'^-1(h - lambda)] - 1| recorded at construction
     mc_se: float = 0.0
 
@@ -202,13 +206,14 @@ class RefinedModel:
         return refined_density_unnormalized(self.base, self.disc, self.gen, x, lam=self.lambda_h)
 
 
-def refine_continuous(base: ContinuousModel, disc, gen: GeneratorSpec, *,
+def refine_continuous(base: GaussianMixture, disc, gen: GeneratorSpec, *,
                       n_mc: int = 10_000, seed=0) -> RefinedModel:
     """Build the continuous refined model, solving lambda by Monte Carlo."""
     rng = as_generator(seed)
     batch = base.sample(rng, n_mc)
-    lam = solve_lambda(disc, gen, batch)
-    ratios = np.asarray(gen.f_prime_inv(_h_values(disc, batch) - lam))
+    h = _h_values(disc, batch)
+    lam = _solve_lambda(gen, h, batch)
+    ratios = np.asarray(gen.f_prime_inv(h - lam))
     residual = abs(float(ratios.mean()) - 1.0)
     se = float(ratios.std(ddof=1) / math.sqrt(n_mc))
     return RefinedModel(gen=gen, disc=disc, lambda_h=lam, base=base,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from season import experiments, metrics, refine
+from season import metrics, refine
 from season.experiments import (
     bound_trial,
     bound_trials,
@@ -19,20 +19,20 @@ from season.experiments import (
     refinement_benefit_experiment,
 )
 from season.generators import get_generator
-from season.refine import solve_lambda
 
 
 @pytest.fixture
 def lambda_solves(monkeypatch):
-    """Counts solve_lambda calls made through every module that imports it."""
+    """Counts lambda solves: each one runs `_solve_lambda` through refine or metrics."""
     calls = []
+    original = refine._solve_lambda
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return solve_lambda(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    for module in (experiments, metrics, refine):
-        monkeypatch.setattr(module, "solve_lambda", counted)
+    for module in (metrics, refine):
+        monkeypatch.setattr(module, "_solve_lambda", counted)
     return calls
 
 

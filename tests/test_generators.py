@@ -18,8 +18,6 @@ from season.generators import (
     inverse_link,
     link,
     partial_losses,
-    perspective_prior,
-    pointwise_loss,
 )
 
 ALL = [get_generator(n) for n in GENERATOR_NAMES]
@@ -250,54 +248,3 @@ class TestBayesPointwiseLoss:
             lhs = bayes_pointwise_loss(JS, float(eta)) + 2 * (1 - eta) * math.log(2)
             rhs = bayes_pointwise_loss(JS, float(1 - eta)) + 2 * eta * math.log(2)
             assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_pointwise_loss_consistency(self):
-        # evaluating the pointwise loss at t = eta gives the Bayes value
-        for gen in ALL:
-            for eta in (0.2, 0.5, 0.8):
-                assert pointwise_loss(gen, eta, eta) == pytest.approx(
-                    bayes_pointwise_loss(gen, eta), rel=1e-12, abs=1e-12)
-
-
-class TestPerspectivePrior:
-    def bayes_js(self, e):
-        return bayes_pointwise_loss(JS, e)
-
-    def test_value_at_one(self):
-        for pi in (0.25, 0.5, 0.75):
-            fpi = perspective_prior(self.bayes_js, pi)
-            assert float(fpi.f(1.0)) == pytest.approx(-self.bayes_js(pi), abs=1e-15)
-
-    def test_half_prior_closed_form(self):
-        fpi = perspective_prior(self.bayes_js, 0.5)
-        for u in np.linspace(0.1, 4.0, 17):
-            expected = -((1 + u) / 2.0) * self.bayes_js(u / (1 + u))
-            assert float(fpi.f(float(u))) == pytest.approx(expected, rel=1e-12)
-
-    def test_convexity_on_grid(self):
-        for pi in (0.25, 0.5, 0.75):
-            fpi = perspective_prior(self.bayes_js, pi)
-            u = np.linspace(0.05, 6.0, 120)
-            vals = np.asarray(fpi.f(u))
-            second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
-            assert np.all(second >= -1e-9)
-
-    def test_continuous_in_prior_sweep(self):
-        u = np.linspace(0.1, 3.0, 30)
-        sweeps = [np.asarray(perspective_prior(self.bayes_js, pi).f(u))
-                  for pi in np.linspace(0.25, 0.75, 11)]
-        gaps = [np.abs(a - b).max() for a, b in zip(sweeps, sweeps[1:])]
-        assert all(np.isfinite(g) and g < 0.5 for g in gaps)
-
-    def test_numeric_conjugate_available(self):
-        fpi = perspective_prior(self.bayes_js, 0.5)
-        val = conjugate_numeric(fpi, -0.5)
-        assert math.isfinite(val)
-        # oracle twin of the oracle: dense grid over t
-        t = np.linspace(1e-6, 10.0, 100001)
-        dense = float((-0.5 * t - np.asarray(fpi.f(t))).max())
-        assert val == pytest.approx(dense, abs=1e-5)
-
-    def test_bad_prior_rejected(self):
-        with pytest.raises(DomainError):
-            perspective_prior(self.bayes_js, 1.0)

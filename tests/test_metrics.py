@@ -20,15 +20,12 @@ from season.metrics import (
     est_DfH,
     est_gain_direct,
     est_gain_pushforward,
-    est_ipm,
     exact_fdiv,
     fdiv_kl_lemma_check,
     generalization_report,
     ipm_at_witness,
     ipm_tabular_exact,
     _tabular_sup,
-    perturbed_score,
-    score_error_mc,
     slow_rate_term,
     vi_duality_check,
 )
@@ -186,7 +183,7 @@ class TestDfH:
 class TestIPM:
     def test_equal_distributions_zero(self):
         d = two_point(0.5, 0.5)
-        assert est_ipm(d, d) == 0.0
+        assert ipm_tabular_exact(d, d) == 0.0
 
     def test_tabular_matches_sign_enumeration_oracle(self):
         rng = np.random.default_rng(12)
@@ -321,14 +318,3 @@ class TestVIDuality:
             argmin = interior[int(np.argmin(obj))]
             tv = 0.5 * float(np.abs(argmin - res.gibbs.weights).sum())
             assert tv <= 0.03
-
-
-class TestScorePerturbation:
-    def test_perturbation_bounded_and_measured(self):
-        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
-        noisy = perturbed_score(model.score, amplitude=0.3, wavenumber=2.0)
-        est = score_error_mc(noisy, model.score, model.sampler, n=20_000, seed=0)
-        # E[0.09 sin^2(2X)] for X ~ N(0,1): 0.045 (1 - e^-8)
-        expected = 0.045 * (1 - math.exp(-8.0))
-        assert est.value == pytest.approx(expected, abs=3 * est.stderr + 1e-4)
-        assert est.value <= 0.09

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from season.discriminator import exact_tabular
 from season.distributions import DiscreteDistribution
 from season.errors import DomainError
 from season.generators import GENERATOR_NAMES, get_generator
@@ -12,7 +13,6 @@ from season.metrics import est_DfH, exact_fdiv
 from season.oracle import (
     HSpec,
     dual_grid_min,
-    exact_optimal_h,
     primal_sup_tabular,
     simplex_grid,
     strong_duality_check,
@@ -38,12 +38,12 @@ class TestExactOptimalH:
     def test_equal_distributions_neutral(self):
         d = two_point(0.5, 0.5)
         for gen in ALL:
-            tab = exact_optimal_h(d, d, gen)
+            tab = exact_tabular(d, d, gen)
             assert np.allclose(tab.values, float(gen.f_prime(1.0)))
 
     def test_kl_ratio_example(self):
         nu, mu = two_point(0.5, 0.5), two_point(0.25, 0.75)
-        tab = exact_optimal_h(nu, mu, KL)
+        tab = exact_tabular(nu, mu, KL)
         assert np.allclose(tab.values, [1 + math.log(2.0), 1 + math.log(2.0 / 3.0)])
 
     def test_witness_attains_exact_divergence(self):
@@ -51,7 +51,7 @@ class TestExactOptimalH:
         for _ in range(20):
             nu, mu = random_pair(rng, int(rng.integers(2, 5)), floor=0.05)
             for gen in ALL:
-                tab = exact_optimal_h(nu, mu, gen)
+                tab = exact_tabular(nu, mu, gen)
                 assert est_DfH(tab, gen, nu, mu) == pytest.approx(
                     exact_fdiv(nu, mu, gen), abs=1e-10)
 
@@ -59,7 +59,7 @@ class TestExactOptimalH:
         nu = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([1.0, 0.0]))
         mu = two_point(0.5, 0.5)
         for gen in ALL:
-            assert exact_optimal_h(nu, mu, gen).values[1] == -math.inf
+            assert exact_tabular(nu, mu, gen).values[1] == -math.inf
 
 
 class TestSimplexGrid:

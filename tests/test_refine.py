@@ -19,6 +19,7 @@ from season.discriminator import (
 from season.distributions import DiscreteDistribution, gaussian_mixture
 from season.errors import DegenerateDistributionError, DomainError, LambdaSolveError
 from season.generators import GENERATOR_NAMES, get_generator, link
+from season.metrics import est_gain_direct
 from season.refine import (
     export_refined_csv,
     refine_continuous,
@@ -31,6 +32,20 @@ from season.refine import (
 KL = get_generator("kl")
 JS = get_generator("js_shifted")
 ALL = [get_generator(n) for n in GENERATOR_NAMES]
+
+
+@pytest.fixture
+def forward_rows(monkeypatch):
+    """Row count of every net forward pass."""
+    calls = []
+    original = Discriminator._forward_full
+
+    def counting(disc, x):
+        calls.append(len(x))
+        return original(disc, x)
+
+    monkeypatch.setattr(Discriminator, "_forward_full", counting)
+    return calls
 
 
 def random_pair(rng, k, floor=0.05):
@@ -181,19 +196,11 @@ class TestRefinedScore:
         rel = np.abs(score[:, 0] - fd) / np.maximum(np.abs(fd), 1.0)
         assert rel.max() <= 1e-4
 
-    def test_one_forward_pass_per_call(self, monkeypatch):
-        calls = []
-        original = Discriminator._forward_full
-
-        def counting(disc, x):
-            calls.append(len(x))
-            return original(disc, x)
-
-        monkeypatch.setattr(Discriminator, "_forward_full", counting)
+    def test_one_forward_pass_per_call(self, forward_rows):
         model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(JS, 1, 8, seed=4)
         refined_score(model.score, disc, JS, np.linspace(-2, 2, 31)[:, None], lam=0.1)
-        assert calls == [31]
+        assert forward_rows == [31]
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_bit_identical_to_two_pass_formula(self, gen):
@@ -273,6 +280,17 @@ class TestRefineContinuous:
         assert refined.mc_se > 0
         x = np.zeros((3, 1))
         assert refined.score(x).shape == (3, 1)
+
+    @pytest.mark.parametrize("solve_then_use", [
+        lambda model, disc: refine_continuous(model, disc, JS, n_mc=500, seed=0),
+        lambda model, disc: est_gain_direct(JS, disc, model.sample(0, 500)),
+        lambda model, disc: refine_discrete(
+            DiscreteDistribution(np.linspace(-1, 1, 5), np.full(5, 0.2)), disc, JS),
+    ], ids=["refine_continuous", "est_gain_direct", "refine_discrete"])
+    def test_lambda_solved_on_the_h_of_one_forward_pass(self, forward_rows, solve_then_use):
+        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        solve_then_use(model, init_discriminator(JS, 1, 8, seed=8))
+        assert len(forward_rows) == 1
 
 
 class TestExportCSV:
