@@ -11,16 +11,12 @@ experiment pipelines plus CLI (`experiments`, `verify`, `cli`).
 from .generators import (
     GENERATOR_NAMES,
     GeneratorSpec,
-    PartialLossPair,
     bayes_pointwise_loss,
-    conjugate,
     conjugate_numeric,
     eval_f,
     get_generator,
-    inv_fprime,
     inverse_link,
     link,
-    partial_losses,
 )
 from .distributions import (
     DiscreteDistribution,

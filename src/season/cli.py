@@ -27,6 +27,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .discriminator import (
     TabularDiscriminator,
@@ -63,24 +64,38 @@ def _json_dump(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _require(cfg: dict, key: str, types, path: str):
+_MISSING = object()
+_REAL = (int, float)
+
+
+def _require(cfg: dict, key: str, types, path: str, default=_MISSING, *,
+             minimum: Optional[int] = None):
+    """cfg[key] checked against types (bool never counts as a number).
+
+    A missing key is an error unless a default is given; minimum bounds a count.
+    """
     if key not in cfg:
-        raise ConfigError(f"{path}.{key}", "missing required field")
+        if default is _MISSING:
+            raise ConfigError(f"{path}.{key}", "missing required field")
+        return default
     val = cfg[key]
-    if not isinstance(val, types):
-        raise ConfigError(f"{path}.{key}", f"expected {types}, got {type(val).__name__}")
+    if isinstance(val, bool) or not isinstance(val, types):
+        names = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
+        raise ConfigError(f"{path}.{key}", f"expected {names}, got {type(val).__name__}")
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"{path}.{key}", f"must be at least {minimum}, got {val}")
     return val
 
 
 def _output_dir(cfg: dict) -> Path:
-    out = os.environ.get("OUTPUT_DIR") or cfg.get("output_dir", ".")
+    out = os.environ.get("OUTPUT_DIR") or _require(cfg, "output_dir", str, "$", ".")
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _generator_from(cfg: dict, default: str = "js_shifted"):
-    name = cfg.get("generator", default)
+    name = _require(cfg, "generator", str, "$", default)
     if name not in GENERATOR_NAMES:
         raise ConfigError("$.generator", f"unknown generator {name!r}")
     return get_generator(name)
@@ -88,7 +103,7 @@ def _generator_from(cfg: dict, default: str = "js_shifted"):
 
 def _run_identity(cfg: dict, out: Path) -> None:
     seed = _require(cfg, "seed", int, "$")
-    n_instances = int(cfg.get("n_instances", 100))
+    n_instances = _require(cfg, "n_instances", int, "$", 100, minimum=1)
     rows = identity_discrete_experiment(n_instances=n_instances, seed=seed)
     with open(out / "identity_terms.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -103,16 +118,16 @@ def _run_identity(cfg: dict, out: Path) -> None:
 
 def _run_refine_1d(cfg: dict, out: Path) -> None:
     seed = _require(cfg, "seed", int, "$")
-    disc_cfg = cfg.get("discriminator", {})
-    sampler_cfg = cfg.get("sampler", {})
+    disc_cfg = _require(cfg, "discriminator", dict, "$", {})
+    sampler_cfg = _require(cfg, "sampler", dict, "$", {})
     result = refinement_benefit_experiment(
         seed,
-        k_levels=int(sampler_cfg.get("k_levels", 16)),
-        t_horizon=float(sampler_cfg.get("t_horizon", 2.0)),
-        n_chains=int(sampler_cfg.get("n_chains", 2000)),
-        disc_width=int(disc_cfg.get("width", 16)),
-        disc_steps=int(disc_cfg.get("steps", 300)),
-        disc_lr=float(disc_cfg.get("lr", 0.25)),
+        k_levels=_require(sampler_cfg, "k_levels", int, "$.sampler", 16, minimum=1),
+        t_horizon=float(_require(sampler_cfg, "t_horizon", _REAL, "$.sampler", 2.0)),
+        n_chains=_require(sampler_cfg, "n_chains", int, "$.sampler", 2000),
+        disc_width=_require(disc_cfg, "width", int, "$.discriminator", 16),
+        disc_steps=_require(disc_cfg, "steps", int, "$.discriminator", 300),
+        disc_lr=float(_require(disc_cfg, "lr", _REAL, "$.discriminator", 0.25)),
         keep_samples=True,
     )
     export_samples_csv(out / "samples_base.csv", result.samples_unguided, seed)
@@ -130,8 +145,8 @@ def _run_refine_1d(cfg: dict, out: Path) -> None:
 def _run_bounds(cfg: dict, out: Path) -> None:
     seed = _require(cfg, "seed", int, "$")
     gen = _generator_from(cfg)
-    n = int(cfg.get("n", 200))
-    delta = float(cfg.get("delta", 0.05))
+    n = _require(cfg, "n", int, "$", 200, minimum=1)
+    delta = float(_require(cfg, "delta", _REAL, "$", 0.05))
     report = bound_trial(seed, gen_name=gen.name, n=n, delta=delta)
     payload = report.to_dict()
     payload["seed"] = seed

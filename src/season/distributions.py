@@ -225,11 +225,10 @@ def check_score_consistency(model: GaussianMixture, rng: SeedLike = 0, n_probes:
     return err
 
 
-def gaussian_mixture(means, covs, weights, *, validate: bool = True) -> GaussianMixture:
+def gaussian_mixture(means, covs, weights) -> GaussianMixture:
     """Build a Gaussian mixture, checking its score against finite differences."""
     model = GaussianMixture(means, covs, weights)
-    if validate:
-        check_score_consistency(model)
+    check_score_consistency(model)
     return model
 
 

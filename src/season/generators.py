@@ -10,15 +10,14 @@ domain of the Fenchel conjugate f*.  The three built-ins are
 
 All closed forms here (f, f', f'^-1, f*, their derivatives) have numeric
 oracle twins used by the test suite: `conjugate_numeric` maximizes
-s*t - f(t) directly by golden-section search, and the derivatives are
-cross-checked against finite differences.  Only the closed forms run on
-hot paths.  The golden-section search (`_golden_max`, a fixed 300 steps)
-is shared with the tabular primal sup in `oracle`.
+s*t - f(t) directly by bounded Brent search (scipy), and the derivatives
+are cross-checked against finite differences.  Only the closed forms run
+on hot paths.
 
 The composite link Psi(eta) = f'(eta / (1 - eta)) ties class-probability
-estimates to real-valued discriminator outputs; partial losses and the
-pointwise Bayes loss Lbar(eta) = -(1 - eta) f(eta / (1 - eta)) make the
-binary-classification view of the divergence explicit.
+estimates to real-valued discriminator outputs; the pointwise Bayes loss
+Lbar(eta) = -(1 - eta) f(eta / (1 - eta)) makes the binary-classification
+view of the divergence explicit.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import DomainError
 
@@ -35,16 +35,12 @@ TWO_LOG_TWO = 2.0 * math.log(2.0)
 
 __all__ = [
     "GeneratorSpec",
-    "PartialLossPair",
     "GENERATOR_NAMES",
     "get_generator",
     "eval_f",
-    "conjugate",
     "conjugate_numeric",
-    "inv_fprime",
     "link",
     "inverse_link",
-    "partial_losses",
     "bayes_pointwise_loss",
     "sigmoid",
     "TWO_LOG_TWO",
@@ -80,31 +76,15 @@ class GeneratorSpec:
     f: Callable  # +inf outside dom f; t = 0 handled as the right limit
     f_prime: Callable
     f_prime_inv: Callable
-    f_prime_inv_deriv: Callable  # (f'^-1)'(s), closed form
     log_ratio_deriv: Callable  # d/ds log f'^-1(s), the guidance factor
     conjugate_fn: Callable  # closed-form f* on conjugate_domain
     conjugate_domain: tuple[float, float]
-    f_at_zero: float  # right limit f(0+)
     bayes_loss_at_one: float  # lim_{eta -> 1} of the pointwise Bayes loss
     link_of_logit: Callable  # Psi(sigmoid(z)) = f'(exp(z)), stable form
     link_of_logit_deriv: Callable  # d/dz of the above
 
     def __repr__(self) -> str:  # keep reprs short in test output
         return f"GeneratorSpec({self.name!r})"
-
-
-@dataclass(frozen=True)
-class PartialLossPair:
-    """The two partial losses of the proper composite loss at a point.
-
-    loss_pos is the cost of predicting eta when the label is +1,
-    loss_neg when it is -1.  parametrization records whether the
-    prediction lives in probability space or link (real) space.
-    """
-
-    loss_pos: float
-    loss_neg: float
-    parametrization: str = "probability"
 
 
 def _kl_f(t):
@@ -145,12 +125,6 @@ def _rkl_fprime_inv(s):
         return -1.0 / s
 
 
-def _rkl_fprime_inv_deriv(s):
-    s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore"):
-        return 1.0 / np.square(s)
-
-
 def _rkl_conj(s):
     # sup_t (s t + log t) = -1 - log(-s) for s < 0
     s = np.asarray(s, dtype=float)
@@ -184,11 +158,6 @@ def _js_fprime_inv(s):
         return 1.0 / np.expm1(-s)
 
 
-def _js_fprime_inv_deriv(s):
-    r = _js_fprime_inv(s)
-    return r * (1.0 + r)
-
-
 def _js_log_ratio_deriv(s):
     s = np.asarray(s, dtype=float)
     with np.errstate(divide="ignore"):
@@ -208,11 +177,9 @@ _KL = GeneratorSpec(
     f=_kl_f,
     f_prime=_kl_fprime,
     f_prime_inv=_kl_exp_shifted,
-    f_prime_inv_deriv=_kl_exp_shifted,
     log_ratio_deriv=lambda s: np.ones_like(np.asarray(s, dtype=float)),
     conjugate_fn=_kl_exp_shifted,
     conjugate_domain=(-math.inf, math.inf),
-    f_at_zero=0.0,
     bayes_loss_at_one=-math.inf,
     link_of_logit=lambda z: np.asarray(z, dtype=float) + 1.0,
     link_of_logit_deriv=lambda z: np.ones_like(np.asarray(z, dtype=float)),
@@ -223,11 +190,9 @@ _RKL = GeneratorSpec(
     f=_rkl_f,
     f_prime=_rkl_fprime,
     f_prime_inv=_rkl_fprime_inv,
-    f_prime_inv_deriv=_rkl_fprime_inv_deriv,
     log_ratio_deriv=_rkl_fprime_inv,  # d/ds (-log(-s)) = -1/s
     conjugate_fn=_rkl_conj,
     conjugate_domain=(-math.inf, 0.0),
-    f_at_zero=math.inf,
     bayes_loss_at_one=0.0,
     link_of_logit=lambda z: -np.exp(-np.asarray(z, dtype=float)),
     link_of_logit_deriv=lambda z: np.exp(-np.asarray(z, dtype=float)),
@@ -238,11 +203,9 @@ _JS = GeneratorSpec(
     f=_js_f,
     f_prime=_js_fprime,
     f_prime_inv=_js_fprime_inv,
-    f_prime_inv_deriv=_js_fprime_inv_deriv,
     log_ratio_deriv=_js_log_ratio_deriv,
     conjugate_fn=_js_conj,
     conjugate_domain=(-math.inf, 0.0),
-    f_at_zero=TWO_LOG_TWO,
     bayes_loss_at_one=0.0,
     link_of_logit=lambda z: -_softplus(-np.asarray(z, dtype=float)),
     link_of_logit_deriv=lambda z: sigmoid(-np.asarray(z, dtype=float)),
@@ -265,45 +228,11 @@ def eval_f(gen: GeneratorSpec, t: float) -> float:
         raise DomainError(f"f argument must be a finite nonnegative real, got {t!r}")
     if t < 0:
         raise DomainError(f"f is only defined for t >= 0, got {t}")
-    if t == 0:
-        return gen.f_at_zero
     return float(gen.f(t))
 
 
-def conjugate(gen: GeneratorSpec, s: float) -> float:
-    """Closed-form Fenchel conjugate f*(s); +inf outside its domain."""
-    lo, hi = gen.conjugate_domain
-    if not (lo <= s < hi):
-        return math.inf
-    return float(gen.conjugate_fn(s))
-
-
-_GOLDEN_ITERS = 300
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """Maximize a unimodal fn on [a, b] by golden-section search.
-
-    Runs a fixed _GOLDEN_ITERS steps and returns (argmax, max).
-    """
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(_GOLDEN_ITERS):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
 def conjugate_numeric(gen: GeneratorSpec, s: float) -> float:
-    """Oracle twin of `conjugate`: maximize s*t - f(t) by golden section.
+    """Oracle twin of `conjugate_fn`: maximize s*t - f(t) by bounded Brent search.
 
     The search runs in u = log t on [-46, hi], where the objective stays
     unimodal; hi steps up from 1 while the objective still rises, and an
@@ -321,23 +250,13 @@ def conjugate_numeric(gen: GeneratorSpec, s: float) -> float:
         hi += 2.0
     if hi >= 30.0 and g(hi) > g(hi - 0.5):
         return math.inf
-    _, best = _golden_max(g, -46.0, hi)
+    # xatol far below scipy's default keeps the sup at float precision
+    res = minimize_scalar(lambda u: -g(u), bounds=(-46.0, hi), method="bounded",
+                          options={"xatol": 1e-12})
 
     f0 = float(gen.f(0.0))
     boundary = -f0 if math.isfinite(f0) else -math.inf
-    return max(best, boundary)
-
-
-def inv_fprime(gen: GeneratorSpec, s: float) -> tuple[float, float]:
-    """Invert f' at s, returning (t, d/ds f'^-1(s)) with t >= 0.
-
-    s must lie in the interior of the conjugate domain, which coincides
-    with the range of f' for the built-in generators.
-    """
-    lo, hi = gen.conjugate_domain
-    if not (lo < s < hi):
-        raise DomainError(f"{s} outside the range {gen.conjugate_domain} of f' for {gen.name}")
-    return float(gen.f_prime_inv(s)), float(gen.f_prime_inv_deriv(s))
+    return max(-float(res.fun), boundary)
 
 
 def link(gen: GeneratorSpec, eta: float) -> float:
@@ -349,24 +268,19 @@ def link(gen: GeneratorSpec, eta: float) -> float:
 
 def inverse_link(gen: GeneratorSpec, z: float) -> float:
     """Inverse of the composite link: eta = r / (1 + r) with r = f'^-1(z)."""
-    r, _ = inv_fprime(gen, z)
+    lo, hi = gen.conjugate_domain
+    if not (lo < z < hi):
+        raise DomainError(f"{z} outside the range {gen.conjugate_domain} of f' for {gen.name}")
+    r = float(gen.f_prime_inv(z))
     if math.isinf(r):
         raise DomainError(f"inverse link undefined at z = {z} for {gen.name}")
     return r / (1.0 + r)
-
-
-def partial_losses(gen: GeneratorSpec, eta: float) -> PartialLossPair:
-    """Partial losses at a probability-space prediction eta in (0, 1)."""
-    z = link(gen, eta)
-    return PartialLossPair(loss_pos=-z, loss_neg=conjugate(gen, z))
 
 
 def bayes_pointwise_loss(gen: GeneratorSpec, eta: float) -> float:
     """Pointwise Bayes loss -(1 - eta) f(eta / (1 - eta)), with endpoint limits."""
     if not (0.0 <= eta <= 1.0):
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
-    if eta == 0.0:
-        return -gen.f_at_zero
     if eta == 1.0:
         return gen.bayes_loss_at_one
     return -(1.0 - eta) * float(gen.f(eta / (1.0 - eta)))

@@ -10,8 +10,8 @@ are Monte Carlo means that report their standard errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -70,6 +70,13 @@ def _masked_dot(weights: np.ndarray, values: np.ndarray) -> float:
     return float(np.sum(weights[mask] * values[mask])) if mask.any() else 0.0
 
 
+def _expect(dist, values: np.ndarray) -> MCEstimate:
+    """E of values under dist: exact (stderr 0) if finite, Monte Carlo on a batch."""
+    if isinstance(dist, DiscreteDistribution):
+        return MCEstimate(_masked_dot(dist.weights, values), 0.0, dist.n)
+    return _mc(values)
+
+
 def exact_fdiv(nu: DiscreteDistribution, mu: DiscreteDistribution,
                gen: GeneratorSpec) -> float:
     """I_f(nu : mu) = sum_i mu_i f(nu_i / mu_i); +inf without absolute continuity."""
@@ -90,40 +97,36 @@ def est_gain_direct(gen: GeneratorSpec, disc, mu_ref) -> MCEstimate:
     h = _h_values(disc, mu_ref)
     lam = _solve_lambda(gen, h, mu_ref)
     vals = np.asarray(gen.f(np.asarray(gen.f_prime_inv(h - lam))))
-    if isinstance(mu_ref, DiscreteDistribution):
-        return MCEstimate(_masked_dot(mu_ref.weights, vals), 0.0, mu_ref.n)
-    return _mc(vals)
+    return _expect(mu_ref, vals)
 
 
-def est_gain_pushforward(gen: GeneratorSpec, disc, mu_samples: np.ndarray) -> MCEstimate:
-    """Gain through the class-probability pushforward: mean of f(eta / (1 - eta)).
+def est_gain_pushforward(gen: GeneratorSpec, disc, mu_ref) -> MCEstimate:
+    """Gain through the class-probability pushforward: E_mu[f(eta / (1 - eta))].
 
     eta is recovered from h as f'^-1(h) / (1 + f'^-1(h)); identical to the
-    direct estimator when lambda = 0.  There is no domain check: where h
+    direct estimator when lambda = 0.  Exact on a finite mu (stderr 0),
+    Monte Carlo on a sample batch.  There is no domain check: where h
     exceeds sup dom f*, f'^-1(h) < 0 and the mean is not finite (-inf for
     js_shifted).
     """
-    h = _h_values(disc, mu_samples)
+    h = _h_values(disc, mu_ref)
     r = np.asarray(gen.f_prime_inv(h))
     eta = r / (1.0 + r)
     with np.errstate(divide="ignore", invalid="ignore"):
         odds = np.where(eta < 1.0, eta / (1.0 - eta), np.inf)
     vals = np.asarray(gen.f(odds))
-    return _mc(vals)
+    return _expect(mu_ref, vals)
 
 
-def est_DfH(disc, gen: GeneratorSpec, nu_eval, mu_eval) -> Union[float, MCEstimate]:
+def est_DfH(disc, gen: GeneratorSpec, nu_eval, mu_eval) -> MCEstimate:
     """Plug-in value of R(h) = E_nu[h] - E_mu[f* o h].
 
-    Exact sums on discrete inputs (the exact sup when disc is the tabular
-    optimum); a Monte Carlo estimate with standard error on batches.
+    Each expectation is an exact sum on a finite distribution (stderr 0;
+    the exact sup when both are finite and disc is the tabular optimum)
+    and a Monte Carlo mean on a sample batch.
     """
-    h_nu = _h_values(disc, nu_eval)
-    h_mu = _h_values(disc, mu_eval)
-    conj = np.asarray(gen.conjugate_fn(h_mu))
-    if isinstance(nu_eval, DiscreteDistribution) and isinstance(mu_eval, DiscreteDistribution):
-        return _masked_dot(nu_eval.weights, h_nu) - _masked_dot(mu_eval.weights, conj)
-    a, b = _mc(h_nu), _mc(conj)
+    a = _expect(nu_eval, _h_values(disc, nu_eval))
+    b = _expect(mu_eval, np.asarray(gen.conjugate_fn(_h_values(disc, mu_eval))))
     return MCEstimate(a.value - b.value, math.hypot(a.stderr, b.stderr), min(a.n, b.n))
 
 
@@ -190,15 +193,14 @@ class BoundReport:
     n: int
     norm_H: float
     tol: float = 1e-9
-    holds: bool = field(init=False)
-
-    def __post_init__(self):
-        rhs = self.D_fH - self.gain_If + self.rademacher + self.slow_rate
-        object.__setattr__(self, "holds", bool(self.d_H_lhs <= rhs + self.tol))
 
     @property
     def rhs(self) -> float:
         return self.D_fH - self.gain_If + self.rademacher + self.slow_rate
+
+    @property
+    def holds(self) -> bool:
+        return bool(self.d_H_lhs <= self.rhs + self.tol)
 
     def to_dict(self) -> dict:
         return {
@@ -217,13 +219,12 @@ class BoundReport:
 
 
 def generalization_report(d_H_lhs: float, D_fH: float, gain_If: float, rademacher: float,
-                          *, norm_H: float, delta: float, n: int,
-                          tol: float = 1e-9) -> BoundReport:
+                          *, norm_H: float, delta: float, n: int) -> BoundReport:
     """Assemble the bound lhs <= D - gain + R_n + slow_rate with a holds flag."""
     return BoundReport(
         d_H_lhs=d_H_lhs, D_fH=D_fH, gain_If=gain_If, rademacher=rademacher,
         slow_rate=slow_rate_term(norm_H, delta, n), delta=delta, n=n,
-        norm_H=norm_H, tol=tol,
+        norm_H=norm_H,
     )
 
 
@@ -287,12 +288,12 @@ class VIDualityResult:
     holds: bool
 
 
-def vi_duality_check(mu: DiscreteDistribution, L_values: Sequence[float],
-                     tol: float = 1e-10) -> VIDualityResult:
+def vi_duality_check(mu: DiscreteDistribution, L_values: Sequence[float]) -> VIDualityResult:
     """Log-partition duality: log sum mu e^-L = -(E_gibbs[L] + KL(gibbs : mu)).
 
     The Gibbs posterior gibbs_i proportional to mu_i e^-L_i minimizes
-    E_Q[L] + KL(Q : mu) over all Q on the support.
+    E_Q[L] + KL(Q : mu) over all Q on the support; holds when the residual
+    is at most 1e-10.
     """
     L = np.asarray(L_values, dtype=float)
     if L.shape != (mu.n,):
@@ -306,4 +307,4 @@ def vi_duality_check(mu: DiscreteDistribution, L_values: Sequence[float],
     rhs = _masked_dot(g, L) + exact_fdiv(gibbs, mu, get_generator("kl"))
     residual = abs(lhs + rhs)
     return VIDualityResult(lhs=lhs, rhs=rhs, gibbs=gibbs, residual=residual,
-                           holds=bool(residual <= tol))
+                           holds=bool(residual <= 1e-10))

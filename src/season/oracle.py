@@ -9,24 +9,24 @@ independent checks for strong duality and for the refinement identity.
 For the additively closed ball {g + c : ||g||_inf <= B}, the coordinate
 separability of R(h) means the optimum has h_i = clip(theta_i, w, w + 2B)
 with theta_i = f'(nu_i / mu_i) and a scalar window offset w; R as a
-function of w is concave, so the golden-section search shared with
-`generators.conjugate_numeric` (a fixed 300 steps) is exact up to float
-precision.  R(h) is evaluated as the same zero-weight-skipping sums that
-`metrics.est_DfH` uses.
+function of w is concave, so a bounded Brent search (scipy) with an
+absolute tolerance of 1e-12 in w is exact up to float precision.  R(h)
+is evaluated as the same zero-weight-skipping sums that `metrics.est_DfH`
+uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .discriminator import TabularDiscriminator, exact_tabular
 from .distributions import DiscreteDistribution, discrete_ratio
 from .errors import DomainError
-from .generators import GeneratorSpec, _golden_max
+from .generators import GeneratorSpec
 from .metrics import _masked_dot
 
 __all__ = [
@@ -154,9 +154,11 @@ def primal_sup_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
     if lo >= hi:
         lo = hi - 1.0
 
-    w_star, best = _golden_max(lambda w: plugin_value(np.clip(theta, w, w + width)), lo, hi)
-    h_star = np.clip(theta, w_star, w_star + width)
-    return best, TabularDiscriminator(mu.support, h_star, generator_name=gen.name)
+    # xatol far below scipy's default keeps the sup at float precision
+    res = minimize_scalar(lambda w: -plugin_value(np.clip(theta, w, w + width)),
+                          bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+    h_star = np.clip(theta, res.x, res.x + width)
+    return -float(res.fun), TabularDiscriminator(mu.support, h_star, generator_name=gen.name)
 
 
 @dataclass(frozen=True)

@@ -59,23 +59,21 @@ def _excess(lam: float, gen: GeneratorSpec, h: np.ndarray, w: np.ndarray) -> flo
 
 
 def solve_lambda(disc, gen: GeneratorSpec,
-                 mu_ref: Union[DiscreteDistribution, np.ndarray], *,
-                 tol: Optional[float] = None) -> float:
+                 mu_ref: Union[DiscreteDistribution, np.ndarray]) -> float:
     """Solve E_mu[f'^-1(h - lambda)] = 1 by Brent's method on a bracket.
 
     mu_ref is either a finite distribution (exact weighted sum, tolerance
     1e-10) or a sample batch from mu (Monte Carlo mean, tolerance 1e-6).
     It evaluates disc's h there and hands it to `_solve_lambda`.
     """
-    return _solve_lambda(gen, _h_values(disc, mu_ref), mu_ref, tol)
+    return _solve_lambda(gen, _h_values(disc, mu_ref), mu_ref)
 
 
 def _solve_lambda(gen: GeneratorSpec, h: np.ndarray,
-                  mu_ref: Union[DiscreteDistribution, np.ndarray],
-                  tol: Optional[float] = None) -> float:
+                  mu_ref: Union[DiscreteDistribution, np.ndarray]) -> float:
     """Solve E_mu[f'^-1(h - lambda)] = 1 for h already evaluated on mu_ref.
 
-    The weights and default tolerance come from mu_ref as in
+    The weights and the tolerance come from mu_ref as in
     `solve_lambda`; zero-weight points are left out.  At lambda = max(h) -
     f'(1/2) every term is at most 1/2, so E < 1 there.  The other end of
     the bracket moves down from it: halving the distance to max(h) - sup
@@ -85,10 +83,9 @@ def _solve_lambda(gen: GeneratorSpec, h: np.ndarray,
     found or when |E - 1| at the root exceeds tol.
     """
     if isinstance(mu_ref, DiscreteDistribution):
-        w, default_tol = mu_ref.weights, _EXACT_TOL
+        w, tol = mu_ref.weights, _EXACT_TOL
     else:
-        w, default_tol = np.full(h.shape[0], 1.0 / h.shape[0]), _MC_TOL
-    tol = default_tol if tol is None else tol
+        w, tol = np.full(h.shape[0], 1.0 / h.shape[0]), _MC_TOL
     live = w > 0
     h, w = h[live], w[live]
     if np.any(np.isnan(h) | np.isposinf(h)):

@@ -88,6 +88,26 @@ class TestRunValidation:
     def test_unreadable_config_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("experiment, field, value, path", [
+        ("identity-discrete", "n_instances", 0, "$.n_instances"),
+        ("identity-discrete", "n_instances", "many", "$.n_instances"),
+        ("bounds", "delta", "small", "$.delta"),
+        ("bounds", "n", [1], "$.n"),
+        ("bounds", "n", 0, "$.n"),
+        ("refine-1d", "sampler", {"k_levels": "x"}, "$.sampler.k_levels"),
+        ("refine-1d", "sampler", {"k_levels": 0}, "$.sampler.k_levels"),
+        ("refine-1d", "sampler", [4], "$.sampler"),
+    ])
+    def test_malformed_optional_field_exits_2(self, experiment, field, value, path,
+                                              tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "experiment": experiment, "seed": 1, field: value,
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}:")
+
 
 class TestRunRefine1d:
     def test_emits_samples_and_report(self, tmp_path):

@@ -10,14 +10,11 @@ from season.generators import (
     GENERATOR_NAMES,
     TWO_LOG_TWO,
     bayes_pointwise_loss,
-    conjugate,
     conjugate_numeric,
     eval_f,
     get_generator,
-    inv_fprime,
     inverse_link,
     link,
-    partial_losses,
 )
 
 ALL = [get_generator(n) for n in GENERATOR_NAMES]
@@ -59,18 +56,18 @@ class TestEvalF:
 
 class TestConjugate:
     def test_kl_example(self):
-        assert conjugate(KL, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert float(KL.conjugate_fn(1.0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_js_example(self):
-        assert conjugate(JS, -math.log(2.0)) == pytest.approx(-math.log(2.0), abs=1e-12)
+        assert float(JS.conjugate_fn(-math.log(2.0))) == pytest.approx(-math.log(2.0), abs=1e-12)
 
     def test_rkl_example_vs_numeric_sup(self):
-        assert conjugate(RKL, -1.0) == pytest.approx(-1.0, abs=1e-12)
+        assert float(RKL.conjugate_fn(-1.0)) == pytest.approx(-1.0, abs=1e-12)
         assert conjugate_numeric(RKL, -1.0) == pytest.approx(-1.0, abs=1e-6)
 
     def test_outside_domain_is_inf(self):
-        assert conjugate(JS, 0.0) == math.inf
-        assert conjugate(RKL, 0.5) == math.inf
+        assert float(JS.conjugate_fn(0.0)) == math.inf
+        assert float(RKL.conjugate_fn(0.5)) == math.inf
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_fenchel_young_on_log_grid(self, gen):
@@ -100,7 +97,7 @@ class TestConjugateNumeric:
     def test_agrees_with_closed_form(self, gen):
         for s in s_grid(gen, n=13, span=4.0):
             assert conjugate_numeric(gen, float(s)) == pytest.approx(
-                conjugate(gen, float(s)), abs=1e-6)
+                float(gen.conjugate_fn(s)), abs=1e-6)
 
     def test_kl_at_zero(self):
         assert conjugate_numeric(KL, 0.0) == pytest.approx(math.exp(-1.0), abs=1e-6)
@@ -112,41 +109,37 @@ class TestConjugateNumeric:
 
 class TestInvFprime:
     def test_js_example(self):
-        t, _ = inv_fprime(JS, -math.log(2.0))
-        assert t == pytest.approx(1.0, abs=1e-15)
+        assert float(JS.f_prime_inv(-math.log(2.0))) == pytest.approx(1.0, abs=1e-15)
 
     def test_kl_trivial(self):
-        t, d = inv_fprime(KL, 1.0)
-        assert t == pytest.approx(1.0) and d == pytest.approx(1.0)
+        assert float(KL.f_prime_inv(1.0)) == pytest.approx(1.0)
 
     def test_rkl_trivial(self):
-        t, _ = inv_fprime(RKL, -1.0)
-        assert t == pytest.approx(1.0)
+        assert float(RKL.f_prime_inv(-1.0)) == pytest.approx(1.0)
 
     def test_outside_range_rejected(self):
         with pytest.raises(DomainError):
-            inv_fprime(JS, 0.5)
+            inverse_link(JS, 0.5)
         with pytest.raises(DomainError):
-            inv_fprime(RKL, 0.0)
+            inverse_link(RKL, 0.0)
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_derivative_matches_finite_difference(self, gen):
+        # the guidance factor is the closed-form d/ds log f'^-1(s)
         eps = 1e-6
-        for s in s_grid(gen, n=11, span=3.0):
-            _, d = inv_fprime(gen, float(s))
-            fd = (gen.f_prime_inv(s + eps) - gen.f_prime_inv(s - eps)) / (2 * eps)
-            assert d == pytest.approx(float(fd), rel=1e-6)
+        s = s_grid(gen, n=11, span=3.0)
+        fd = (np.log(gen.f_prime_inv(s + eps)) - np.log(gen.f_prime_inv(s - eps))) / (2 * eps)
+        rel = np.abs(np.asarray(gen.log_ratio_deriv(s)) - fd) / np.maximum(np.abs(fd), 1.0)
+        assert rel.max() <= 1e-6
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_nonnegative_on_domain(self, gen):
-        for s in s_grid(gen, n=25):
-            t, _ = inv_fprime(gen, float(s))
-            assert t >= 0.0
+        assert np.all(np.asarray(gen.f_prime_inv(s_grid(gen, n=25))) >= 0.0)
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_roundtrip_through_fprime(self, gen):
         for s in s_grid(gen, n=11, span=3.0):
-            t, _ = inv_fprime(gen, float(s))
+            t = gen.f_prime_inv(s)
             assert float(gen.f_prime(t)) == pytest.approx(float(s), rel=1e-9, abs=1e-9)
 
 
@@ -188,21 +181,26 @@ class TestLink:
             assert float(gen.link_of_logit_deriv(z)) == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
+def partial_losses(gen, eta):
+    """(loss on +1, loss on -1) at prediction eta, as criterion 4 computes them."""
+    z = link(gen, eta)
+    return -z, float(gen.conjugate_fn(z))
+
+
 class TestPartialLosses:
     def test_js_at_half(self):
-        pl = partial_losses(JS, 0.5)
-        assert pl.loss_pos == pytest.approx(math.log(2.0))
-        assert pl.loss_neg == pytest.approx(-math.log(2.0))
+        pos, neg = partial_losses(JS, 0.5)
+        assert pos == pytest.approx(math.log(2.0))
+        assert neg == pytest.approx(-math.log(2.0))
 
     def test_kl_at_half(self):
-        pl = partial_losses(KL, 0.5)
-        assert pl.loss_pos == pytest.approx(-1.0)
-        assert pl.loss_neg == pytest.approx(1.0)
+        pos, neg = partial_losses(KL, 0.5)
+        assert pos == pytest.approx(-1.0)
+        assert neg == pytest.approx(1.0)
 
     def test_js_positive_partial_is_log_loss(self):
         for eta in np.linspace(0.05, 0.95, 19):
-            assert partial_losses(JS, float(eta)).loss_pos == pytest.approx(
-                -math.log(eta), rel=1e-12)
+            assert partial_losses(JS, float(eta))[0] == pytest.approx(-math.log(eta), rel=1e-12)
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_properness_grid_argmin(self, gen):

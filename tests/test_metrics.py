@@ -135,6 +135,24 @@ class TestGainEstimators:
         est = est_gain_pushforward(JS, disc, batch)
         assert est.value == pytest.approx(TWO_LOG_TWO, abs=1e-3)
 
+    @pytest.mark.parametrize("estimator", [est_gain_direct, est_gain_pushforward])
+    def test_net_on_finite_mu_is_exact_weighted_sum(self, estimator):
+        disc = init_discriminator(JS, 1, 8, seed=4)
+        support = np.array([[-1.0], [1.0]])
+        got = []
+        for w in ([0.9, 0.1], [0.1, 0.9]):
+            mu = DiscreteDistribution(support, np.array(w))
+            h = disc.h_batch(support)
+            if estimator is est_gain_direct:
+                h = h - solve_lambda(disc, JS, mu)
+            r = np.asarray(JS.f_prime_inv(h))
+            expected = float(mu.weights @ np.asarray(JS.f(r)))
+            est = estimator(JS, disc, mu)
+            assert est.value == pytest.approx(expected, abs=1e-12)
+            assert est.stderr == 0.0 and est.n == 2
+            got.append(est.value)
+        assert got[0] != got[1]
+
     def test_direct_and_pushforward_identical_at_lambda_zero(self):
         # same formula once lambda = 0; check on a tabular optimum
         rng = np.random.default_rng(8)
@@ -154,7 +172,7 @@ class TestDfH:
         for gen in ALL:
             nu, mu = random_pair(rng, 4)
             tab = exact_tabular(nu, mu, gen)
-            assert est_DfH(tab, gen, nu, mu) == pytest.approx(
+            assert est_DfH(tab, gen, nu, mu).value == pytest.approx(
                 exact_fdiv(nu, mu, gen), abs=1e-12)
 
     def test_bounded_by_ipm_and_fdiv(self):
@@ -170,7 +188,7 @@ class TestDfH:
         d = two_point(0.5, 0.5)
         for gen in ALL:
             tab = exact_tabular(d, d, gen)
-            assert est_DfH(tab, gen, d, d) == pytest.approx(0.0, abs=1e-14)
+            assert est_DfH(tab, gen, d, d).value == pytest.approx(0.0, abs=1e-14)
 
     def test_batch_mode_reports_stderr(self):
         rng = np.random.default_rng(11)
@@ -178,6 +196,22 @@ class TestDfH:
         est = est_DfH(disc, JS, rng.standard_normal((400, 1)) + 0.5,
                       rng.standard_normal((400, 1)))
         assert est.stderr > 0 and math.isfinite(est.value)
+
+    def test_finite_nu_with_batch_mu_keeps_nu_weights(self):
+        disc = init_discriminator(JS, 1, 6, seed=1)
+        support = np.array([[-1.0], [1.0]])
+        mu_batch = np.random.default_rng(12).standard_normal((400, 1))
+        conj = np.asarray(JS.conjugate_fn(disc.h_batch(mu_batch)))
+        got = []
+        for w in ([0.9, 0.1], [0.1, 0.9]):
+            nu = DiscreteDistribution(support, np.array(w))
+            est = est_DfH(disc, JS, nu, mu_batch)
+            expected = float(nu.weights @ disc.h_batch(support)) - float(conj.mean())
+            assert est.value == pytest.approx(expected, abs=1e-12)
+            # only the batch side carries Monte Carlo error
+            assert est.stderr == pytest.approx(float(conj.std(ddof=1)) / 20.0, rel=1e-12)
+            got.append(est.value)
+        assert got[0] != got[1]
 
 
 class TestIPM:

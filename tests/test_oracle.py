@@ -1,6 +1,7 @@
 """Brute-force oracles: witness optimality, simplex grids, strong duality."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ class TestExactOptimalH:
             nu, mu = random_pair(rng, int(rng.integers(2, 5)), floor=0.05)
             for gen in ALL:
                 tab = exact_tabular(nu, mu, gen)
-                assert est_DfH(tab, gen, nu, mu) == pytest.approx(
+                assert est_DfH(tab, gen, nu, mu).value == pytest.approx(
                     exact_fdiv(nu, mu, gen), abs=1e-10)
 
     def test_zero_ratio_gives_minus_inf_sentinel(self):
@@ -163,3 +164,19 @@ class TestPrimalSup:
             v_ball, _ = primal_sup_tabular(nu, mu, gen, HSpec("ball", 0.5))
             v_rich, _ = primal_sup_tabular(nu, mu, gen, HSpec("rich"))
             assert -1e-12 <= v_ball <= v_rich + 1e-10
+
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    def test_ball_search_evaluation_count(self, gen):
+        # each R(h) evaluation calls conjugate_fn once; a converging search
+        # needs far fewer than a fixed-step one
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            nu, mu = random_pair(rng, 3)
+            calls = []
+
+            def counted(h, conj=gen.conjugate_fn):
+                calls.append(1)
+                return conj(h)
+
+            primal_sup_tabular(nu, mu, replace(gen, conjugate_fn=counted), HSpec("ball", 0.5))
+            assert 0 < len(calls) <= 60
