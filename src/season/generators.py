@@ -250,7 +250,7 @@ def conjugate_numeric(gen: GeneratorSpec, s: float) -> float:
         hi += 2.0
     if hi >= 30.0 and g(hi) > g(hi - 0.5):
         return math.inf
-    # xatol far below scipy's default keeps the sup at float precision
+    # xatol 1e-12 leaves sqrt(eps) * |u| as the limit; g is flat at its max
     res = minimize_scalar(lambda u: -g(u), bounds=(-46.0, hi), method="bounded",
                           options={"xatol": 1e-12})
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -123,11 +123,15 @@ def est_DfH(disc, gen: GeneratorSpec, nu_eval, mu_eval) -> MCEstimate:
 
     Each expectation is an exact sum on a finite distribution (stderr 0;
     the exact sup when both are finite and disc is the tabular optimum)
-    and a Monte Carlo mean on a sample batch.
+    and a Monte Carlo mean on a sample batch.  n is the smaller batch
+    size, or the smaller support size when both sides are finite.
     """
     a = _expect(nu_eval, _h_values(disc, nu_eval))
     b = _expect(mu_eval, np.asarray(gen.conjugate_fn(_h_values(disc, mu_eval))))
-    return MCEstimate(a.value - b.value, math.hypot(a.stderr, b.stderr), min(a.n, b.n))
+    batch_n = [e.n for d, e in ((nu_eval, a), (mu_eval, b))
+               if not isinstance(d, DiscreteDistribution)]
+    return MCEstimate(a.value - b.value, math.hypot(a.stderr, b.stderr),
+                      min(batch_n, default=min(a.n, b.n)))
 
 
 def _aligned_weights(nu: DiscreteDistribution, mu: DiscreteDistribution):
@@ -192,7 +196,7 @@ class BoundReport:
     delta: float
     n: int
     norm_H: float
-    tol: float = 1e-9
+    tol: ClassVar[float] = 1e-9
 
     @property
     def rhs(self) -> float:

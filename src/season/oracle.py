@@ -9,8 +9,10 @@ independent checks for strong duality and for the refinement identity.
 For the additively closed ball {g + c : ||g||_inf <= B}, the coordinate
 separability of R(h) means the optimum has h_i = clip(theta_i, w, w + 2B)
 with theta_i = f'(nu_i / mu_i) and a scalar window offset w; R as a
-function of w is concave, so a bounded Brent search (scipy) with an
-absolute tolerance of 1e-12 in w is exact up to float precision.  R(h)
+function of w is concave and is maximized by scipy's bounded Brent
+search.  Its xatol of 1e-12 leaves the relative term sqrt(eps) * |w| as
+the stopping limit in w (about 1.5e-8 near |w| = 1); R is flat at its
+top, so that error in w moves the sup only at float precision.  R(h)
 is evaluated as the same zero-weight-skipping sums that `metrics.est_DfH`
 uses.
 """
@@ -154,7 +156,7 @@ def primal_sup_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
     if lo >= hi:
         lo = hi - 1.0
 
-    # xatol far below scipy's default keeps the sup at float precision
+    # xatol 1e-12 leaves sqrt(eps) * |w| as the limit; R is flat at its max
     res = minimize_scalar(lambda w: -plugin_value(np.clip(theta, w, w + width)),
                           bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
     h_star = np.clip(theta, res.x, res.x + width)

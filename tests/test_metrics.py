@@ -210,6 +210,7 @@ class TestDfH:
             assert est.value == pytest.approx(expected, abs=1e-12)
             # only the batch side carries Monte Carlo error
             assert est.stderr == pytest.approx(float(conj.std(ddof=1)) / 20.0, rel=1e-12)
+            assert est.n == 400
             got.append(est.value)
         assert got[0] != got[1]
 
