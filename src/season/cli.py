@@ -186,6 +186,8 @@ def _load_distribution(path: str):
 
 
 def cmd_train(args) -> int:
+    if args.n_samples < 1:
+        raise ConfigError("--n-samples", f"must be at least 1, got {args.n_samples}")
     data_nu = _load_distribution(args.data)
     data_mu = _load_distribution(args.model)
     gen = get_generator(args.generator)

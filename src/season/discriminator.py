@@ -229,6 +229,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise DomainError(f"steps must be >= 0, got {self.steps}")
+        if self.width < 1:
+            raise DomainError(f"width must be >= 1, got {self.width}")
 
 
 def init_discriminator(gen: GeneratorSpec, dim: int, width: int, seed=0) -> Discriminator:
@@ -363,6 +365,8 @@ def train(gen: GeneratorSpec, data_nu, data_mu, config: TrainConfig = TrainConfi
     x_nu, x_mu = as_batch(data_nu), as_batch(data_mu)
     if x_nu.shape[1] != x_mu.shape[1]:
         raise DomainError("sample batches have mismatched dimensions")
+    if len(x_nu) == 0 or len(x_mu) == 0:
+        raise DomainError("sample batches need at least one row")
     disc = init_discriminator(gen, x_nu.shape[1], config.width, config.seed)
     return _ascend(disc, gen, x_nu, x_mu, config)
 

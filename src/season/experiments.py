@@ -31,6 +31,7 @@ from .distributions import (
     noised_mixture,
     split_seeds,
 )
+from .errors import DomainError
 from .generators import GENERATOR_NAMES, GeneratorSpec, get_generator
 from .metrics import (
     BoundReport,
@@ -243,6 +244,8 @@ def bound_trial(seed: int, *, gen_name: str = "js_shifted", n: int = 200,
     two classes induce the same IPM on probability measures because
     constants cancel in mean differences.
     """
+    if n < 1 or not 0.0 < delta < 1.0:
+        raise DomainError(f"need n >= 1 and delta in (0, 1), got n={n}, delta={delta}")
     gen = get_generator(gen_name)
     if population is None or model is None:
         population, model = default_bound_world()

@@ -1,10 +1,14 @@
 """Brute-force ground truth on small discrete instances.
 
-The dual problem inf_Q [d_H(nu, Q) + I_f(Q : mu)] is minimized over a
-probability-simplex grid, and the primal sup of R(h) over tabular classes
-is computed exactly (rich class, constants) or by a certified 1-d concave
-search (sup-norm ball closed under additive constants).  These are the
-independent checks for strong duality and for the refinement identity.
+The dual problem inf_Q [d_H(nu, Q) + I_f(Q : mu)] is minimized
+exhaustively over a probability-simplex grid, and the primal sup of R(h)
+over tabular classes is computed exactly (rich class, constants) or by a
+certified 1-d concave search (sup-norm ball closed under additive
+constants).  These are the independent checks for strong duality and for
+the refinement identity.  The grid is a cached read-only integer lattice;
+since each coordinate takes only n + 1 values, the dual's two terms are
+tabulated per coordinate value and gathered per grid point, with the
+same sums a row-by-row evaluation of the float grid gives.
 
 For the additively closed ball {g + c : ||g||_inf <= B}, the coordinate
 separability of R(h) means the optimum has h_i = clip(theta_i, w, w + 2B)
@@ -19,6 +23,7 @@ uses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,36 +66,41 @@ class HSpec:
             raise DomainError("ball class needs a positive norm")
 
 
-def simplex_grid(k: int, resolution: float = 1.0 / 200.0) -> np.ndarray:
-    """All weight vectors with entries that are multiples of the resolution."""
-    n = round(1.0 / resolution)
+@functools.lru_cache(maxsize=8)
+def _lattice(k: int, n: int) -> np.ndarray:
+    """Read-only integer points of n times the k-simplex, one column per point.
+
+    Column order is lexicographic.  Each of the first k - 1 coordinates
+    repeats every partial point once per value 0..its remaining mass,
+    counted up from a cumsum offset; the last coordinate takes the rest.
+    """
     if k < 2 or k > 4:
         raise DomainError("simplex grid supports 2 to 4 points")
-    if k == 2:
-        i = np.arange(n + 1)
-        grid = np.stack([i, n - i], axis=1)
-    elif k == 3:
-        i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-        keep = i + j <= n
-        grid = np.stack([i[keep], j[keep], n - i[keep] - j[keep]], axis=1)
-    else:
-        blocks = []
-        for i in range(n + 1):
-            rem = n - i
-            a, b = np.meshgrid(np.arange(rem + 1), np.arange(rem + 1), indexing="ij")
-            keep = a + b <= rem
-            blocks.append(np.stack([
-                np.full(keep.sum(), i), a[keep], b[keep], rem - a[keep] - b[keep],
-            ], axis=1))
-        grid = np.concatenate(blocks, axis=0)
-    return grid.astype(float) / n
+    rem = np.array([n])
+    coords: list[np.ndarray] = []
+    for _ in range(k - 1):
+        counts = rem + 1
+        parent = np.repeat(np.arange(rem.size), counts)
+        value = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        coords = [c[parent] for c in coords] + [value]
+        rem = rem[parent] - value
+    lattice = np.stack(coords + [rem]).astype(np.min_scalar_type(n))
+    lattice.flags.writeable = False
+    return lattice
 
 
-def _ipm_term(h_spec: HSpec, nu_w: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """d_H(nu, Q) for each grid row q."""
+def simplex_grid(k: int, resolution: float = 1.0 / 200.0) -> np.ndarray:
+    """All weight vectors with entries that are multiples of the resolution (read-only)."""
+    n = round(1.0 / resolution)
+    grid = np.ascontiguousarray(_lattice(k, n).T) / n
+    grid.flags.writeable = False
+    return grid
+
+
+def _ipm_term(h_spec: HSpec, l1: np.ndarray) -> np.ndarray:
+    """d_H(nu, Q) for each row Q, from its L1 distance to nu."""
     if h_spec.kind == "constants":
-        return np.zeros(q.shape[0])
-    l1 = np.abs(nu_w[None, :] - q).sum(axis=1)
+        return np.zeros_like(l1)
     if h_spec.kind == "ball":
         return h_spec.norm * l1
     return np.where(l1 == 0.0, 0.0, np.inf)  # rich class
@@ -106,24 +116,37 @@ def dual_grid_min(nu: DiscreteDistribution, mu: DiscreteDistribution, gen: Gener
                   h_spec: HSpec, resolution: float = 1.0 / 200.0) -> DualResult:
     """Minimize d_H(nu, Q) + I_f(Q : mu) over the simplex grid.
 
-    The known stationary candidates nu and mu are appended to the grid so
-    the rich and constants cases are exact.
+    The search is exhaustive over every grid point, independent of the
+    primal search, and the known stationary candidates nu and mu are
+    appended so the rich and constants cases are exact.  Coordinate j of
+    a grid point takes one of the n + 1 values i / n, so the terms
+    |nu_j - q_j| and mu_j f(q_j / mu_j) are tabulated once per value and
+    coordinate and gathered per point: f runs on (n + 3) * k values, not
+    on every grid entry.  Each point's terms are summed left to right
+    over j, as a row sum of the full grid would.
     """
     if nu.n > 4:
         raise DomainError("grid search is limited to supports of at most 4 points")
-    nu_w = discrete_ratio(nu, mu) * mu.weights
-    grid = simplex_grid(mu.n, resolution)
-    grid = np.vstack([grid, nu_w[None, :], mu.weights[None, :]])
+    n = round(1.0 / resolution)
+    lattice = _lattice(mu.n, n)
+    mu_w = mu.weights
+    nu_w = discrete_ratio(nu, mu) * mu_w
+    levels = np.repeat((np.arange(n + 1) / n)[:, None], mu.n, axis=1)
+    points = np.vstack([levels, nu_w, mu_w])  # rows 0..n are the levels i / n
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = grid / mu.weights[None, :]
-        fvals = np.asarray(gen.f(ratios))
-    pos = mu.weights[None, :] > 0
-    terms = np.where(pos, fvals * mu.weights[None, :], np.where(grid > 0, np.inf, 0.0))
-    fdiv = terms.sum(axis=1)
-    total = _ipm_term(h_spec, nu_w, grid) + fdiv
+        fvals = np.asarray(gen.f(points / mu_w))
+        fterms = np.where(mu_w > 0, fvals * mu_w, np.where(points > 0, np.inf, 0.0))
+    table = np.stack([np.abs(nu_w - points), fterms], axis=2)  # (n + 3, k, 2)
+    sums = np.take(table[:, 0], lattice[0], axis=0)
+    for j in range(1, mu.n):
+        sums = sums + np.take(table[:, j], lattice[j], axis=0)
+    sums = np.vstack([sums, table[n + 1:].sum(axis=1)])  # then the candidates nu, mu
+    total = _ipm_term(h_spec, sums[:, 0]) + sums[:, 1]
     best = int(np.argmin(total))
-    q = grid[best] / grid[best].sum()
-    return DualResult(q_star=DiscreteDistribution(mu.support, q), value=float(total[best]))
+    g = lattice.shape[1]
+    q = lattice[:, best] / n if best < g else points[n + 1 + best - g]
+    return DualResult(q_star=DiscreteDistribution(mu.support, q / q.sum()),
+                      value=float(total[best]))
 
 
 def primal_sup_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,

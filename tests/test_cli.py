@@ -240,6 +240,30 @@ class TestThinSubcommands:
         assert main(["bounds", "--seed", "2", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["holds"] is True
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "0"), ("--n", "-3"), ("--delta", "0"), ("--delta", "1.5"),
+    ])
+    def test_bounds_out_of_range_exits_2(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "bound.json"
+        assert main(["bounds", "--seed", "2", flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: need n >= 1 and delta in (0, 1)")
+        assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n-samples", "0", "error: --n-samples: must be at least 1, got 0\n"),
+        ("--n-samples", "-2", "error: --n-samples: must be at least 1, got -2\n"),
+        ("--width", "0", "error: width must be >= 1, got 0\n"),
+    ], ids=["n-samples-0", "n-samples-negative", "width-0"])
+    def test_train_empty_batch_or_net_exits_2(self, flag, value, message, tmp_path,
+                                              capsys):
+        model = write_json(tmp_path / "mu.json", MIXTURE_SPEC)
+        out = tmp_path / "disc.json"
+        assert main(["train-discriminator", "--data", model, "--model", model,
+                     "--steps", "5", flag, value, "--seed", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
 
 class TestInputErrors:
     """Bad input files exit 2 with a one-line message and no traceback."""

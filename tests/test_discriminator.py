@@ -320,6 +320,13 @@ class TestTraining:
         with pytest.raises(DomainError, match="steps must be >= 0"):
             TrainConfig(steps=-1)
 
+    @pytest.mark.parametrize("empty", ["nu", "mu"])
+    def test_empty_batch_rejected(self, empty):
+        x_nu, x_mu = gaussian_pair(50)
+        batches = {"nu": x_nu, "mu": x_mu, empty: np.empty((0, 1))}
+        with pytest.raises(DomainError, match="at least one row"):
+            train(KL, batches["nu"], batches["mu"], TrainConfig(width=4, steps=5))
+
     @pytest.mark.parametrize("steps, fires", [(30, False), (600, True)])
     def test_converged_exactly_when_the_rule_fired(self, steps, fires, monkeypatch):
         # 30 steps end before the first window fills; on 4000 rows the rule fires before 600

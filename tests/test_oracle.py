@@ -1,5 +1,6 @@
 """Brute-force oracles: witness optimality, simplex grids, strong duality."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -7,12 +8,13 @@ import numpy as np
 import pytest
 
 from season.discriminator import exact_tabular
-from season.distributions import DiscreteDistribution
+from season.distributions import DiscreteDistribution, discrete_ratio
 from season.errors import DomainError
 from season.generators import GENERATOR_NAMES, get_generator
 from season.metrics import est_DfH, exact_fdiv
 from season.oracle import (
     HSpec,
+    _lattice,
     dual_grid_min,
     primal_sup_tabular,
     simplex_grid,
@@ -78,8 +80,75 @@ class TestSimplexGrid:
         with pytest.raises(DomainError):
             simplex_grid(5, 0.1)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_rows_are_every_composition_in_lexicographic_order(self, k):
+        n = 10
+        expected = [p for p in itertools.product(range(n + 1), repeat=k) if sum(p) == n]
+        assert np.array_equal(simplex_grid(k, 1.0 / n), np.array(expected) / n)
+
+    def test_cached_lattice_and_grid_are_read_only(self):
+        lattice = _lattice(3, 20)
+        assert _lattice(3, 20) is lattice
+        grid = simplex_grid(3, 1.0 / 20.0)
+        for arr in (lattice, grid):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+        assert np.array_equal(simplex_grid(3, 1.0 / 20.0), grid)
+
+
+def per_row_dual(nu, mu, gen, h_spec, resolution):
+    """Reference: the dual scored row by row on the full float grid."""
+    nu_w = discrete_ratio(nu, mu) * mu.weights
+    grid = np.vstack([simplex_grid(mu.n, resolution), nu_w[None, :], mu.weights[None, :]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fvals = np.asarray(gen.f(grid / mu.weights[None, :]))
+        terms = np.where(mu.weights[None, :] > 0, fvals * mu.weights[None, :],
+                         np.where(grid > 0, np.inf, 0.0))
+    l1 = np.abs(nu_w[None, :] - grid).sum(axis=1)
+    ipm = {"constants": np.zeros(grid.shape[0]), "ball": h_spec.norm * l1,
+           "rich": np.where(l1 == 0.0, 0.0, np.inf)}[h_spec.kind]
+    total = ipm + terms.sum(axis=1)
+    best = int(np.argmin(total))
+    return float(total[best]), grid[best] / grid[best].sum()
+
+
+def dual_instances(k, n_random=4):
+    """Random floored pairs, plus a zero-weight point in mu and one in nu alone."""
+    rng = np.random.default_rng(10 + k)
+    pairs = [random_pair(rng, k, floor=0.05) for _ in range(n_random)]
+    support = np.arange(k, dtype=float)[:, None]
+    even = np.full(k, 1.0 / k)
+    ramp = np.arange(k, dtype=float) / np.arange(k).sum()  # zero weight at point 0
+    mu_gap = np.r_[0.0, np.full(k - 1, 1.0 / (k - 1))]
+    pairs.append((DiscreteDistribution(support, ramp), DiscreteDistribution(support, mu_gap)))
+    pairs.append((DiscreteDistribution(support, ramp), DiscreteDistribution(support, even)))
+    return pairs
+
 
 class TestDualGridMin:
+    @pytest.mark.parametrize("k, resolution", [(2, 1.0 / 200.0), (3, 1.0 / 200.0),
+                                               (4, 1.0 / 20.0)])
+    def test_bit_identical_to_per_row_scoring(self, k, resolution):
+        for nu, mu in dual_instances(k):
+            for gen in ALL:
+                for spec in (HSpec("rich"), HSpec("constants"), HSpec("ball", 0.5)):
+                    res = dual_grid_min(nu, mu, gen, spec, resolution)
+                    value, q = per_row_dual(nu, mu, gen, spec, resolution)
+                    assert res.value == value
+                    assert np.array_equal(res.q_star.weights, q)
+
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    def test_f_runs_once_per_coordinate_level(self, gen):
+        nu, mu = random_pair(np.random.default_rng(11), 3)
+        seen = []
+
+        def counted(t, f=gen.f):
+            seen.append(np.size(t))
+            return f(t)
+
+        dual_grid_min(nu, mu, replace(gen, f=counted), HSpec("ball", 0.5))
+        assert 0 < sum(seen) <= 3 * 203
+
     def test_rich_class_forces_nu(self):
         rng = np.random.default_rng(1)
         nu, mu = random_pair(rng, 3)
