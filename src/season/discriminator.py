@@ -20,6 +20,14 @@ by hand; the test suite checks every one against central finite
 differences.  A backward pass builds either the parameter gradient or the
 input gradient, never both.
 
+Both passes hold the hidden activations feature-major, shape (width, n),
+so every bias add, tanh and sum over the points runs along contiguous
+rows of n, and they update them in place.  The forward pass allocates
+one (width, n) array per layer.  The backward pass uses the cached
+activations as its scratch and allocates only dz1, so a forward pass's
+cache serves one backward pass.  Neither pass writes to the input points
+or to `params`.
+
 Training is plain gradient ascent on `params` that halves the step
 whenever the objective decreases.  `TrainConfig.steps` caps the number of
 updates; training stops earlier once the objective R has gained less than
@@ -128,11 +136,17 @@ class Discriminator:
 
     def _forward_full(self, x: np.ndarray) -> dict:
         x = as_batch(x)
-        z1 = x @ self.w1.T + self.b1
-        a1 = np.tanh(z1)
-        z2 = a1 @ self.w2.T + self.b2
-        a2 = np.tanh(z2)
-        z3 = a2 @ self.w3 + self.b3
+        if x.shape[1] != self.dim:
+            raise DomainError(f"points of dimension {x.shape[1]} do not fit a net of "
+                              f"dimension {self.dim}")
+        # np.dot, not @: at d = 1 matmul takes the (1, n) view x.T through its non-BLAS loop
+        a1 = np.dot(self.w1, x.T)
+        a1 += self.b1[:, None]
+        np.tanh(a1, out=a1)
+        a2 = self.w2 @ a1
+        a2 += self.b2[:, None]
+        np.tanh(a2, out=a2)
+        z3 = self.w3 @ a2 + self.b3
         h = self.generator.link_of_logit(z3) + self.bias
         return {"x": x, "a1": a1, "a2": a2, "z3": z3, "h": h}
 
@@ -147,17 +161,27 @@ class Discriminator:
         """Push dL/dh back through the net.
 
         Returns the parameter gradient laid out like params or, with
-        inputs=True, the (n, d) input gradient instead; never both.
+        inputs=True, the (n, d) input gradient instead; never both.  The
+        pass consumes the cache: a2 becomes dz2 = w3 dz3 (1 - a2^2) and a1
+        becomes 1 - a1^2 in place, so dz1 is its one new (width, n) array.
         """
         z3, a2, a1, x = (cache[k] for k in ("z3", "a2", "a1", "x"))
         dz3 = dh * np.asarray(self.generator.link_of_logit_deriv(z3))
-        dz2 = np.outer(dz3, self.w3) * (1.0 - a2 * a2)
-        dz1 = (dz2 @ self.w2) * (1.0 - a1 * a1)
+        g_w3 = None if inputs else a2 @ dz3
+        dz2 = np.multiply(a2, a2, out=a2)
+        np.subtract(1.0, dz2, out=dz2)
+        dz2 *= self.w3[:, None]
+        dz2 *= dz3
+        g_w2 = None if inputs else dz2 @ a1.T
+        dz1 = self.w2.T @ dz2
+        tanh_deriv = np.multiply(a1, a1, out=a1)
+        np.subtract(1.0, tanh_deriv, out=tanh_deriv)
+        dz1 *= tanh_deriv
         if inputs:
-            return dz1 @ self.w1
+            return (self.w1.T @ dz1).T
         # in the order of _param_views; concatenate is far cheaper than writing views
-        return np.concatenate((dz1.T @ x, dz1.sum(axis=0), dz2.T @ a1, dz2.sum(axis=0),
-                               a2.T @ dz3, dz3.sum(), dh.sum()), axis=None)
+        return np.concatenate((dz1 @ x, dz1.sum(axis=1), g_w2, dz2.sum(axis=1),
+                               g_w3, dz3.sum(), dh.sum()), axis=None)
 
     def copy(self) -> "Discriminator":
         return Discriminator(self.generator, self.dim, self.width, self.params.copy())
@@ -286,17 +310,18 @@ def grads(disc: Discriminator, gen: GeneratorSpec, samples_nu: np.ndarray,
     The Monte Carlo standard error of the value is
     sqrt(var(h_nu) / n_nu + var(f*(h_mu)) / n_mu) over the same rows.
     """
-    cache_nu = disc._forward_full(samples_nu)
-    cache_mu = disc._forward_full(samples_mu)
-    h_nu = cache_nu["h"]
-    h_mu, mask = _clamped_mu_values(gen, cache_mu["h"])
+    # the nu pass runs back before the mu pass runs forward: one cache is live at a time
+    cache = disc._forward_full(samples_nu)
+    h_nu = cache["h"]
+    g_nu = disc._backprop(cache, np.full(h_nu.size, 1.0 / h_nu.size))
+    cache = disc._forward_full(samples_mu)
+    h_mu, mask = _clamped_mu_values(gen, cache["h"])
     conj = np.asarray(gen.conjugate_fn(h_mu))
     value = float(h_nu.mean() - conj.mean())
     se = math.sqrt(h_nu.var() / h_nu.size + conj.var() / conj.size)
-    g_nu = disc._backprop(cache_nu, np.full(h_nu.size, 1.0 / h_nu.size))
     # d/dh of -mean f*(h) is -f'^-1(h)/n, zero where the clamp is active
     dmu = -np.asarray(gen.f_prime_inv(h_mu)) * mask / h_mu.size
-    g_mu = disc._backprop(cache_mu, dmu)
+    g_mu = disc._backprop(cache, dmu)
     return g_nu + g_mu, value, se
 
 

@@ -124,6 +124,18 @@ class DiscreteDistribution:
         return self.support[idx]
 
 
+def _log_sum_exp(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-sum-exp over the rows of (k, n) terms, one column per point.
+
+    Returns the column maxima m, exp(comp - m) and its column sums, so that
+    log sum_j exp(comp_j) = m + log(sums) and exp(comp - m) / sums are the
+    normalized weights.
+    """
+    m = comp.max(axis=0)
+    terms = np.exp(comp - m)
+    return m, terms, terms.sum(axis=0)
+
+
 class GaussianMixture:
     """Closed-form Gaussian mixture in low dimension."""
 
@@ -163,27 +175,27 @@ class GaussianMixture:
         self.k = k
         self.dim = d
 
-    def _component_log_densities(self, x: np.ndarray) -> np.ndarray:
-        # returns (n, k)
-        diff = x[:, None, :] - self.means[None, :, :]  # (n, k, d)
-        quad_form = np.einsum("nkd,kde,nke->nk", diff, self._precisions, diff)
-        return self._log_norm[None, :] - 0.5 * quad_form
+    def _components(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log(w_j N(x; m_j, C_j)), shape (k, n), and C_j^-1 (x - m_j), shape (k, d, n).
+
+        Both are component- and feature-major, so each reduction over
+        components or coordinates runs with the n points contiguous.
+        """
+        diff = x.T - self.means[:, :, None]
+        prec_diff = self._precisions @ diff
+        quad_form = (diff * prec_diff).sum(axis=1)
+        comp = (self._log_norm[:, None] - 0.5 * quad_form) + np.log(self.weights)[:, None]
+        return comp, prec_diff
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
-        x = as_batch(x)
-        comp = self._component_log_densities(x) + np.log(self.weights)[None, :]
-        m = comp.max(axis=1, keepdims=True)
-        return (m + np.log(np.exp(comp - m).sum(axis=1, keepdims=True)))[:, 0]
+        m, _, total = _log_sum_exp(self._components(as_batch(x))[0])
+        return m + np.log(total)
 
     def score(self, x: np.ndarray) -> np.ndarray:
-        x = as_batch(x)
-        comp = self._component_log_densities(x) + np.log(self.weights)[None, :]
-        m = comp.max(axis=1, keepdims=True)
-        resp = np.exp(comp - m)
-        resp /= resp.sum(axis=1, keepdims=True)
-        diff = x[:, None, :] - self.means[None, :, :]
-        comp_scores = -np.einsum("kde,nke->nkd", self._precisions, diff)
-        return np.einsum("nk,nkd->nd", resp, comp_scores)
+        comp, prec_diff = self._components(as_batch(x))
+        _, resp, total = _log_sum_exp(comp)
+        resp /= total
+        return -(resp[:, None, :] * prec_diff).sum(axis=0).T
 
     def sample(self, rng: SeedLike, n: int) -> np.ndarray:
         rng = as_generator(rng)

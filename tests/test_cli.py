@@ -314,6 +314,17 @@ class TestInputErrors:
                      "--out", str(tmp_path / "out.csv")]) == 2
         assert capsys.readouterr().err == message
 
+    def test_net_of_other_dimension_exits_2(self, tmp_path, capsys):
+        model = write_json(tmp_path / "mu.json", {
+            "type": "discrete", "support": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.5]})
+        disc = write_json(tmp_path / "disc.json", discriminator_to_dict(
+            init_discriminator(get_generator("js_shifted"), 1, 4)))
+        out = tmp_path / "out.csv"
+        assert main(["refine", "--model", model, "--disc", disc, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: points of dimension 2 do not fit a net of dimension 1\n"
+        assert not out.exists()
+
     def test_diverging_chain_exits_3(self, tmp_path, capsys):
         model = write_json(tmp_path / "narrow.json", {
             "type": "gaussian_mixture", "means": [[0.0]], "covs": [[[1e-4]]],

@@ -8,6 +8,7 @@ import pytest
 
 from season import discriminator
 from season.discriminator import (
+    _clamped_mu_values,
     STOP_FRACTION,
     STOP_WINDOW,
     Discriminator,
@@ -26,7 +27,7 @@ from season.discriminator import (
     train,
     zero_discriminator,
 )
-from season.distributions import DiscreteDistribution, gaussian_mixture
+from season.distributions import DiscreteDistribution, as_batch, gaussian_mixture
 from season.errors import DomainError, TrainingDivergedError
 from season.generators import GENERATOR_NAMES, get_generator
 from season.metrics import exact_fdiv
@@ -73,6 +74,59 @@ def first_stall(calls):
         if value - calls[t - STOP_WINDOW][0] < STOP_FRACTION * se:
             return t
     return None
+
+
+def row_major_forward(disc, x):
+    """The (n, width) forward pass the feature-major one replaced, kept as the reference."""
+    x = as_batch(x)
+    a1 = np.tanh(x @ disc.w1.T + disc.b1)
+    a2 = np.tanh(a1 @ disc.w2.T + disc.b2)
+    z3 = a2 @ disc.w3 + disc.b3
+    return {"x": x, "a1": a1, "a2": a2, "z3": z3,
+            "h": disc.generator.link_of_logit(z3) + disc.bias}
+
+
+def row_major_backprop(disc, cache, dh, inputs=False):
+    """The (n, width) backward pass the feature-major one replaced, kept as the reference."""
+    z3, a2, a1, x = (cache[k] for k in ("z3", "a2", "a1", "x"))
+    dz3 = dh * np.asarray(disc.generator.link_of_logit_deriv(z3))
+    dz2 = np.outer(dz3, disc.w3) * (1.0 - a2 * a2)
+    dz1 = (dz2 @ disc.w2) * (1.0 - a1 * a1)
+    if inputs:
+        return dz1 @ disc.w1
+    return np.concatenate((dz1.T @ x, dz1.sum(axis=0), dz2.T @ a1, dz2.sum(axis=0),
+                           a2.T @ dz3, dz3.sum(), dh.sum()), axis=None)
+
+
+def row_major_grads(disc, gen, x_nu, x_mu):
+    """grads through the reference passes: gradient, value and SE."""
+    cache_nu, cache_mu = row_major_forward(disc, x_nu), row_major_forward(disc, x_mu)
+    h_nu = cache_nu["h"]
+    h_mu, mask = _clamped_mu_values(gen, cache_mu["h"])
+    conj = np.asarray(gen.conjugate_fn(h_mu))
+    dmu = -np.asarray(gen.f_prime_inv(h_mu)) * mask / h_mu.size
+    g = (row_major_backprop(disc, cache_nu, np.full(h_nu.size, 1.0 / h_nu.size))
+         + row_major_backprop(disc, cache_mu, dmu))
+    se = math.sqrt(h_nu.var() / h_nu.size + conj.var() / conj.size)
+    return g, float(h_nu.mean() - conj.mean()), se
+
+
+def assert_close_to_reference(actual, reference, rtol=1e-12):
+    """Entrywise within rtol, relative to each entry or to the largest one if that is larger."""
+    actual, reference = np.asarray(actual), np.asarray(reference)
+    assert actual.shape == reference.shape
+    scale = np.maximum(np.abs(reference), np.abs(reference).max())
+    assert np.all(np.abs(actual - reference) <= rtol * scale)
+
+
+def random_net(gen, dim, width, seed):
+    """A net with every parameter, biases included, drawn at random."""
+    rng = np.random.default_rng(seed)
+    disc = init_discriminator(gen, dim, width, seed=seed)
+    disc.b1[...] = 0.3 * rng.standard_normal(width)
+    disc.b2[...] = 0.3 * rng.standard_normal(width)
+    disc.params[-2:] = [0.2 * rng.standard_normal(), -0.1]  # b3 and the free bias
+    return disc
 
 
 def gaussian_pair(n, seed=0):
@@ -208,6 +262,51 @@ class TestGradients:
             expected = 1.0 - float(np.asarray(gen.f_prime_inv(h_mu)).mean())
             # the free bias is the last entry of the layout
             assert analytic[-1] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+class TestFeatureMajorPasses:
+    """The (width, n) in-place passes against the row-major reference formulas."""
+
+    @pytest.mark.parametrize("width", [1, 16])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    def test_matches_row_major_reference(self, gen, dim, width):
+        rng = np.random.default_rng(100 * dim + width)
+        disc = random_net(gen, dim, width, seed=dim + width)
+        x_nu = rng.standard_normal((37, dim)) + 0.5
+        x_mu = rng.standard_normal((41, dim))
+        assert_close_to_reference(disc.h_batch(x_mu), row_major_forward(disc, x_mu)["h"])
+        g, value, se = grads(disc, gen, x_nu, x_mu)
+        g_ref, value_ref, se_ref = row_major_grads(disc, gen, x_nu, x_mu)
+        assert_close_to_reference(g, g_ref)
+        assert value == pytest.approx(value_ref, rel=1e-12, abs=1e-12)
+        assert se == pytest.approx(se_ref, rel=1e-12)
+        cache = row_major_forward(disc, x_mu)
+        dx = row_major_backprop(disc, cache, np.ones_like(cache["h"]), inputs=True)
+        assert_close_to_reference(input_grad(disc, x_mu), dx)
+        assert_close_to_reference(input_grad(disc, x_mu, np.cos),
+                                  np.cos(cache["h"])[:, None] * dx)
+
+    @pytest.mark.parametrize("call", ["grads", "input_grad", "input_grad-outer", "h_batch"])
+    @pytest.mark.parametrize("shape", [(30,), (30, 1), (30, 3)], ids=["1d", "n-by-1", "n-by-3"])
+    def test_inputs_and_params_left_untouched(self, call, shape):
+        rng = np.random.default_rng(12)
+        dim = 1 if len(shape) == 1 else shape[1]
+        disc = random_net(KL, dim, 4, seed=5)
+        x, x_other = rng.standard_normal(shape) + 0.5, rng.standard_normal(shape)
+        before = (x.copy(), x_other.copy(), disc.params.copy())
+        {"grads": lambda: grads(disc, KL, x, x_other),
+         "input_grad": lambda: input_grad(disc, x),
+         "input_grad-outer": lambda: input_grad(disc, x, np.cos),
+         "h_batch": lambda: disc.h_batch(x)}[call]()
+        assert disc.params.flags.writeable  # a write would land, not raise
+        for array, copy in zip((x, x_other, disc.params), before):
+            assert array.tobytes() == copy.tobytes()
+
+    def test_wrong_input_dimension_names_both(self):
+        disc = init_discriminator(KL, 1, 4, seed=0)
+        with pytest.raises(DomainError, match="dimension 2 do not fit a net of dimension 1"):
+            disc.h_batch(np.zeros((3, 2)))
 
 
 class TestInputGradients:

@@ -98,7 +98,59 @@ class TestDiscreteRatio:
             assert np.allclose(discrete_ratio(nu, mu) * mu.weights, wn, atol=1e-15)
 
 
+def row_major_mixture(model, x):
+    """(log_density, score) by the (n, k) formula the column-wise one replaced.
+
+    Kept as the reference.  Its final einsum adds three component terms as
+    (t0 + t2) + t1, where score adds them in component order.
+    """
+    diff = x[:, None, :] - model.means[None, :, :]
+    quad_form = np.einsum("nkd,kde,nke->nk", diff, model._precisions, diff)
+    comp = (model._log_norm[None, :] - 0.5 * quad_form) + np.log(model.weights)[None, :]
+    m = comp.max(axis=1, keepdims=True)
+    resp = np.exp(comp - m)
+    log_density = (m + np.log(resp.sum(axis=1, keepdims=True)))[:, 0]
+    resp /= resp.sum(axis=1, keepdims=True)
+    comp_scores = -np.einsum("kde,nke->nkd", model._precisions, diff)
+    return log_density, np.einsum("nk,nkd->nd", resp, comp_scores)
+
+
+def assert_within(actual, reference, tol=1e-13):
+    assert actual.shape == reference.shape
+    assert np.all(np.abs(actual - reference) <= tol * np.maximum(np.abs(reference), 1.0))
+
+
+def random_mixture(k, d, seed):
+    rng = np.random.default_rng(seed)
+    covs = []
+    for _ in range(k):
+        a = rng.standard_normal((d, d))
+        covs.append(a @ a.T + 0.5 * np.eye(d))
+    weights = rng.uniform(0.1, 1.0, k)
+    return gaussian_mixture(rng.standard_normal((k, d)), covs, weights / weights.sum())
+
+
 class TestGaussianMixture:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equal_to_row_major_formula_in_1d(self, k):
+        model = random_mixture(k, 1, seed=k)
+        x = 3.0 * np.random.default_rng(k).standard_normal((500, 1))
+        log_density, score = row_major_mixture(model, x)
+        assert np.array_equal(model.log_density(x), log_density)
+        if k < 3:
+            assert np.array_equal(model.score(x), score)
+        else:  # the reference re-associates the three-term sum
+            assert_within(model.score(x), score)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_close_to_row_major_formula_in_higher_dimension(self, d, k):
+        model = random_mixture(k, d, seed=10 * d + k)
+        x = 2.0 * np.random.default_rng(d + k).standard_normal((500, d))
+        log_density, score = row_major_mixture(model, x)
+        assert_within(model.log_density(x), log_density)
+        assert_within(model.score(x), score)
+
     def test_standard_normal_score(self):
         model = gaussian_mixture(np.zeros((1, 2)), [np.eye(2)], [1.0])
         x = np.random.default_rng(1).standard_normal((50, 2))
