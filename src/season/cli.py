@@ -188,18 +188,15 @@ def _load_distribution(path: str):
 def cmd_train(args) -> int:
     if args.n_samples < 1:
         raise ConfigError("--n-samples", f"must be at least 1, got {args.n_samples}")
+    cfg = TrainConfig(width=args.width, steps=args.steps, step_size=args.lr, seed=args.seed)
     data_nu = _load_distribution(args.data)
     data_mu = _load_distribution(args.model)
     gen = get_generator(args.generator)
-    if isinstance(data_nu, DiscreteDistribution) and isinstance(data_mu, DiscreteDistribution):
-        disc = train(gen, data_nu, data_mu)
-    else:
-        cfg = TrainConfig(width=args.width, steps=args.steps,
-                          step_size=args.lr, seed=args.seed)
-        x_nu = data_nu.sample(args.seed, args.n_samples)
-        x_mu = data_mu.sample(args.seed + 1, args.n_samples)
-        disc = train(gen, x_nu, x_mu, cfg)
-    save_discriminator(disc, args.out)
+    if not (isinstance(data_nu, DiscreteDistribution)
+            and isinstance(data_mu, DiscreteDistribution)):
+        data_nu = data_nu.sample(args.seed, args.n_samples)
+        data_mu = data_mu.sample(args.seed + 1, args.n_samples)
+    save_discriminator(train(gen, data_nu, data_mu, cfg), args.out)
     return EXIT_OK
 
 

@@ -238,7 +238,7 @@ def _h_values(disc, target) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Net width, step cap, initial step size and initialization seed.
+    """Net width, step cap, initial step size (finite, > 0) and initialization seed.
 
     steps is the maximum number of gradient steps: training stops earlier
     when the objective stalls within its Monte Carlo error (module
@@ -255,6 +255,8 @@ class TrainConfig:
             raise DomainError(f"steps must be >= 0, got {self.steps}")
         if self.width < 1:
             raise DomainError(f"width must be >= 1, got {self.width}")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise DomainError(f"step_size must be finite and > 0, got {self.step_size}")
 
 
 def init_discriminator(gen: GeneratorSpec, dim: int, width: int, seed=0) -> Discriminator:

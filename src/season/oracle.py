@@ -2,23 +2,30 @@
 
 The dual problem inf_Q [d_H(nu, Q) + I_f(Q : mu)] is minimized
 exhaustively over a probability-simplex grid, and the primal sup of R(h)
-over tabular classes is computed exactly (rich class, constants) or by a
-certified 1-d concave search (sup-norm ball closed under additive
-constants).  These are the independent checks for strong duality and for
-the refinement identity.  The grid is a cached read-only integer lattice;
-since each coordinate takes only n + 1 values, the dual's two terms are
-tabulated per coordinate value and gathered per grid point, with the
-same sums a row-by-row evaluation of the float grid gives.
+over tabular classes is computed exactly: in closed form for the rich
+class and the constants, and from a scalar first-order condition for the
+sup-norm ball closed under additive constants.  These are the
+independent checks for strong duality and for the refinement identity.
+The grid is a cached read-only integer lattice; since each coordinate
+takes only n + 1 values, the dual's two terms are tabulated per
+coordinate value and gathered per grid point, with the same sums a
+row-by-row evaluation of the float grid gives.
 
-For the additively closed ball {g + c : ||g||_inf <= B}, the coordinate
-separability of R(h) means the optimum has h_i = clip(theta_i, w, w + 2B)
-with theta_i = f'(nu_i / mu_i) and a scalar window offset w; R as a
-function of w is concave and is maximized by scipy's bounded Brent
-search.  Its xatol of 1e-12 leaves the relative term sqrt(eps) * |w| as
-the stopping limit in w (about 1.5e-8 near |w| = 1); R is flat at its
-top, so that error in w moves the sup only at float precision.  R(h)
+For the additively closed ball {g + c : ||g||_inf <= B}, R(h) separates
+over coordinates, so the optimum is h_i = clip(theta_i, w, w + 2B) with
+theta_i = f'(nu_i / mu_i) and a scalar window offset w.  As a function
+of w, R is concave and C^1 with slope
+
+    R'(w) = sum_{theta_i < w} (nu_i - mu_i f'^-1(w))
+          + sum_{theta_i > w + 2B} (nu_i - mu_i f'^-1(w + 2B));
+
+a free coordinate adds 0, since f'^-1(theta_i) = nu_i / mu_i.  The sup is
+R at the root of R'(w) = 0, found by scipy's brentq on a bracket where
+R' changes sign; when it does not change sign there, the bracket endpoint
+is the maximizer.  R'(w) = 0 is E_mu[f'^-1(h*)] = 1, so lambda = 0 at the
+optimum h* of this additively closed class, which the tests check.  R(h)
 is evaluated as the same zero-weight-skipping sums that `metrics.est_DfH`
-uses.
+uses, and zero-weight points are left out of R' as well.
 """
 
 from __future__ import annotations
@@ -28,9 +35,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 
-from .discriminator import TabularDiscriminator, exact_tabular
+from .discriminator import TabularDiscriminator
 from .distributions import DiscreteDistribution, discrete_ratio
 from .errors import DomainError
 from .generators import GeneratorSpec
@@ -149,25 +156,40 @@ def dual_grid_min(nu: DiscreteDistribution, mu: DiscreteDistribution, gen: Gener
                       value=float(total[best]))
 
 
+def _window_slope(w: float, gen: GeneratorSpec, theta: np.ndarray, nu_w: np.ndarray,
+                  mu_w: np.ndarray, width: float) -> float:
+    """R'(w) of the window clip(theta, w, w + width): clipped coordinates only."""
+    below, above = theta < w, theta > w + width
+    return (float((nu_w[below] - mu_w[below] * gen.f_prime_inv(w)).sum())
+            + float((nu_w[above] - mu_w[above] * gen.f_prime_inv(w + width)).sum()))
+
+
 def primal_sup_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
                        gen: GeneratorSpec, h_spec: HSpec) -> tuple[float, TabularDiscriminator]:
-    """Exact (or certified) sup of R(h) over the tabular class h_spec."""
-    nu_w = discrete_ratio(nu, mu) * mu.weights
+    """Exact sup of R(h) over the tabular class h_spec, and the h attaining it.
+
+    The rich class takes theta = f'(nu / mu) and the constants f'(1).  The
+    ball class clips theta into the window [w, w + 2B] at the offset w
+    where R'(w) = 0 (module docstring), or at the end of the bracket
+    [lo, hi] where R' keeps its sign; R is evaluated once, at that w.
+    """
+    ratio = discrete_ratio(nu, mu)
     mu_w = mu.weights
+    nu_w = ratio * mu_w
 
     def plugin_value(h: np.ndarray) -> float:
         return _masked_dot(nu_w, h) - _masked_dot(mu_w, np.asarray(gen.conjugate_fn(h)))
 
-    if h_spec.kind == "rich":
-        tab = exact_tabular(nu, mu, gen)
-        return plugin_value(tab.values), tab
     if h_spec.kind == "constants":
         c = float(gen.f_prime(1.0))
         values = np.full(mu.n, c)
         return 0.0, TabularDiscriminator(mu.support, values, generator_name=gen.name)
-
     with np.errstate(divide="ignore"):
-        theta = np.asarray(gen.f_prime(discrete_ratio(nu, mu)))
+        theta = np.asarray(gen.f_prime(ratio))  # the rich optimum, -inf where nu vanishes
+    if h_spec.kind == "rich":
+        return plugin_value(theta), TabularDiscriminator(mu.support, theta,
+                                                         generator_name=gen.name)
+
     width = 2.0 * h_spec.norm
     finite = theta[np.isfinite(theta)]
     c0 = float(gen.f_prime(1.0))
@@ -175,15 +197,20 @@ def primal_sup_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
     hi = max(finite.max() if finite.size else c0, c0) + 1.0
     hi_dom = gen.conjugate_domain[1]
     if math.isfinite(hi_dom):
-        hi = min(hi, hi_dom - width - 1e-12)
-    if lo >= hi:
-        lo = hi - 1.0
+        hi = min(hi, hi_dom - width - 1e-12)  # still above lo, since f'(1) < hi_dom
 
-    # xatol 1e-12 leaves sqrt(eps) * |w| as the limit; R is flat at its max
-    res = minimize_scalar(lambda w: -plugin_value(np.clip(theta, w, w + width)),
-                          bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-    h_star = np.clip(theta, res.x, res.x + width)
-    return -float(res.fun), TabularDiscriminator(mu.support, h_star, generator_name=gen.name)
+    live = mu_w > 0
+    args = (gen, theta[live], nu_w[live], mu_w[live], width)
+    if _window_slope(lo, *args) <= 0.0:
+        w = lo
+    elif _window_slope(hi, *args) >= 0.0:
+        w = hi
+    else:
+        # xtol 1e-15 leaves 4 eps |w| as the limit in w, so lambda at h* stays
+        # at rounding level (the default 2e-12 left up to 5e-13)
+        w = brentq(_window_slope, lo, hi, args=args, xtol=1e-15)
+    h_star = np.clip(theta, w, w + width)
+    return plugin_value(h_star), TabularDiscriminator(mu.support, h_star, generator_name=gen.name)
 
 
 @dataclass(frozen=True)

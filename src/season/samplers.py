@@ -60,8 +60,10 @@ class LangevinConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.step_size <= 0 or self.n_steps < 0 or self.n_chains < 1:
-            raise DomainError("step_size > 0, n_steps >= 0, n_chains >= 1 required")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise DomainError(f"step_size must be finite and > 0, got {self.step_size}")
+        if self.n_steps < 0 or self.n_chains < 1:
+            raise DomainError("n_steps >= 0 and n_chains >= 1 required")
 
 
 def _check_guard(x: np.ndarray, step: int) -> None:

@@ -264,6 +264,29 @@ class TestThinSubcommands:
         assert capsys.readouterr().err == message
         assert not out.exists()
 
+    @pytest.mark.parametrize("value, shown", [("-0.5", "-0.5"), ("0", "0.0"), ("nan", "nan")],
+                             ids=["lr-negative", "lr-0", "lr-nan"])
+    @pytest.mark.parametrize("spec", [MIXTURE_SPEC, DISCRETE_MU], ids=["net", "tabular"])
+    def test_train_step_size_not_finite_and_positive_exits_2(self, spec, value, shown,
+                                                              tmp_path, capsys):
+        model = write_json(tmp_path / "mu.json", spec)
+        out = tmp_path / "disc.json"
+        assert main(["train-discriminator", "--data", model, "--model", model,
+                     "--steps", "5", "--lr", value, "--seed", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: step_size must be finite and > 0, got {shown}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_sample_step_size_not_finite_and_positive_exits_2(self, value, tmp_path, capsys):
+        model = write_json(tmp_path / "model.json", MIXTURE_SPEC)
+        out = tmp_path / "samples.csv"
+        assert main(["sample", "--model", model, "--steps", "5", "--step-size", value,
+                     "--seed", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: step_size must be finite and > 0, got {float(value)}\n"
+        assert not out.exists()
+
 
 class TestInputErrors:
     """Bad input files exit 2 with a one-line message and no traceback."""

@@ -10,6 +10,7 @@ import pytest
 from season.discriminator import exact_tabular
 from season.distributions import DiscreteDistribution, discrete_ratio
 from season.errors import DomainError
+from season.experiments import default_bound_world, empirical_from_draws
 from season.generators import GENERATOR_NAMES, get_generator
 from season.metrics import est_DfH, exact_fdiv
 from season.oracle import (
@@ -20,7 +21,7 @@ from season.oracle import (
     simplex_grid,
     strong_duality_check,
 )
-from season.refine import refine_discrete
+from season.refine import refine_discrete, solve_lambda
 
 KL = get_generator("kl")
 ALL = [get_generator(n) for n in GENERATOR_NAMES]
@@ -236,8 +237,8 @@ class TestPrimalSup:
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_ball_search_evaluation_count(self, gen):
-        # each R(h) evaluation calls conjugate_fn once; a converging search
-        # needs far fewer than a fixed-step one
+        # each R(h) evaluation calls conjugate_fn once; the search runs on
+        # the slope R'(w), so R itself is evaluated only at the root
         rng = np.random.default_rng(9)
         for _ in range(10):
             nu, mu = random_pair(rng, 3)
@@ -248,4 +249,30 @@ class TestPrimalSup:
                 return conj(h)
 
             primal_sup_tabular(nu, mu, replace(gen, conjugate_fn=counted), HSpec("ball", 0.5))
-            assert 0 < len(calls) <= 60
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("norm", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    def test_ball_optimum_needs_no_normalizer(self, gen, norm):
+        # R'(w) = 0 is E_mu[f'^-1(h*)] = 1: lambda vanishes at the ball's optimum
+        for nu, mu in ball_instances(np.random.default_rng(12)):
+            _, h_star = primal_sup_tabular(nu, mu, gen, HSpec("ball", norm))
+            assert abs(solve_lambda(h_star, gen, mu)) <= 1e-12
+
+
+def ball_instances(rng):
+    """Floored random pairs, pairs with zero-weight points, and bound-world samples."""
+    for floor in (0.0, 0.05, 0.2):
+        for k in (2, 3, 4):
+            for _ in range(4):
+                yield random_pair(rng, k, floor)
+    for k in (2, 3, 4):
+        yield from dual_instances(k, n_random=0)
+        for _ in range(4):
+            nu, mu = random_pair(rng, k, floor=0.05)
+            wn = nu.weights.copy()
+            wn[rng.integers(k)] = 0.0  # theta = -inf there
+            yield DiscreteDistribution(nu.support, wn / wn.sum()), mu
+    population, model = default_bound_world()
+    for _ in range(8):
+        yield empirical_from_draws(population, rng, 200), model
