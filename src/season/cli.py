@@ -53,8 +53,6 @@ EXIT_SUITE_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_EXPERIMENTS = ("identity-discrete", "refine-1d", "bounds")
-
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -124,11 +122,10 @@ def _run_refine_1d(cfg: dict, out: Path) -> None:
         seed,
         k_levels=_require(sampler_cfg, "k_levels", int, "$.sampler", 16, minimum=1),
         t_horizon=float(_require(sampler_cfg, "t_horizon", _REAL, "$.sampler", 2.0)),
-        n_chains=_require(sampler_cfg, "n_chains", int, "$.sampler", 2000),
-        disc_width=_require(disc_cfg, "width", int, "$.discriminator", 16),
-        disc_steps=_require(disc_cfg, "steps", int, "$.discriminator", 300),
+        n_chains=_require(sampler_cfg, "n_chains", int, "$.sampler", 2000, minimum=1),
+        disc_width=_require(disc_cfg, "width", int, "$.discriminator", 16, minimum=1),
+        disc_steps=_require(disc_cfg, "steps", int, "$.discriminator", 300, minimum=0),
         disc_lr=float(_require(disc_cfg, "lr", _REAL, "$.discriminator", 0.25)),
-        keep_samples=True,
     )
     export_samples_csv(out / "samples_base.csv", result.samples_unguided, seed)
     export_samples_csv(out / "samples_refined.csv", result.samples_guided, seed)
@@ -142,16 +139,26 @@ def _run_refine_1d(cfg: dict, out: Path) -> None:
         raise FloatingPointError("Wasserstein distances are not finite")
 
 
+def _write_bound_report(path: Path, seed: int, gen_name: str, n: int, delta: float) -> None:
+    payload = bound_trial(seed, gen_name=gen_name, n=n, delta=delta).to_dict()
+    payload["seed"] = seed
+    payload["generator"] = gen_name
+    _json_dump(path, payload)
+
+
 def _run_bounds(cfg: dict, out: Path) -> None:
     seed = _require(cfg, "seed", int, "$")
     gen = _generator_from(cfg)
     n = _require(cfg, "n", int, "$", 200, minimum=1)
     delta = float(_require(cfg, "delta", _REAL, "$", 0.05))
-    report = bound_trial(seed, gen_name=gen.name, n=n, delta=delta)
-    payload = report.to_dict()
-    payload["seed"] = seed
-    payload["generator"] = gen.name
-    _json_dump(out / "bound_report.json", payload)
+    _write_bound_report(out / "bound_report.json", seed, gen.name, n, delta)
+
+
+_RUNNERS = {
+    "identity-discrete": _run_identity,
+    "refine-1d": _run_refine_1d,
+    "bounds": _run_bounds,
+}
 
 
 def cmd_run(args) -> int:
@@ -159,16 +166,10 @@ def cmd_run(args) -> int:
     if not isinstance(cfg, dict):
         raise ConfigError("$", "config must be a JSON object")
     experiment = _require(cfg, "experiment", str, "$")
-    out = _output_dir(cfg)
-    if experiment == "identity-discrete":
-        _run_identity(cfg, out)
-    elif experiment == "refine-1d":
-        _run_refine_1d(cfg, out)
-    elif experiment == "bounds":
-        _run_bounds(cfg, out)
-    else:
+    if experiment not in _RUNNERS:
         raise ConfigError("$.experiment", f"unknown experiment {experiment!r}; "
-                                          f"choose from {_EXPERIMENTS}")
+                                          f"choose from {tuple(_RUNNERS)}")
+    _RUNNERS[experiment](cfg, _output_dir(cfg))
     return EXIT_OK
 
 
@@ -225,10 +226,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    report = bound_trial(args.seed, gen_name=args.generator, n=args.n, delta=args.delta)
-    payload = report.to_dict()
-    payload["seed"] = args.seed
-    _json_dump(Path(args.out), payload)
+    _write_bound_report(Path(args.out), args.seed, args.generator, args.n, args.delta)
     return EXIT_OK
 
 

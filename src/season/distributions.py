@@ -3,8 +3,8 @@
 Provides finite discrete distributions, Gaussian mixtures (the one
 continuous model type) with exact log-densities, scores, samplers and
 noised laws, and the mean-reverting (Ornstein-Uhlenbeck) forward process
-X_t | X_0 ~ N(m_t X_0, sigma_t^2 I) with m_t = exp(-int_0^t beta) and
-sigma_t^2 = 1 - m_t^2.
+of constant rate beta, X_t | X_0 ~ N(m_t X_0, sigma_t^2 I) with
+m_t = exp(-beta t) and sigma_t^2 = 1 - m_t^2.
 
 Everything is immutable after construction.  Samplers take explicit seed
 state; `split_seeds` derives independent per-worker streams.
@@ -13,11 +13,10 @@ state; `split_seeds` derives independent per-worker streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AbsoluteContinuityError, DomainError
 
@@ -183,8 +182,8 @@ class GaussianMixture:
         """
         diff = x.T - self.means[:, :, None]
         prec_diff = self._precisions @ diff
-        quad_form = (diff * prec_diff).sum(axis=1)
-        comp = (self._log_norm[:, None] - 0.5 * quad_form) + np.log(self.weights)[:, None]
+        mahalanobis = (diff * prec_diff).sum(axis=1)
+        comp = (self._log_norm[:, None] - 0.5 * mahalanobis) + np.log(self.weights)[:, None]
         return comp, prec_diff
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
@@ -246,31 +245,29 @@ def gaussian_mixture(means, covs, weights) -> GaussianMixture:
 
 @dataclass(frozen=True)
 class OUSchedule:
-    """Weight function beta on [0, T] for the forward noising process."""
+    """Constant rate beta on the horizon [0, T] of the forward noising process."""
 
-    beta: Callable[[float], float]
+    beta: float
     T: float
-    constant: Optional[float] = field(default=None)
 
-    def integral(self, t: float) -> float:
-        """int_0^t beta, closed form when beta is constant."""
-        if self.constant is not None:
-            return self.constant * t
-        val, _ = quad(self.beta, 0.0, t, epsabs=1e-10, epsrel=1e-10, limit=200)
-        return val
+    def __post_init__(self):
+        beta, T = float(self.beta), float(self.T)
+        if not (math.isfinite(beta) and beta > 0 and math.isfinite(T) and T > 0):
+            raise DomainError(f"noise schedule needs finite beta > 0 and T > 0, "
+                              f"got beta = {self.beta}, T = {self.T}")
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "T", T)
 
 
-def constant_schedule(beta: float = 1.0, T: float = 1.0) -> OUSchedule:
-    if beta <= 0 or T <= 0:
-        raise DomainError("beta and T must be positive")
-    return OUSchedule(beta=lambda _t, _b=beta: _b, T=T, constant=float(beta))
+def constant_schedule(beta: float, T: float) -> OUSchedule:
+    return OUSchedule(beta, T)
 
 
 def ou_params(schedule: OUSchedule, t: float) -> tuple[float, float]:
     """Transition parameters (m_t, sigma_t) of X_t | X_0 ~ N(m_t X_0, sigma_t^2 I)."""
     if not (0.0 <= t <= schedule.T):
         raise DomainError(f"t = {t} outside [0, {schedule.T}]")
-    integ = schedule.integral(t)
+    integ = schedule.beta * t
     m = math.exp(-integ)
     sigma2 = -math.expm1(-2.0 * integ)
     return m, math.sqrt(max(sigma2, 0.0))

@@ -139,8 +139,8 @@ class RefinementBenefit:
     w1_guided: float
     improved: bool
     seed: int
-    samples_unguided: Optional[np.ndarray] = field(default=None, repr=False)
-    samples_guided: Optional[np.ndarray] = field(default=None, repr=False)
+    samples_unguided: np.ndarray = field(repr=False)  # (n_chains, 1) final chains
+    samples_guided: np.ndarray = field(repr=False)
 
 
 def _bimodal_pair() -> tuple[GaussianMixture, GaussianMixture]:
@@ -153,8 +153,7 @@ def _bimodal_pair() -> tuple[GaussianMixture, GaussianMixture]:
 def refinement_benefit_experiment(seed: int, *, k_levels: int = 16, t_horizon: float = 2.0,
                                   n_train: int = 512, n_chains: int = 2000,
                                   disc_width: int = 16, disc_steps: int = 300,
-                                  disc_lr: float = 0.25,
-                                  keep_samples: bool = False) -> RefinementBenefit:
+                                  disc_lr: float = 0.25) -> RefinementBenefit:
     """Guided vs unguided reverse diffusion from a miscalibrated base model.
 
     The base score is exact for the wrong-weight mixture at every level;
@@ -194,8 +193,7 @@ def refinement_benefit_experiment(seed: int, *, k_levels: int = 16, t_horizon: f
     w1_g = w1_1d(guided, x_eval)
     return RefinementBenefit(
         w1_unguided=w1_u, w1_guided=w1_g, improved=bool(w1_g < w1_u), seed=seed,
-        samples_unguided=unguided if keep_samples else None,
-        samples_guided=guided if keep_samples else None,
+        samples_unguided=unguided, samples_guided=guided,
     )
 
 

@@ -16,7 +16,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .discriminator import _h_values
-from .distributions import DiscreteDistribution, _row_positions
+from .distributions import DiscreteDistribution, _row_positions, discrete_ratio
 from .errors import AbsoluteContinuityError, DomainError
 from .generators import GeneratorSpec, get_generator
 from .refine import _solve_lambda
@@ -80,8 +80,6 @@ def _expect(dist, values: np.ndarray) -> MCEstimate:
 def exact_fdiv(nu: DiscreteDistribution, mu: DiscreteDistribution,
                gen: GeneratorSpec) -> float:
     """I_f(nu : mu) = sum_i mu_i f(nu_i / mu_i); +inf without absolute continuity."""
-    from .distributions import discrete_ratio
-
     try:
         ratio = discrete_ratio(nu, mu)
     except AbsoluteContinuityError:
@@ -159,8 +157,6 @@ def ipm_at_witness(h_values: np.ndarray, nu: DiscreteDistribution,
     Zero-weight differences skip +-inf witness values.  This is the exact
     IPM whenever the witness attains the sup over the class.
     """
-    from .distributions import discrete_ratio
-
     nu_aligned = discrete_ratio(nu, mu) * mu.weights
     diff = nu_aligned - mu.weights
     h = np.asarray(h_values, dtype=float)
@@ -247,8 +243,9 @@ class ConvergenceBoundInputs:
 
     def __post_init__(self):
         vals = (self.eps_theta, self.L, self.m2, self.T, self.norm_H, self.forward_gap_If)
-        if any(v < 0 for v in vals) or self.d < 1 or self.K < 1:
-            raise DomainError("all convergence-bound inputs must be nonnegative")
+        if not all(math.isfinite(v) and v >= 0 for v in vals) or self.d < 1 or self.K < 1:
+            raise DomainError("convergence-bound inputs must be finite and nonnegative, "
+                              "with d >= 1 and K >= 1")
 
     @property
     def s(self) -> float:
@@ -272,8 +269,6 @@ class LemmaCheck:
 def fdiv_kl_lemma_check(nu: DiscreteDistribution, mu: DiscreteDistribution,
                         gen: GeneratorSpec) -> LemmaCheck:
     """Check I_f(nu : mu) <= sup_i |f'(r_i)| sqrt(KL(nu : mu)) exactly."""
-    from .distributions import discrete_ratio
-
     ratio = discrete_ratio(nu, mu)
     lhs = exact_fdiv(nu, mu, gen)
     kl = exact_fdiv(nu, mu, get_generator("kl"))

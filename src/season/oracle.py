@@ -69,8 +69,8 @@ class HSpec:
     def __post_init__(self):
         if self.kind not in ("rich", "constants", "ball"):
             raise DomainError(f"unknown class kind {self.kind!r}")
-        if self.kind == "ball" and self.norm <= 0:
-            raise DomainError("ball class needs a positive norm")
+        if self.kind == "ball" and not (math.isfinite(self.norm) and self.norm > 0):
+            raise DomainError(f"ball class needs a finite positive norm, got {self.norm}")
 
 
 @functools.lru_cache(maxsize=8)

@@ -217,10 +217,9 @@ def refine_continuous(base: GaussianMixture, disc, gen: GeneratorSpec, *,
                         mc_residual=residual, mc_se=se)
 
 
-def export_refined_csv(path, mu: DiscreteDistribution, disc, gen: GeneratorSpec, *,
-                       lam: Optional[float] = None) -> None:
-    """Write (support, base weight, ratio, refined weight) rows."""
-    ratios, weights = _refined_weights(mu, disc, gen, lam)
+def export_refined_csv(path, mu: DiscreteDistribution, disc, gen: GeneratorSpec) -> None:
+    """Write (support, base weight, ratio, refined weight) rows, lambda solved on mu."""
+    ratios, weights = _refined_weights(mu, disc, gen, None)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         dim_cols = [f"x{j}" for j in range(mu.dim)]

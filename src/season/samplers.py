@@ -4,11 +4,11 @@ langevin iterates x <- x + step * score(x) + sqrt(2 step) z on a fixed
 score field.  reverse_em integrates the time-discretized reverse of the
 forward noising process on the uniform grid tau_k = k T / K,
 
-    y <- y + s beta(T - tau_k) [y + 2 (score_k(y) + guidance_k(y))]
-           + sqrt(2 s beta(T - tau_k)) z,        s = T / K,
+    y <- y + s beta [y + 2 (score_k(y) + guidance_k(y))] + sqrt(2 s beta) z,
 
-starting from the standard Gaussian prior.  During step k the guidance
-term comes from the discriminator at level tau_{k+1}: discs[k] is trained
+with step s = T / K and the schedule's constant rate beta, starting from
+the standard Gaussian prior.  During step k the guidance term comes from
+the discriminator at level tau_{k+1}: discs[k] is trained
 at forward time T - tau_{k+1}, and the score handle is queried at step
 index k (forward time T - tau_k).  Guidance adds
 (d/ds log f'^-1)(h(y) - lambda_k) * grad h(y), where lambda_k solves the
@@ -123,15 +123,16 @@ def reverse_em(score: Callable[[np.ndarray, int], np.ndarray], cfg: ReverseDiffu
     rng = as_generator(cfg.seed)
     y = rng.standard_normal((cfg.n_chains, cfg.dim))
     s = cfg.step
-    T = cfg.schedule.T
+    beta = cfg.schedule.beta
+    drift_scale = s * beta
+    noise_scale = math.sqrt(2.0 * s * beta)
     for k in range(cfg.K):
-        beta = float(cfg.schedule.beta(T - k * s))
         if discs is None:
             drift = score(y, k)
         else:
             drift = refined_score(lambda x: score(x, k), discs[k], gen, y)
         z = rng.standard_normal(y.shape)
-        y = y + s * beta * (y + 2.0 * drift) + math.sqrt(2.0 * s * beta) * z
+        y = y + drift_scale * (y + 2.0 * drift) + noise_scale * z
         _check_guard(y, k)
     return y
 

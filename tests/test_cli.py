@@ -96,6 +96,9 @@ class TestRunValidation:
         ("bounds", "n", 0, "$.n"),
         ("refine-1d", "sampler", {"k_levels": "x"}, "$.sampler.k_levels"),
         ("refine-1d", "sampler", {"k_levels": 0}, "$.sampler.k_levels"),
+        ("refine-1d", "sampler", {"n_chains": 0}, "$.sampler.n_chains"),
+        ("refine-1d", "discriminator", {"width": 0}, "$.discriminator.width"),
+        ("refine-1d", "discriminator", {"steps": -1}, "$.discriminator.steps"),
         ("refine-1d", "sampler", [4], "$.sampler"),
     ])
     def test_malformed_optional_field_exits_2(self, experiment, field, value, path,
@@ -107,6 +110,29 @@ class TestRunValidation:
         assert main(["run", cfg]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {path}:")
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf], ids=["NaN", "Infinity"])
+    def test_nonfinite_horizon_exits_2_before_any_fit(self, horizon, tmp_path, capsys,
+                                                       monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a discriminator was fitted")
+
+        monkeypatch.setattr("season.experiments.train", no_fit)
+        cfg = write_json(tmp_path / "cfg.json", {
+            "experiment": "refine-1d", "seed": 0, "sampler": {"t_horizon": horizon},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: noise schedule needs finite")
+
+    def test_unknown_experiment_creates_no_output_dir(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"experiment": "nope", "seed": 1,
+                                                 "output_dir": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        assert "choose from ('identity-discrete', 'refine-1d', 'bounds')" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunRefine1d:
@@ -239,6 +265,17 @@ class TestThinSubcommands:
         out = tmp_path / "bound.json"
         assert main(["bounds", "--seed", "2", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["holds"] is True
+
+    def test_bounds_subcommand_matches_run(self, tmp_path):
+        out = tmp_path / "bound.json"
+        assert main(["bounds", "--seed", "2", "--generator", "kl", "--out", str(out)]) == 0
+        cfg = write_json(tmp_path / "cfg.json", {
+            "experiment": "bounds", "seed": 2, "generator": "kl",
+            "output_dir": str(tmp_path / "run"),
+        })
+        assert main(["run", cfg]) == 0
+        assert out.read_bytes() == (tmp_path / "run" / "bound_report.json").read_bytes()
+        assert json.loads(out.read_text())["generator"] == "kl"
 
     @pytest.mark.parametrize("flag, value", [
         ("--n", "0"), ("--n", "-3"), ("--delta", "0"), ("--delta", "1.5"),

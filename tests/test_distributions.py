@@ -1,6 +1,10 @@
 """Distributions, mixtures, the forward noising process, and ratios."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,13 +212,25 @@ class TestOUProcess:
             m, sigma = ou_params(sched, float(t))
             assert abs(m * m + sigma * sigma - 1.0) <= 1e-10
 
-    def test_quadrature_matches_closed_form_for_linear_beta(self):
-        sched = OUSchedule(beta=lambda t: 1.0 + t, T=2.0)
-        for t in (0.3, 1.0, 1.7):
-            m, sigma = ou_params(sched, t)
-            integ = t + t * t / 2.0
-            assert m == pytest.approx(math.exp(-integ), rel=1e-9)
-            assert sigma ** 2 == pytest.approx(-math.expm1(-2 * integ), rel=1e-9)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("which", ["beta", "T"])
+    def test_schedule_rejects_nonfinite_or_nonpositive(self, which, bad):
+        args = {"beta": 1.0, "T": 2.0, which: bad}
+        with pytest.raises(DomainError, match="noise schedule"):
+            constant_schedule(**args)
+
+    def test_schedule_is_two_floats(self):
+        sched = constant_schedule(2, 3)
+        assert sched == OUSchedule(2.0, 3.0)
+        assert type(sched.beta) is float and type(sched.T) is float
+
+    def test_import_leaves_quadrature_unloaded(self):
+        # a fresh interpreter: other tests import scipy.stats, which loads it
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, season; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
 
     def test_time_outside_range_rejected(self):
         sched = constant_schedule(1.0, 1.0)

@@ -73,14 +73,12 @@ class TestRefinementBenefit:
 
     def test_keep_samples_shapes(self):
         res = refinement_benefit_experiment(1, k_levels=4, n_train=128,
-                                            n_chains=200, disc_steps=60,
-                                            keep_samples=True)
+                                            n_chains=200, disc_steps=60)
         assert res.samples_guided.shape == (200, 1)
         assert res.samples_unguided.shape == (200, 1)
 
     def test_deterministic(self):
-        kw = dict(k_levels=4, n_train=128, n_chains=200, disc_steps=60,
-                  keep_samples=True)
+        kw = dict(k_levels=4, n_train=128, n_chains=200, disc_steps=60)
         a = refinement_benefit_experiment(3, **kw)
         b = refinement_benefit_experiment(3, **kw)
         assert np.array_equal(a.samples_guided, b.samples_guided)

@@ -299,6 +299,15 @@ class TestBoundAssembly:
         with pytest.raises(DomainError):
             ConvergenceBoundInputs(-0.1, 0.0, 0.0, 1, 1.0, 10, 1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["eps_theta", "L", "m2", "T", "norm_H", "forward_gap_If"])
+    def test_nonfinite_inputs_rejected(self, name, value):
+        kw = dict(eps_theta=0.1, L=0.5, m2=1.0, d=1, T=2.0, K=10, norm_H=1.0,
+                  forward_gap_If=0.0)
+        kw[name] = value
+        with pytest.raises(DomainError, match="finite"):
+            ConvergenceBoundInputs(**kw)
+
 
 class TestLemmaChecks:
     def test_equal_distributions_trivial(self):

@@ -189,6 +189,11 @@ class TestDualGridMin:
 
 
 class TestPrimalSup:
+    @pytest.mark.parametrize("norm", [0.0, -0.5, math.nan, math.inf])
+    def test_ball_norm_must_be_finite_and_positive(self, norm):
+        with pytest.raises(DomainError, match="finite positive norm"):
+            HSpec("ball", norm)
+
     def test_rich_value_is_exact_fdiv(self):
         rng = np.random.default_rng(5)
         nu, mu = random_pair(rng, 4, floor=0.05)

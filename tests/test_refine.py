@@ -312,4 +312,4 @@ class TestExportCSV:
         mu = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
         tab = TabularDiscriminator(mu.support, np.array([-np.inf, -np.inf]))
         with pytest.raises(DegenerateDistributionError):
-            export_refined_csv(tmp_path / "refined.csv", mu, tab, KL, lam=0.0)
+            export_refined_csv(tmp_path / "refined.csv", mu, tab, KL)
