@@ -12,7 +12,6 @@ from .generators import (
     GENERATOR_NAMES,
     GeneratorSpec,
     bayes_pointwise_loss,
-    conjugate_numeric,
     eval_f,
     get_generator,
     inverse_link,

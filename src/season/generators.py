@@ -9,10 +9,9 @@ domain of the Fenchel conjugate f*.  The three built-ins are
     js_shifted  f(t) = t log t - (t+1) log(t+1) + 2 log 2
 
 All closed forms here (f, f', f'^-1, f*, their derivatives) have numeric
-oracle twins used by the test suite: `conjugate_numeric` maximizes
-s*t - f(t) directly by bounded Brent search (scipy), and the derivatives
-are cross-checked against finite differences.  Only the closed forms run
-on hot paths.
+oracle twins in the test suite: f* is checked against a bounded Brent
+maximization of s*t - f(t) (scipy), and the derivatives against finite
+differences.  Only the closed forms run in the package.
 
 The composite link Psi(eta) = f'(eta / (1 - eta)) ties class-probability
 estimates to real-valued discriminator outputs; the pointwise Bayes loss
@@ -27,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError
 
@@ -38,7 +36,6 @@ __all__ = [
     "GENERATOR_NAMES",
     "get_generator",
     "eval_f",
-    "conjugate_numeric",
     "link",
     "inverse_link",
     "bayes_pointwise_loss",
@@ -229,34 +226,6 @@ def eval_f(gen: GeneratorSpec, t: float) -> float:
     if t < 0:
         raise DomainError(f"f is only defined for t >= 0, got {t}")
     return float(gen.f(t))
-
-
-def conjugate_numeric(gen: GeneratorSpec, s: float) -> float:
-    """Oracle twin of `conjugate_fn`: maximize s*t - f(t) by bounded Brent search.
-
-    The search runs in u = log t on [-46, hi], where the objective stays
-    unimodal; hi steps up from 1 while the objective still rises, and an
-    objective still rising at u = 30 is reported as +inf (unbounded
-    supremum).  The t = 0 boundary value -f(0) enters as an explicit
-    candidate.
-    """
-
-    def g(u: float) -> float:
-        t = math.exp(u)
-        return s * t - float(gen.f(t))
-
-    hi = 1.0
-    while hi < 30.0 and g(hi) > g(hi - 0.5):
-        hi += 2.0
-    if hi >= 30.0 and g(hi) > g(hi - 0.5):
-        return math.inf
-    # xatol 1e-12 leaves sqrt(eps) * |u| as the limit; g is flat at its max
-    res = minimize_scalar(lambda u: -g(u), bounds=(-46.0, hi), method="bounded",
-                          options={"xatol": 1e-12})
-
-    f0 = float(gen.f(0.0))
-    boundary = -f0 if math.isfinite(f0) else -math.inf
-    return max(-float(res.fun), boundary)
 
 
 def link(gen: GeneratorSpec, eta: float) -> float:

@@ -20,12 +20,13 @@ of w, R is concave and C^1 with slope
           + sum_{theta_i > w + 2B} (nu_i - mu_i f'^-1(w + 2B));
 
 a free coordinate adds 0, since f'^-1(theta_i) = nu_i / mu_i.  The sup is
-R at the root of R'(w) = 0, found by scipy's brentq on a bracket where
-R' changes sign; when it does not change sign there, the bracket endpoint
-is the maximizer.  R'(w) = 0 is E_mu[f'^-1(h*)] = 1, so lambda = 0 at the
-optimum h* of this additively closed class, which the tests check.  R(h)
-is evaluated as the same zero-weight-skipping sums that `metrics.est_DfH`
-uses, and zero-weight points are left out of R' as well.
+R at the root of R'(w) = 0, found by the Brent root finder of `refine`
+on a bracket where R' changes sign; when it does not change sign there,
+the bracket endpoint is the maximizer.  R'(w) = 0 is E_mu[f'^-1(h*)] = 1,
+so lambda = 0 at the optimum h* of this additively closed class, which
+the tests check.  R(h) is evaluated as the same zero-weight-skipping sums
+that `metrics.est_DfH` uses, and zero-weight points are left out of R' as
+well.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .discriminator import TabularDiscriminator
 from .distributions import DiscreteDistribution, discrete_ratio
 from .errors import DomainError
 from .generators import GeneratorSpec
 from .metrics import _masked_dot
+from .refine import _brentq
 
 __all__ = [
     "HSpec",
@@ -207,8 +208,8 @@ def primal_sup_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
         w = hi
     else:
         # xtol 1e-15 leaves 4 eps |w| as the limit in w, so lambda at h* stays
-        # at rounding level (the default 2e-12 left up to 5e-13)
-        w = brentq(_window_slope, lo, hi, args=args, xtol=1e-15)
+        # at rounding level (scipy's default 2e-12 left up to 5e-13)
+        w = _brentq(_window_slope, lo, hi, args=args, xtol=1e-15)
     h_star = np.clip(theta, w, w + width)
     return plugin_value(h_star), TabularDiscriminator(mu.support, h_star, generator_name=gen.name)
 

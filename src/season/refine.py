@@ -9,7 +9,7 @@ backward pass.  The normalizer lambda solves
 
     E_mu[f'^-1(h - lambda)] = 1
 
-by Brent's method (scipy.optimize.brentq) on a bracket: the expectation
+by Brent's method (`_brentq`) on a bracket: the expectation
 is strictly decreasing in lambda because f'^-1 is increasing for strictly
 convex f, so one end has a closed form and a halving or doubling search
 finds the other.  At an exactly optimal discriminator from a class closed
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .discriminator import Discriminator, _h_values, input_grad
 from .distributions import DiscreteDistribution, GaussianMixture, as_batch, as_generator
@@ -51,6 +50,67 @@ __all__ = [
 _MAX_BRACKET_STEPS = 200
 _EXACT_TOL = 1e-10  # |E - 1| allowed on a finite distribution
 _MC_TOL = 1e-6  # |E - 1| allowed on a sample batch
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
+
+
+def _brentq(f: Callable[..., float], a: float, b: float, *, args: tuple = (),
+            xtol: float) -> float:
+    """A root of f(x, *args) in [a, b] by Brent's method (Brent, 1973, ch. 4).
+
+    A step-for-step port of scipy's brentq.c, with its relative tolerance
+    4 eps and its 100 iterations, so roots are bit-identical to
+    scipy.optimize.brentq.  Each step interpolates (secant) or
+    extrapolates (inverse quadratic) when that step is short enough, and
+    bisects otherwise; it stops once half the bracket is below
+    (xtol + rtol |x|) / 2.  A NaN value of f, a bracket without a sign
+    change and a search that has not converged after 100 steps raise
+    LambdaSolveError.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x, *args))
+        if math.isnan(fx):
+            raise LambdaSolveError(f"root search met NaN at x = {x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise LambdaSolveError(f"no sign change on the bracket [{xpre!r}, {xcur!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a short enough step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise LambdaSolveError(f"root search did not converge in {_BRENT_MAXITER} steps")
 
 
 def _excess(lam: float, gen: GeneratorSpec, h: np.ndarray, w: np.ndarray) -> float:
@@ -80,7 +140,8 @@ def _solve_lambda(gen: GeneratorSpec, h: np.ndarray,
     dom f* when that supremum is finite, doubling the step when it is not.
     Raises DegenerateDistributionError when h is -inf on all of mu's mass,
     and LambdaSolveError when h is NaN or +inf there, when no bracket is
-    found or when |E - 1| at the root exceeds tol.
+    found, when the root search fails or when |E - 1| at the root exceeds
+    tol.
     """
     if isinstance(mu_ref, DiscreteDistribution):
         w, tol = mu_ref.weights, _EXACT_TOL
@@ -106,12 +167,8 @@ def _solve_lambda(gen: GeneratorSpec, h: np.ndarray,
         step = 0.5 * step if bounded else 2.0 * step
     else:
         raise LambdaSolveError("expectation never reaches 1; bracket search failed")
-    # Near the edge E changes on the scale of lo - edge, so xtol shrinks
-    # with it.  h and w go in as args: brentq wraps the function in a
-    # reference cycle, and a closure over them would keep them alive until
-    # the next cyclic garbage collection.
-    lam = brentq(_excess, lo, hi, args=(gen, h, w), xtol=1e-15 * min(1.0, lo - edge),
-                 disp=False)
+    # Near the edge E changes on the scale of lo - edge, so xtol shrinks with it.
+    lam = _brentq(_excess, lo, hi, args=(gen, h, w), xtol=1e-15 * min(1.0, lo - edge))
     residual = abs(_excess(lam, gen, h, w))
     if not residual <= tol:
         raise LambdaSolveError(f"root search stalled: |E - 1| = {residual:.3e} > {tol}")

@@ -232,6 +232,16 @@ class TestOUProcess:
                              check=True, env={**os.environ, "PYTHONPATH": str(src)})
         assert out.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("module", ["season", "season.cli"])
+    def test_import_loads_no_scipy(self, module):
+        # a fresh interpreter: other tests import scipy, which stays loaded
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "[]"
+
     def test_time_outside_range_rejected(self):
         sched = constant_schedule(1.0, 1.0)
         with pytest.raises(DomainError):

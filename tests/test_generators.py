@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from season.errors import DomainError
 from season.generators import (
     GENERATOR_NAMES,
     TWO_LOG_TWO,
     bayes_pointwise_loss,
-    conjugate_numeric,
     eval_f,
     get_generator,
     inverse_link,
@@ -21,6 +21,34 @@ ALL = [get_generator(n) for n in GENERATOR_NAMES]
 KL = get_generator("kl")
 RKL = get_generator("reverse_kl")
 JS = get_generator("js_shifted")
+
+
+def conjugate_numeric(gen, s: float) -> float:
+    """Oracle twin of `conjugate_fn`: maximize s*t - f(t) by bounded Brent search.
+
+    The search runs in u = log t on [-46, hi], where the objective stays
+    unimodal; hi steps up from 1 while the objective still rises, and an
+    objective still rising at u = 30 is reported as +inf (unbounded
+    supremum).  The t = 0 boundary value -f(0) enters as an explicit
+    candidate.
+    """
+
+    def g(u: float) -> float:
+        t = math.exp(u)
+        return s * t - float(gen.f(t))
+
+    hi = 1.0
+    while hi < 30.0 and g(hi) > g(hi - 0.5):
+        hi += 2.0
+    if hi >= 30.0 and g(hi) > g(hi - 0.5):
+        return math.inf
+    # xatol 1e-12 leaves sqrt(eps) * |u| as the limit; g is flat at its max
+    res = minimize_scalar(lambda u: -g(u), bounds=(-46.0, hi), method="bounded",
+                          options={"xatol": 1e-12})
+
+    f0 = float(gen.f(0.0))
+    boundary = -f0 if math.isfinite(f0) else -math.inf
+    return max(-float(res.fun), boundary)
 
 
 def s_grid(gen, n=41, span=6.0):

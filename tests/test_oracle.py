@@ -9,7 +9,7 @@ import pytest
 
 from season.discriminator import exact_tabular
 from season.distributions import DiscreteDistribution, discrete_ratio
-from season.errors import DomainError
+from season.errors import DomainError, LambdaSolveError
 from season.experiments import default_bound_world, empirical_from_draws
 from season.generators import GENERATOR_NAMES, get_generator
 from season.metrics import est_DfH, exact_fdiv
@@ -255,6 +255,13 @@ class TestPrimalSup:
 
             primal_sup_tabular(nu, mu, replace(gen, conjugate_fn=counted), HSpec("ball", 0.5))
             assert len(calls) == 1
+
+    def test_nan_window_slope_is_a_package_error(self):
+        # a NaN slope passes both endpoint tests and reaches the root search
+        nu, mu = random_pair(np.random.default_rng(10), 3)
+        gen = replace(KL, f_prime_inv=lambda s: s * math.nan)
+        with pytest.raises(LambdaSolveError, match="NaN"):
+            primal_sup_tabular(nu, mu, gen, HSpec("ball", 0.5))
 
     @pytest.mark.parametrize("norm", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)

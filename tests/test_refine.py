@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from season.discriminator import (
     Discriminator,
@@ -18,9 +19,13 @@ from season.discriminator import (
 )
 from season.distributions import DiscreteDistribution, gaussian_mixture
 from season.errors import DegenerateDistributionError, DomainError, LambdaSolveError
+from season.experiments import random_discrete_pair
 from season.generators import GENERATOR_NAMES, get_generator, link
 from season.metrics import est_gain_direct
+from season.oracle import HSpec, primal_sup_tabular
 from season.refine import (
+    _brentq,
+    _solve_lambda,
     export_refined_csv,
     refine_continuous,
     refine_discrete,
@@ -32,6 +37,7 @@ from season.refine import (
 KL = get_generator("kl")
 JS = get_generator("js_shifted")
 ALL = [get_generator(n) for n in GENERATOR_NAMES]
+RKL = get_generator("reverse_kl")
 
 
 @pytest.fixture
@@ -313,3 +319,122 @@ class TestExportCSV:
         tab = TabularDiscriminator(mu.support, np.array([-np.inf, -np.inf]))
         with pytest.raises(DegenerateDistributionError):
             export_refined_csv(tmp_path / "refined.csv", mu, tab, KL)
+
+
+def _poly(x, r, *c):
+    """p(x) - p(r) for the polynomial p with coefficients c (Horner)."""
+    px = pr = 0.0
+    for ci in c:
+        px, pr = px * x + ci, pr * r + ci
+    return px - pr
+
+
+def _exp(x, r, a, b):
+    return a * (math.exp(b * x) - math.exp(b * r))
+
+
+def _atan_sin(x, r, a, c, k):
+    return math.atan(a * (x - r)) + c * math.sin(k * (x - r))
+
+
+def random_brackets(rng, n_per_family):
+    """(f, a, b, args, xtol) with a sign change of f(., *args) on [a, b].
+
+    Each family has a root r; the bracket ends lie 1e-9 to 10 times a
+    random scale away from it on each side.  xtol takes the two forms of
+    the call sites: 1e-15, and 1e-15 * min(1, lo - edge) with lo - edge
+    from 1e-6 to 10, so down to 1e-21.
+    """
+    families = [
+        (_poly, lambda: tuple(rng.standard_normal(int(rng.integers(2, 7))))),
+        (_exp, lambda: (rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-2, 2),
+                        rng.uniform(-3.0, 3.0))),
+        (_atan_sin, lambda: (10 ** rng.uniform(-2, 2), rng.uniform(-2.0, 2.0),
+                             10 ** rng.uniform(-1, 1))),
+    ]
+    for f, params in families:
+        count = 0
+        while count < n_per_family:
+            scale = 10 ** rng.uniform(-3, 2)
+            r = float(rng.standard_normal() * scale)
+            args = (r, *map(float, params()))
+            a = r - scale * 10 ** rng.uniform(-9, 1)
+            b = r + scale * 10 ** rng.uniform(-9, 1)
+            try:
+                fa, fb = f(a, *args), f(b, *args)
+            except OverflowError:
+                continue
+            if fa * fb >= 0:
+                continue
+            xtol = 1e-15 * (min(1.0, 10 ** rng.uniform(-6, 1)) if count % 2 else 1.0)
+            if count % 3 == 0:
+                a, b = b, a  # scipy takes either order
+            count += 1
+            yield f, a, b, args, xtol
+
+
+def discrete_instances(rng):
+    """Identity-experiment pairs and floored pairs on 2 to 4 points."""
+    for k in (2, 3, 4):
+        for floor in (0.05, 0.2):
+            for _ in range(4):
+                yield random_discrete_pair(rng, k, floor)
+
+
+class TestBrentq:
+    def test_bit_identical_to_scipy_on_random_brackets(self):
+        rng = np.random.default_rng(20)
+        n = 0
+        for f, a, b, args, xtol in random_brackets(rng, 1700):
+            ours = _brentq(f, a, b, args=args, xtol=xtol)
+            theirs = brentq(f, a, b, args=args, xtol=xtol)
+            assert type(ours) is float
+            assert ours == theirs, (f.__name__, a, b, args, xtol)
+            n += 1
+        assert n >= 5000
+
+    def test_lambda_bit_identical_to_scipy(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        cases = []
+        for nu, mu in discrete_instances(rng):
+            for gen in ALL:
+                cases.append((gen, exact_tabular(nu, mu, gen).values, mu))
+                cases.append((gen, rng.uniform(-2.0, 2.0, mu.n) + float(gen.f_prime(1.0)), mu))
+        for gen in (JS, RKL):  # batches whose bracket reaches toward the edge
+            for seed in range(4):
+                batch = np.random.default_rng(seed).standard_normal((400, 1))
+                cases.append((gen, init_discriminator(gen, 1, 8, seed=seed).h_batch(batch), batch))
+        ours = [_solve_lambda(gen, h, ref) for gen, h, ref in cases]
+        monkeypatch.setattr("season.refine._brentq", brentq)
+        theirs = [_solve_lambda(gen, h, ref) for gen, h, ref in cases]
+        assert ours == theirs
+
+    @pytest.mark.parametrize("norm", [0.25, 0.5, 1.0])
+    def test_ball_sup_bit_identical_to_scipy(self, monkeypatch, norm):
+        def sups():
+            rng = np.random.default_rng(22)
+            return [primal_sup_tabular(nu, mu, gen, HSpec("ball", norm))
+                    for nu, mu in discrete_instances(rng) for gen in ALL]
+
+        ours = sups()
+        monkeypatch.setattr("season.oracle._brentq", brentq)
+        theirs = sups()
+        for (v0, h0), (v1, h1) in zip(ours, theirs):
+            assert v0 == v1
+            assert np.array_equal(h0.values, h1.values)
+
+    def test_nan_value_raises(self):
+        def f(x):
+            return x - 0.7 if x in (0.0, 1.0) else math.nan
+
+        with pytest.raises(LambdaSolveError, match="NaN"):
+            _brentq(f, 0.0, 1.0, xtol=1e-15)
+
+    def test_bracket_without_sign_change_raises(self):
+        with pytest.raises(LambdaSolveError, match="no sign change"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15)
+
+    def test_no_convergence_in_100_steps_raises(self):
+        # a sign step at 0 halves the bracket each step; 5e-324 asks for ~1,000 halvings
+        with pytest.raises(LambdaSolveError, match="did not converge"):
+            _brentq(lambda x: 1.0 if x > 0 else -1.0, -1.0, 2.0, xtol=5e-324)
