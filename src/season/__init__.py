@@ -31,7 +31,6 @@ from .discriminator import (
     Discriminator,
     TabularDiscriminator,
     TrainConfig,
-    forward,
     grads,
     input_grad,
     objective_R,

@@ -29,13 +29,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .discriminator import (
-    TabularDiscriminator,
-    TrainConfig,
-    load_discriminator,
-    save_discriminator,
-    train,
-)
+from .discriminator import TrainConfig, load_discriminator, save_discriminator, train
 from .distributions import DiscreteDistribution, model_from_spec
 from .errors import ConfigError, DomainError, SeasonError
 from .experiments import (
@@ -206,11 +200,7 @@ def cmd_refine(args) -> int:
     if not isinstance(mu, DiscreteDistribution):
         raise ConfigError("$.model", "refine subcommand expects a discrete model")
     disc = load_discriminator(args.disc)
-    if isinstance(disc, TabularDiscriminator):
-        gen = get_generator(disc.generator_name or args.generator)
-    else:
-        gen = disc.generator or get_generator(args.generator)
-    export_refined_csv(args.out, mu, disc, gen)
+    export_refined_csv(args.out, mu, disc, disc.generator)
     return EXIT_OK
 
 
@@ -260,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_refine = sub.add_parser("refine", help="refine a discrete model")
     p_refine.add_argument("--model", required=True)
     p_refine.add_argument("--disc", required=True)
-    p_refine.add_argument("--generator", default="js_shifted", choices=GENERATOR_NAMES)
     p_refine.add_argument("--out", required=True)
     p_refine.set_defaults(func=cmd_refine)
 

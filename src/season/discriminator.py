@@ -56,7 +56,7 @@ from .distributions import (
     as_generator,
     discrete_ratio,
 )
-from .errors import DomainError, TrainingDivergedError
+from .errors import DomainError, TrainingDivergedError, malformed_input
 from .generators import GeneratorSpec, get_generator, sigmoid
 
 logger = logging.getLogger(__name__)
@@ -71,7 +71,6 @@ __all__ = [
     "TrainConfig",
     "init_discriminator",
     "zero_discriminator",
-    "forward",
     "objective_R",
     "grads",
     "input_grad",
@@ -199,9 +198,9 @@ class TabularDiscriminator:
     Values may be -inf where the density ratio vanishes.
     """
 
+    generator: GeneratorSpec
     support: np.ndarray
     values: np.ndarray
-    generator_name: Optional[str] = None
 
     def __post_init__(self):
         self.support = as_batch(self.support)
@@ -216,9 +215,6 @@ class TabularDiscriminator:
             row = dist.support[np.flatnonzero(index < 0)[0]]
             raise DomainError(f"discriminator undefined at support point {row}")
         return self.values[index]
-
-    def shifted(self, c: float) -> "TabularDiscriminator":
-        return TabularDiscriminator(self.support, self.values + c, self.generator_name)
 
 
 def _h_values(disc, target) -> np.ndarray:
@@ -271,12 +267,6 @@ def init_discriminator(gen: GeneratorSpec, dim: int, width: int, seed=0) -> Disc
 def zero_discriminator(gen: GeneratorSpec, dim: int, width: int = 4) -> Discriminator:
     """All-zero net: eta = 1/2 and h = f'(1) everywhere (neutral constant)."""
     return Discriminator(gen, dim, width)
-
-
-def forward(disc: Discriminator, x) -> tuple[float, float]:
-    """Evaluate one point, returning (eta, h)."""
-    eta, h = disc.forward_batch(np.atleast_2d(np.asarray(x, dtype=float)))
-    return float(eta[0]), float(h[0])
 
 
 def _clamped_mu_values(gen: GeneratorSpec, h_mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,7 +338,7 @@ def exact_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
     ratio = discrete_ratio(nu, mu)
     with np.errstate(divide="ignore"):
         values = np.asarray(gen.f_prime(ratio))
-    return TabularDiscriminator(mu.support, values, generator_name=gen.name)
+    return TabularDiscriminator(gen, mu.support, values)
 
 
 def _ascend(disc: Discriminator, gen: GeneratorSpec, x_nu: np.ndarray, x_mu: np.ndarray,
@@ -406,7 +396,7 @@ def discriminator_to_dict(disc: Union[Discriminator, TabularDiscriminator]) -> d
         return {
             "version": _CHECKPOINT_VERSION,
             "kind": "tabular",
-            "generator": disc.generator_name,
+            "generator": disc.generator.name,
             "support": disc.support.tolist(),
             "values": disc.values.tolist(),
         }
@@ -429,15 +419,16 @@ def discriminator_to_dict(disc: Union[Discriminator, TabularDiscriminator]) -> d
     }
 
 
+@malformed_input("checkpoint")
 def discriminator_from_dict(doc: dict) -> Union[Discriminator, TabularDiscriminator]:
     if not isinstance(doc, dict):
         raise DomainError("checkpoint must be a JSON object")
     if doc.get("version") != _CHECKPOINT_VERSION:
         raise DomainError(f"unsupported checkpoint version {doc.get('version')!r}")
     if doc.get("kind") == "tabular":
-        return TabularDiscriminator(np.asarray(doc["support"], dtype=float),
-                                    np.asarray(doc["values"], dtype=float),
-                                    generator_name=doc["generator"])
+        return TabularDiscriminator(get_generator(doc["generator"]),
+                                    np.asarray(doc["support"], dtype=float),
+                                    np.asarray(doc["values"], dtype=float))
     if doc.get("kind") != "net":
         raise DomainError(f"unsupported checkpoint kind {doc.get('kind')!r}")
     if doc.get("activation") != "tanh":

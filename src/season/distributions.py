@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import AbsoluteContinuityError, DomainError
+from .errors import AbsoluteContinuityError, DomainError, malformed_input
 
 __all__ = [
     "DiscreteDistribution",
@@ -136,38 +136,33 @@ def _log_sum_exp(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class GaussianMixture:
-    """Closed-form Gaussian mixture in low dimension."""
+    """Closed-form Gaussian mixture in low dimension.
+
+    means are k points as `as_batch` reads them; covs is one (k, d, d) array.
+    """
 
     def __init__(self, means, covs, weights):
-        means = np.atleast_2d(np.asarray(means, dtype=float))
+        means = as_batch(means)
         k, d = means.shape
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (k,):
             raise DomainError(f"{k} components but weights shape {weights.shape}")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
             raise DomainError("mixture weights must be nonnegative and sum to 1")
-        covs_arr = np.empty((k, d, d))
-        for i, c in enumerate(covs):
-            c = np.asarray(c, dtype=float)
-            if c.ndim == 0:
-                c = np.eye(d) * float(c)
-            elif c.ndim == 1:
-                if c.shape != (d,):
-                    raise DomainError(f"diagonal cov {i} has wrong length {c.shape}")
-                c = np.diag(c)
-            if c.shape != (d, d):
-                raise DomainError(f"cov {i} has shape {c.shape}, expected ({d}, {d})")
-            covs_arr[i] = 0.5 * (c + c.T)
+        covs = np.asarray(covs, dtype=float)
+        if covs.shape != (k, d, d):
+            raise DomainError(f"covariances have shape {covs.shape}, expected ({k}, {d}, {d})")
+        covs = 0.5 * (covs + covs.swapaxes(1, 2))
         try:
-            chols = np.linalg.cholesky(covs_arr)
+            chols = np.linalg.cholesky(covs)
         except np.linalg.LinAlgError as exc:
             raise DomainError("covariances must be symmetric positive definite") from exc
 
         self.means = _freeze(means)
-        self.covs = _freeze(covs_arr)
+        self.covs = _freeze(covs)
         self.weights = _freeze(weights)
         self._chols = chols
-        self._precisions = np.linalg.inv(covs_arr)
+        self._precisions = np.linalg.inv(covs)
         self._log_norm = -0.5 * (
             d * math.log(2.0 * math.pi) + 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
         )
@@ -205,21 +200,21 @@ class GaussianMixture:
 
     def noised(self, m: float, sigma: float) -> "GaussianMixture":
         """Mixture of X_t = m X_0 + sigma Z: means scaled, covs m^2 C + sigma^2 I."""
-        return GaussianMixture(
-            m * self.means,
-            [m * m * c + sigma * sigma * np.eye(self.dim) for c in self.covs],
-            self.weights,
-        )
+        return GaussianMixture(m * self.means, m * m * self.covs + sigma * sigma * np.eye(self.dim),
+                               self.weights)
 
 
-def check_score_consistency(model: GaussianMixture, rng: SeedLike = 0, n_probes: int = 100,
-                            rtol: float = 1e-4) -> float:
-    """Compare score against central differences of log_density at probes.
+_SCORE_PROBES = 100
+_SCORE_RTOL = 1e-4
 
-    Returns the worst relative error; raises DomainError beyond rtol.
+
+def check_score_consistency(model: GaussianMixture, rng: SeedLike = 0) -> float:
+    """Compare score against central differences of log_density at 100 probes.
+
+    Returns the worst relative error; raises DomainError beyond 1e-4.
     """
     rng = as_generator(rng)
-    x = model.sample(rng, n_probes)
+    x = model.sample(rng, _SCORE_PROBES)
     s = model.score(x)
     fd = np.empty_like(s)
     h = 1e-6 * (1.0 + np.abs(x))
@@ -231,8 +226,9 @@ def check_score_consistency(model: GaussianMixture, rng: SeedLike = 0, n_probes:
         fd[:, j] = (model.log_density(xp) - model.log_density(xm)) / (2.0 * h[:, j])
     scale = np.maximum(np.linalg.norm(s, axis=1), 1.0)
     err = float((np.linalg.norm(fd - s, axis=1) / scale).max())
-    if err > rtol:
-        raise DomainError(f"score disagrees with finite differences: rel err {err:.3e} > {rtol}")
+    if err > _SCORE_RTOL:
+        raise DomainError("score disagrees with finite differences: "
+                          f"rel err {err:.3e} > {_SCORE_RTOL}")
     return err
 
 
@@ -319,11 +315,13 @@ def discrete_ratio(nu: DiscreteDistribution, mu: DiscreteDistribution) -> np.nda
     return ratio
 
 
+@malformed_input("distribution spec")
 def model_from_spec(spec: dict):
     """Build a distribution from a JSON-able config fragment.
 
     {"type": "discrete", "support": [...], "weights": [...]} or
-    {"type": "gaussian_mixture", "means": [...], "covs": [...], "weights": [...]}.
+    {"type": "gaussian_mixture", "means": [...], "covs": [...], "weights": [...]}
+    with covs one (k, d, d) array.
     """
     if not isinstance(spec, dict):
         raise DomainError("distribution spec must be a JSON object")

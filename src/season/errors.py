@@ -1,5 +1,7 @@
 """Semantic exception hierarchy shared across the package."""
 
+from contextlib import contextmanager
+
 
 class SeasonError(Exception):
     """Base class for all package errors."""
@@ -44,3 +46,18 @@ class ConfigError(SeasonError, ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+@contextmanager
+def malformed_input(what: str):
+    """Re-raise a ValueError or TypeError from outside the package as DomainError.
+
+    Decorates the readers of JSON input, where numpy conversions and
+    unpacking raise on malformed values; package errors pass unchanged.
+    """
+    try:
+        yield
+    except SeasonError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise DomainError(f"malformed {what}: {exc}") from None

@@ -200,6 +200,7 @@ def refinement_benefit_experiment(seed: int, *, k_levels: int = 16, t_horizon: f
 _BOUND_SUPPORT = np.array([[0.0], [1.0], [2.0], [3.0]])
 _BOUND_POPULATION = np.array([0.4, 0.3, 0.2, 0.1])
 _BOUND_MODEL = np.array([0.25, 0.25, 0.25, 0.25])
+_RADEMACHER_DRAWS = 400
 
 
 def default_bound_world() -> tuple[DiscreteDistribution, DiscreteDistribution]:
@@ -208,15 +209,16 @@ def default_bound_world() -> tuple[DiscreteDistribution, DiscreteDistribution]:
 
 
 def population_rademacher(population: DiscreteDistribution, n: int, *, norm: float = 1.0,
-                          n_draws: int = 400, seed: int = 0) -> MCEstimate:
+                          seed: int = 0) -> MCEstimate:
     """Rademacher complexity of the norm-ball tabular class under the population.
 
-    Each draw resamples X ~ P^n and signs; the per-draw sup is exact
-    (group repeated points, sup = norm/n * sum_groups |sum zeta|).
+    A Monte Carlo mean over 400 draws.  Each draw resamples X ~ P^n and
+    signs; the per-draw sup is exact (group repeated points, sup = norm/n
+    * sum_groups |sum zeta|).
     """
     rng = as_generator(seed)
-    draws = np.empty(n_draws)
-    for d in range(n_draws):
+    draws = np.empty(_RADEMACHER_DRAWS)
+    for d in range(_RADEMACHER_DRAWS):
         idx = rng.choice(population.n, size=n, p=population.weights)
         zeta = rng.choice([-1.0, 1.0], size=n)
         draws[d] = _tabular_sup(norm, idx, zeta)
@@ -240,12 +242,15 @@ def bound_trial(seed: int, *, gen_name: str = "js_shifted", n: int = 200,
     identity between D, the gain, and the empirical IPM is exact); the
     capacity and concentration terms use the ball with ||H|| = norm.  The
     two classes induce the same IPM on probability measures because
-    constants cancel in mean differences.
+    constants cancel in mean differences.  population and model are given
+    together or not at all, for the default world.
     """
     if n < 1 or not 0.0 < delta < 1.0:
         raise DomainError(f"need n >= 1 and delta in (0, 1), got n={n}, delta={delta}")
+    if (population is None) != (model is None):
+        raise DomainError("give both population and model, or neither for the default world")
     gen = get_generator(gen_name)
-    if population is None or model is None:
+    if population is None:
         population, model = default_bound_world()
     rng = as_generator(seed)
     p_hat = empirical_from_draws(population, rng, n)
@@ -274,9 +279,11 @@ def bound_trials(n_trials: int = 100, seed: int = 0, **kwargs) -> tuple[int, lis
     return sum(r.holds for r in reports), reports
 
 
+_CONCORDANCE_STEP_SIZE = 0.5
+
+
 def concordance_run(seed: int, *, n_eval: int = 10_000, n_train: int = 4000,
-                    width: int = 16, steps: int = 600, lr: float = 0.5
-                    ) -> tuple[MCEstimate, MCEstimate]:
+                    width: int = 16, steps: int = 600) -> tuple[MCEstimate, MCEstimate]:
     """Direct vs pushforward gain estimators on a 1-d Gaussian toy.
 
     Trains a cross-entropy discriminator between N(1,1) data and an N(0,1)
@@ -288,7 +295,8 @@ def concordance_run(seed: int, *, n_eval: int = 10_000, n_train: int = 4000,
     model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
     rng_nu, rng_mu, rng_cal, rng_eval = split_seeds(seed, 4)
     disc = train(gen, data.sample(rng_nu, n_train), model.sample(rng_mu, n_train),
-                 TrainConfig(width=width, steps=steps, step_size=lr, seed=seed))
+                 TrainConfig(width=width, steps=steps, step_size=_CONCORDANCE_STEP_SIZE,
+                             seed=seed))
     calibration = model.sample(rng_cal, 100_000)
     disc = disc.copy()
     disc.bias -= solve_lambda(disc, gen, calibration)

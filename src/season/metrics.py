@@ -53,9 +53,6 @@ class MCEstimate:
         combined = math.hypot(self.stderr, other.stderr)
         return abs(self.value - other.value) <= k * combined
 
-    def to_dict(self) -> dict:
-        return {"value": self.value, "stderr": self.stderr, "n": self.n}
-
 
 def _mc(values: np.ndarray) -> MCEstimate:
     values = np.asarray(values, dtype=float)

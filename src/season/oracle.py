@@ -184,12 +184,11 @@ def primal_sup_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
     if h_spec.kind == "constants":
         c = float(gen.f_prime(1.0))
         values = np.full(mu.n, c)
-        return 0.0, TabularDiscriminator(mu.support, values, generator_name=gen.name)
+        return 0.0, TabularDiscriminator(gen, mu.support, values)
     with np.errstate(divide="ignore"):
         theta = np.asarray(gen.f_prime(ratio))  # the rich optimum, -inf where nu vanishes
     if h_spec.kind == "rich":
-        return plugin_value(theta), TabularDiscriminator(mu.support, theta,
-                                                         generator_name=gen.name)
+        return plugin_value(theta), TabularDiscriminator(gen, mu.support, theta)
 
     width = 2.0 * h_spec.norm
     finite = theta[np.isfinite(theta)]
@@ -211,7 +210,7 @@ def primal_sup_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
         # at rounding level (scipy's default 2e-12 left up to 5e-13)
         w = _brentq(_window_slope, lo, hi, args=args, xtol=1e-15)
     h_star = np.clip(theta, w, w + width)
-    return plugin_value(h_star), TabularDiscriminator(mu.support, h_star, generator_name=gen.name)
+    return plugin_value(h_star), TabularDiscriminator(gen, mu.support, h_star)
 
 
 @dataclass(frozen=True)

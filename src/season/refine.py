@@ -256,9 +256,6 @@ class RefinedModel:
     def score(self, x: np.ndarray) -> np.ndarray:
         return refined_score(self.base.score, self.disc, self.gen, x, lam=self.lambda_h)
 
-    def unnormalized_density(self, x: np.ndarray) -> np.ndarray:
-        return refined_density_unnormalized(self.base, self.disc, self.gen, x, lam=self.lambda_h)
-
 
 def refine_continuous(base: GaussianMixture, disc, gen: GeneratorSpec, *,
                       n_mc: int = 10_000, seed=0) -> RefinedModel:

@@ -56,7 +56,6 @@ class LangevinConfig:
     n_steps: int
     n_chains: int
     dim: int = 1
-    init: Optional[np.ndarray] = None  # explicit start batch; default is the Gaussian prior
     seed: int = 0
 
     def __post_init__(self):
@@ -73,14 +72,12 @@ def _check_guard(x: np.ndarray, step: int) -> None:
 
 
 def langevin(score: Callable[[np.ndarray], np.ndarray], cfg: LangevinConfig) -> np.ndarray:
-    """Run unadjusted Langevin chains; returns the final (n_chains, dim) batch."""
+    """Run unadjusted Langevin chains from the Gaussian prior; returns the final batch.
+
+    The batch has shape (n_chains, dim).
+    """
     rng = as_generator(cfg.seed)
-    if cfg.init is not None:
-        x = as_batch(cfg.init).copy()
-        if x.shape[0] != cfg.n_chains:
-            raise DomainError(f"init has {x.shape[0]} rows, config says {cfg.n_chains} chains")
-    else:
-        x = rng.standard_normal((cfg.n_chains, cfg.dim))
+    x = rng.standard_normal((cfg.n_chains, cfg.dim))
     noise_scale = math.sqrt(2.0 * cfg.step_size)
     for step in range(cfg.n_steps):
         x = x + cfg.step_size * score(x) + noise_scale * rng.standard_normal(x.shape)

@@ -374,6 +374,65 @@ class TestInputErrors:
                      "--out", str(tmp_path / "out.csv")]) == 2
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("spec, shown", [
+        ({**MIXTURE_SPEC, "means": [[[0.0]]]}, "points must be (n,) or (n, d)"),
+        ({**MIXTURE_SPEC, "means": [["a"]]}, "malformed distribution spec"),
+        ({**MIXTURE_SPEC, "covs": 1.0}, "expected (1, 1, 1)"),
+        ({**MIXTURE_SPEC, "covs": [1.0]}, "expected (1, 1, 1)"),
+        ({**MIXTURE_SPEC, "covs": [[1.0]]}, "expected (1, 1, 1)"),
+        ({**MIXTURE_SPEC, "covs": [[[1.0]], [[1.0]]]}, "expected (1, 1, 1)"),
+        ({**DISCRETE_MU, "weights": "x"}, "malformed distribution spec"),
+    ], ids=["means-3-deep", "means-not-numeric", "covs-number", "covs-scalar-per-component",
+            "covs-diagonal-per-component", "covs-extra", "weights-str"])
+    def test_malformed_distribution_spec_exits_2(self, spec, shown, tmp_path, capsys):
+        model = write_json(tmp_path / "m.json", spec)
+        assert main(["sample", "--model", model, "--steps", "5", "--seed", "0",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert shown in err and "Traceback" not in err
+
+    @staticmethod
+    def _tabular_doc():
+        js = get_generator("js_shifted")
+        return discriminator_to_dict(exact_tabular(model_from_spec(DISCRETE_NU),
+                                                   model_from_spec(DISCRETE_MU), js))
+
+    @pytest.mark.parametrize("case", ["layers-str", "weight-str", "tabular-values-str"])
+    def test_malformed_checkpoint_value_exits_2(self, case, tmp_path, capsys):
+        if case == "tabular-values-str":
+            doc = self._tabular_doc()
+            doc["values"] = "x"
+        else:
+            doc = discriminator_to_dict(init_discriminator(get_generator("js_shifted"), 1, 4))
+            if case == "layers-str":
+                doc["layers"] = "x"
+            else:
+                doc["layers"][0]["weights"][0] = "a"
+        model = write_json(tmp_path / "mu.json", DISCRETE_MU)
+        disc = write_json(tmp_path / "disc.json", doc)
+        out = tmp_path / "out.csv"
+        assert main(["refine", "--model", model, "--disc", disc, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed checkpoint: ") and err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
+
+    def test_tabular_checkpoint_without_generator_exits_2(self, tmp_path, capsys):
+        doc = self._tabular_doc()
+        doc["generator"] = None
+        model = write_json(tmp_path / "mu.json", DISCRETE_MU)
+        disc = write_json(tmp_path / "disc.json", doc)
+        assert main(["refine", "--model", model, "--disc", disc,
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown generator None")
+
+    def test_refine_has_no_generator_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["refine", "--model", "mu.json", "--disc", "disc.json", "--generator", "kl",
+                  "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --generator kl" in capsys.readouterr().err
+
     def test_net_of_other_dimension_exits_2(self, tmp_path, capsys):
         model = write_json(tmp_path / "mu.json", {
             "type": "discrete", "support": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.5]})

@@ -17,7 +17,6 @@ from season.discriminator import (
     discriminator_from_dict,
     discriminator_to_dict,
     exact_tabular,
-    forward,
     grads,
     init_discriminator,
     input_grad,
@@ -139,20 +138,23 @@ class TestForward:
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_zero_net_gives_neutral_constant(self, gen):
         disc = zero_discriminator(gen, dim=2)
-        eta, h = forward(disc, [0.3, -1.2])
-        assert eta == pytest.approx(0.5)
-        assert h == pytest.approx(float(gen.f_prime(1.0)))
+        eta, h = disc.forward_batch([[0.3, -1.2]])
+        assert eta[0] == pytest.approx(0.5)
+        assert h[0] == pytest.approx(float(gen.f_prime(1.0)))
 
     def test_js_half_is_minus_log_two(self):
         disc = zero_discriminator(JS, dim=1)
         disc.bias = 0.7
-        _, h = forward(disc, [0.0])
-        assert h - disc.bias == pytest.approx(-math.log(2.0))
+        _, h = disc.forward_batch([0.0])
+        assert h[0] - disc.bias == pytest.approx(-math.log(2.0))
 
     def test_forward_is_pure(self):
         disc = init_discriminator(JS, 2, 8, seed=0)
-        x = np.array([0.4, -0.2])
-        assert forward(disc, x) == forward(disc, x)
+        x = np.array([[0.4, -0.2]])
+        eta, h = disc.forward_batch(x)
+        again = disc.forward_batch(x)
+        assert np.array_equal(eta, again[0]) and np.array_equal(h, again[1])
+        assert np.array_equal(x, [[0.4, -0.2]])
 
     def test_1d_batch_is_points_on_the_line(self):
         disc = init_discriminator(JS, 1, 8, seed=1)
@@ -344,7 +346,7 @@ class TestTraining:
             assert value == pytest.approx(0.0, abs=1e-14)
 
     def test_tabular_1d_support_is_points_on_the_line(self):
-        tab = TabularDiscriminator(np.array([0.0, 1.0]), np.array([0.1, 0.2]))
+        tab = TabularDiscriminator(JS, np.array([0.0, 1.0]), np.array([0.1, 0.2]))
         assert tab.support.shape == (2, 1)
         dist = DiscreteDistribution(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
         assert np.array_equal(tab.h_for(dist), [0.2, 0.1])

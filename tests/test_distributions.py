@@ -162,7 +162,7 @@ class TestGaussianMixture:
 
     def test_two_component_score_vs_finite_difference(self):
         model = gaussian_mixture([[-1.5], [2.0]], [[[0.5]], [[1.2]]], [0.3, 0.7])
-        err = check_score_consistency(model, rng=3, n_probes=100, rtol=1e-4)
+        err = check_score_consistency(model, rng=3)
         assert err <= 1e-4
 
     def test_density_integrates_to_one_1d(self):
@@ -177,6 +177,14 @@ class TestGaussianMixture:
         assert model.score(x).shape == (5, 1)
         assert np.array_equal(model.score(x), model.score(x[:, None]))
         assert np.array_equal(model.log_density(x), model.log_density(x[:, None]))
+
+    def test_1d_means_are_points_on_the_line(self):
+        flat = gaussian_mixture([0.0, 1.0], [[[1.0]], [[1.0]]], [0.5, 0.5])
+        column = gaussian_mixture([[0.0], [1.0]], [[[1.0]], [[1.0]]], [0.5, 0.5])
+        x = np.linspace(-2.0, 3.0, 11)
+        assert flat.means.shape == (2, 1)
+        assert np.array_equal(flat.score(x), column.score(x))
+        assert np.array_equal(flat.log_density(x), column.log_density(x))
 
     def test_sampler_moments(self):
         model = gaussian_mixture([[-1.0], [1.0]], [[[0.25]], [[0.25]]], [0.5, 0.5])
@@ -298,7 +306,7 @@ class TestNoiseSample:
         model = gaussian_mixture([[-1.0], [2.0]], [[[0.4]], [[0.9]]], [0.35, 0.65])
         sched = constant_schedule(1.0, 2.0)
         noised = noised_mixture(model, sched, 1.1)
-        assert check_score_consistency(noised, rng=2, n_probes=100, rtol=1e-4) <= 1e-4
+        assert check_score_consistency(noised, rng=2) <= 1e-4
 
 
 class TestSeedsAndSpecs:

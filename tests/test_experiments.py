@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from season import metrics, refine
+from season.errors import DomainError
 from season.experiments import (
     bound_trial,
     bound_trials,
@@ -94,7 +95,7 @@ class TestBoundPipeline:
 
     def test_population_rademacher_scaling(self):
         population, _ = default_bound_world()
-        est = population_rademacher(population, 200, n_draws=400, seed=0)
+        est = population_rademacher(population, 200, seed=0)
         # sub-Gaussian scaling sqrt(2/(pi n)) sum sqrt(p) with four points
         approx = math.sqrt(2.0 / (math.pi * 200)) * float(
             np.sqrt(population.weights).sum())
@@ -108,6 +109,13 @@ class TestBoundPipeline:
         # the duality identity keeps D - gain equal to the empirical IPM gap,
         # which is nonnegative
         assert d["D_fH"] - d["gain_If"] >= -1e-9
+
+    @pytest.mark.parametrize("given", ["population", "model"])
+    def test_half_given_world_rejected(self, given):
+        population, model = default_bound_world()
+        world = {"population": population, "model": model}
+        with pytest.raises(DomainError, match="both population and model"):
+            bound_trial(7, **{given: world[given]})
 
     def test_one_lambda_solve_per_trial(self, lambda_solves):
         bound_trial(11)

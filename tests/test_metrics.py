@@ -92,7 +92,7 @@ class TestGainEstimators:
     def test_constant_disc_zero_gain(self):
         mu = two_point(0.4, 0.6)
         for gen in ALL:
-            tab = TabularDiscriminator(mu.support, np.full(2, float(gen.f_prime(1.0))))
+            tab = TabularDiscriminator(gen, mu.support, np.full(2, float(gen.f_prime(1.0))))
             assert est_gain_direct(gen, tab, mu).value == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)

@@ -69,7 +69,7 @@ def test_solve_lambda_returns_a_root_or_raises(data, name):
     h = np.array(data.draw(st.lists(h_values(gen), min_size=k, max_size=k)))
     mu = DiscreteDistribution(np.arange(k, dtype=float), w)
     try:
-        lam = solve_lambda(TabularDiscriminator(mu.support, h), gen, mu)
+        lam = solve_lambda(TabularDiscriminator(gen, mu.support, h), gen, mu)
     except (LambdaSolveError, DegenerateDistributionError):
         return
     live = w > 0

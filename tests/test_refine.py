@@ -65,7 +65,7 @@ class TestSolveLambda:
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_neutral_constant_gives_zero(self, gen):
         mu = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.4, 0.6]))
-        tab = TabularDiscriminator(mu.support, np.full(2, float(gen.f_prime(1.0))))
+        tab = TabularDiscriminator(gen, mu.support, np.full(2, float(gen.f_prime(1.0))))
         assert solve_lambda(tab, gen, mu) == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
@@ -83,20 +83,21 @@ class TestSolveLambda:
         tab = exact_tabular(nu, mu, gen)
         lam0 = solve_lambda(tab, gen, mu)
         for c in rng.uniform(-2, 2, 10):
-            lam_c = solve_lambda(tab.shifted(float(c)), gen, mu)
+            shifted = TabularDiscriminator(gen, tab.support, tab.values + float(c))
+            lam_c = solve_lambda(shifted, gen, mu)
             assert lam_c == pytest.approx(lam0 + float(c), abs=1e-9)
 
     def test_degenerate_all_minus_inf(self):
         mu = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.4, 0.6]))
-        tab = TabularDiscriminator(mu.support, np.array([-math.inf, -math.inf]))
+        tab = TabularDiscriminator(KL, mu.support, np.array([-math.inf, -math.inf]))
         with pytest.raises(DegenerateDistributionError):
             solve_lambda(tab, KL, mu)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nan_or_plus_inf_h_raises(self, bad):
         mu = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.4, 0.6]))
-        tab = TabularDiscriminator(mu.support, np.array([-0.5, bad]))
         for gen in ALL:
+            tab = TabularDiscriminator(gen, mu.support, np.array([-0.5, bad]))
             with pytest.raises(LambdaSolveError):
                 solve_lambda(tab, gen, mu)
 
@@ -130,7 +131,7 @@ class TestRefineDiscrete:
         mu = DiscreteDistribution(np.array([[0.0], [1.0], [2.0]]),
                                   np.array([0.2, 0.3, 0.5]))
         for gen in ALL:
-            tab = TabularDiscriminator(mu.support, np.full(3, float(gen.f_prime(1.0))))
+            tab = TabularDiscriminator(gen, mu.support, np.full(3, float(gen.f_prime(1.0))))
             refined = refine_discrete(mu, tab, gen)
             assert np.allclose(refined.weights, mu.weights, atol=1e-12)
 
@@ -139,7 +140,7 @@ class TestRefineDiscrete:
         # with lambda = 0 gives (4/5, 1/5)
         mu = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
         h = np.array([link(JS, 2.0 / 3.0), link(JS, 1.0 / 3.0)])
-        tab = TabularDiscriminator(mu.support, h)
+        tab = TabularDiscriminator(JS, mu.support, h)
         ratios = np.asarray(JS.f_prime_inv(h))
         assert np.allclose(ratios, [2.0, 0.5], atol=1e-12)
         refined = refine_discrete(mu, tab, JS, lam=0.0)
@@ -167,7 +168,7 @@ class TestRefineDiscrete:
 
     def test_degenerate_error(self):
         mu = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-        tab = TabularDiscriminator(mu.support, np.array([-np.inf, -np.inf]))
+        tab = TabularDiscriminator(KL, mu.support, np.array([-np.inf, -np.inf]))
         with pytest.raises(DegenerateDistributionError):
             refine_discrete(mu, tab, KL, lam=0.0)
 
@@ -316,7 +317,7 @@ class TestExportCSV:
 
     def test_zero_mass_raises(self, tmp_path):
         mu = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-        tab = TabularDiscriminator(mu.support, np.array([-np.inf, -np.inf]))
+        tab = TabularDiscriminator(KL, mu.support, np.array([-np.inf, -np.inf]))
         with pytest.raises(DegenerateDistributionError):
             export_refined_csv(tmp_path / "refined.csv", mu, tab, KL)
 

@@ -25,10 +25,10 @@ JS = get_generator("js_shifted")
 
 
 class TestLangevin:
-    def test_zero_steps_returns_init(self):
-        init = np.arange(6.0).reshape(3, 2)
-        cfg = LangevinConfig(step_size=0.1, n_steps=0, n_chains=3, dim=2, init=init, seed=0)
-        assert np.array_equal(langevin(lambda x: -x, cfg), init)
+    def test_zero_steps_returns_the_prior_draw(self):
+        cfg = LangevinConfig(step_size=0.1, n_steps=0, n_chains=3, dim=2, seed=0)
+        prior = np.random.default_rng(0).standard_normal((3, 2))
+        assert np.array_equal(langevin(lambda x: -x, cfg), prior)
 
     def test_deterministic_per_seed(self):
         cfg = LangevinConfig(step_size=1e-2, n_steps=50, n_chains=100, dim=1, seed=9)
@@ -44,17 +44,16 @@ class TestLangevin:
         assert abs(out.var(ddof=1) - 1.0) <= 0.05
 
     def test_zero_score_is_brownian_motion(self):
-        cfg = LangevinConfig(step_size=1e-2, n_steps=200, n_chains=20_000, dim=1,
-                             init=np.zeros((20_000, 1)), seed=1)
+        cfg = LangevinConfig(step_size=1e-2, n_steps=200, n_chains=20_000, dim=1, seed=1)
         out = langevin(lambda x: np.zeros_like(x), cfg)
-        target = 2.0 * cfg.step_size * cfg.n_steps
+        # the standard normal prior plus independent increments of total variance 2 step n
+        target = 1.0 + 2.0 * cfg.step_size * cfg.n_steps
         var = out.var(ddof=1)
         se = target * math.sqrt(2.0 / (cfg.n_chains - 1))
         assert abs(var - target) <= 3 * se
 
     def test_divergence_guard(self):
-        cfg = LangevinConfig(step_size=1.0, n_steps=200, n_chains=4, dim=1,
-                             init=np.ones((4, 1)), seed=2)
+        cfg = LangevinConfig(step_size=1.0, n_steps=200, n_chains=4, dim=1, seed=2)
         with pytest.raises(ChainDivergenceError):
             langevin(lambda x: 10.0 * x, cfg)
 
