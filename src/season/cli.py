@@ -200,7 +200,7 @@ def cmd_refine(args) -> int:
     if not isinstance(mu, DiscreteDistribution):
         raise ConfigError("$.model", "refine subcommand expects a discrete model")
     disc = load_discriminator(args.disc)
-    export_refined_csv(args.out, mu, disc, disc.generator)
+    export_refined_csv(args.out, mu, disc)
     return EXIT_OK
 
 

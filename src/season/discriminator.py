@@ -287,9 +287,17 @@ def _clamped_mu_values(gen: GeneratorSpec, h_mu: np.ndarray) -> tuple[np.ndarray
     return np.minimum(h_mu, limit), mask
 
 
-def objective_R(disc: Discriminator, gen: GeneratorSpec, samples_nu: np.ndarray,
-                samples_mu: np.ndarray) -> float:
-    """Variational objective mean_nu[h] - mean_mu[f* o h]."""
+def _check_generator(disc, gen: Optional[GeneratorSpec]) -> None:
+    """Raise DomainError unless gen is disc's own generator, compared by name."""
+    given = getattr(gen, "name", None)
+    if given != disc.generator.name:
+        raise DomainError(f"generator {given!r} does not match the discriminator's "
+                          f"generator {disc.generator.name!r}")
+
+
+def objective_R(disc: Discriminator, samples_nu: np.ndarray, samples_mu: np.ndarray) -> float:
+    """Variational objective mean_nu[h] - mean_mu[f* o h] under disc.generator."""
+    gen = disc.generator
     h_nu = disc.h_batch(samples_nu)
     h_mu, _ = _clamped_mu_values(gen, disc.h_batch(samples_mu))
     return float(h_nu.mean() - gen.conjugate_fn(h_mu).mean())
@@ -301,7 +309,11 @@ def grads(disc: Discriminator, gen: GeneratorSpec, samples_nu: np.ndarray,
 
     The Monte Carlo standard error of the value is
     sqrt(var(h_nu) / n_nu + var(f*(h_mu)) / n_mu) over the same rows.
+    gen must be disc.generator (DomainError otherwise); the benchmark's
+    tracer reads it by position, so it stays only until the next change
+    to the benchmark.
     """
+    _check_generator(disc, gen)
     # the nu pass runs back before the mu pass runs forward: one cache is live at a time
     cache = disc._forward_full(samples_nu)
     h_nu = cache["h"]
@@ -341,7 +353,7 @@ def exact_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
     return TabularDiscriminator(gen, mu.support, values)
 
 
-def _ascend(disc: Discriminator, gen: GeneratorSpec, x_nu: np.ndarray, x_mu: np.ndarray,
+def _ascend(disc: Discriminator, x_nu: np.ndarray, x_mu: np.ndarray,
             config: TrainConfig) -> Discriminator:
     """Gradient ascent on disc.params under the stopping rule of the module docstring.
 
@@ -353,7 +365,7 @@ def _ascend(disc: Discriminator, gen: GeneratorSpec, x_nu: np.ndarray, x_mu: np.
     lr = float(config.step_size)
     history: list[float] = []
     for step in range(config.steps + 1):
-        g, value, se = grads(disc, gen, x_nu, x_mu)
+        g, value, se = grads(disc, disc.generator, x_nu, x_mu)
         if not math.isfinite(value):
             raise TrainingDivergedError(step)
         stalled = (len(history) >= STOP_WINDOW
@@ -385,7 +397,7 @@ def train(gen: GeneratorSpec, data_nu, data_mu, config: TrainConfig = TrainConfi
     if len(x_nu) == 0 or len(x_mu) == 0:
         raise DomainError("sample batches need at least one row")
     disc = init_discriminator(gen, x_nu.shape[1], config.width, config.seed)
-    return _ascend(disc, gen, x_nu, x_mu, config)
+    return _ascend(disc, x_nu, x_mu, config)
 
 
 _CHECKPOINT_VERSION = 1

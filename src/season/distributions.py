@@ -327,13 +327,7 @@ def model_from_spec(spec: dict):
         raise DomainError("distribution spec must be a JSON object")
     kind = spec.get("type")
     if kind == "discrete":
-        try:
-            return DiscreteDistribution(np.asarray(spec["support"]), np.asarray(spec["weights"]))
-        except KeyError as exc:
-            raise DomainError(f"discrete spec missing field {exc}") from None
+        return DiscreteDistribution(np.asarray(spec["support"]), np.asarray(spec["weights"]))
     if kind == "gaussian_mixture":
-        try:
-            return gaussian_mixture(spec["means"], spec["covs"], spec["weights"])
-        except KeyError as exc:
-            raise DomainError(f"gaussian_mixture spec missing field {exc}") from None
+        return gaussian_mixture(spec["means"], spec["covs"], spec["weights"])
     raise DomainError(f"unknown distribution type {kind!r}")

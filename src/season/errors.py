@@ -50,14 +50,17 @@ class ConfigError(SeasonError, ValueError):
 
 @contextmanager
 def malformed_input(what: str):
-    """Re-raise a ValueError or TypeError from outside the package as DomainError.
+    """Re-raise a KeyError, ValueError or TypeError from outside the package as DomainError.
 
-    Decorates the readers of JSON input, where numpy conversions and
-    unpacking raise on malformed values; package errors pass unchanged.
+    Decorates the readers of JSON input, where a missing key, numpy
+    conversions and unpacking raise on malformed values; package errors
+    pass unchanged.
     """
     try:
         yield
     except SeasonError:
         raise
+    except KeyError as exc:
+        raise DomainError(f"malformed {what}: missing key {exc}") from None
     except (ValueError, TypeError) as exc:
         raise DomainError(f"malformed {what}: {exc}") from None

@@ -100,9 +100,9 @@ def identity_terms(nu: DiscreteDistribution, mu: DiscreteDistribution,
     I_f(refined : mu), with lambda solved once.
     """
     tab = exact_tabular(nu, mu, gen)
-    d_value = est_DfH(tab, gen, nu, mu).value
+    d_value = est_DfH(tab, nu, mu).value
     lam = solve_lambda(tab, gen, mu)
-    refined = refine_discrete(mu, tab, gen, lam=lam)
+    refined = refine_discrete(mu, tab, lam=lam)
     gain = exact_fdiv(refined, mu, gen)
     d_h = ipm_at_witness(tab.values, nu, refined)
     residual = abs(d_h - (d_value - gain))
@@ -258,7 +258,7 @@ def bound_trial(seed: int, *, gen_name: str = "js_shifted", n: int = 200,
         rademacher = population_rademacher(population, n, norm=norm,
                                            seed=seed + 10_000).value
     d_value, h_star = primal_sup_tabular(p_hat, model, gen, HSpec("ball", norm))
-    ratios, weights = _refined_weights(model, h_star, gen, None)
+    ratios, weights = _refined_weights(model, h_star, None)
     gain = _masked_dot(model.weights, np.asarray(gen.f(ratios)))
     lhs = ipm_tabular_exact(population, model.reweighted(weights), norm)
     return generalization_report(lhs, d_value, gain, rademacher,
@@ -301,6 +301,6 @@ def concordance_run(seed: int, *, n_eval: int = 10_000, n_train: int = 4000,
     disc = disc.copy()
     disc.bias -= solve_lambda(disc, gen, calibration)
     batch = model.sample(rng_eval, n_eval)
-    direct = est_gain_direct(gen, disc, batch)
-    push = est_gain_pushforward(gen, disc, batch)
+    direct = est_gain_direct(disc, batch)
+    push = est_gain_pushforward(disc, batch)
     return direct, push

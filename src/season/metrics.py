@@ -4,7 +4,9 @@ Conventions: the f-divergence takes its expectation under the second
 argument, I_f(nu : mu) = E_mu[f(d nu / d mu)], and the variational
 objective is R(h) = E_nu[h] - E_mu[f* o h].  On finite supports every
 quantity here is an exact weighted sum; on sample batches the estimators
-are Monte Carlo means that report their standard errors.
+are Monte Carlo means that report their standard errors.  The estimators
+that take a discriminator read the generator f from it (disc.generator),
+the f its h was fitted under.
 """
 
 from __future__ import annotations
@@ -84,18 +86,19 @@ def exact_fdiv(nu: DiscreteDistribution, mu: DiscreteDistribution,
     return _masked_dot(mu.weights, np.asarray(gen.f(ratio)))
 
 
-def est_gain_direct(gen: GeneratorSpec, disc, mu_ref) -> MCEstimate:
+def est_gain_direct(disc, mu_ref) -> MCEstimate:
     """Refinement gain I_f(mu_refined : mu) = E_mu[f(f'^-1(h - lambda))].
 
     Exact on a finite mu (stderr 0), Monte Carlo on a sample batch.
     """
+    gen = disc.generator
     h = _h_values(disc, mu_ref)
     lam = _solve_lambda(gen, h, mu_ref)
     vals = np.asarray(gen.f(np.asarray(gen.f_prime_inv(h - lam))))
     return _expect(mu_ref, vals)
 
 
-def est_gain_pushforward(gen: GeneratorSpec, disc, mu_ref) -> MCEstimate:
+def est_gain_pushforward(disc, mu_ref) -> MCEstimate:
     """Gain through the class-probability pushforward: E_mu[f(eta / (1 - eta))].
 
     eta is recovered from h as f'^-1(h) / (1 + f'^-1(h)); identical to the
@@ -104,6 +107,7 @@ def est_gain_pushforward(gen: GeneratorSpec, disc, mu_ref) -> MCEstimate:
     exceeds sup dom f*, f'^-1(h) < 0 and the mean is not finite (-inf for
     js_shifted).
     """
+    gen = disc.generator
     h = _h_values(disc, mu_ref)
     r = np.asarray(gen.f_prime_inv(h))
     eta = r / (1.0 + r)
@@ -113,7 +117,7 @@ def est_gain_pushforward(gen: GeneratorSpec, disc, mu_ref) -> MCEstimate:
     return _expect(mu_ref, vals)
 
 
-def est_DfH(disc, gen: GeneratorSpec, nu_eval, mu_eval) -> MCEstimate:
+def est_DfH(disc, nu_eval, mu_eval) -> MCEstimate:
     """Plug-in value of R(h) = E_nu[h] - E_mu[f* o h].
 
     Each expectation is an exact sum on a finite distribution (stderr 0;
@@ -122,7 +126,7 @@ def est_DfH(disc, gen: GeneratorSpec, nu_eval, mu_eval) -> MCEstimate:
     size, or the smaller support size when both sides are finite.
     """
     a = _expect(nu_eval, _h_values(disc, nu_eval))
-    b = _expect(mu_eval, np.asarray(gen.conjugate_fn(_h_values(disc, mu_eval))))
+    b = _expect(mu_eval, np.asarray(disc.generator.conjugate_fn(_h_values(disc, mu_eval))))
     batch_n = [e.n for d, e in ((nu_eval, a), (mu_eval, b))
                if not isinstance(d, DiscreteDistribution)]
     return MCEstimate(a.value - b.value, math.hypot(a.stderr, b.stderr),

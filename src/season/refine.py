@@ -21,6 +21,9 @@ it on those values through `_solve_lambda`, so the net runs forward once.
 `refined_score` without a given lambda solves it on the h of its own
 forward pass, which is how guided reverse diffusion gets one lambda per
 noise level from the chains themselves.
+
+The generator f comes from the discriminator: h is fitted under
+disc.generator, and only that f makes f'^-1(h - lambda) the density ratio.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .discriminator import Discriminator, _h_values, input_grad
+from .discriminator import Discriminator, _check_generator, _h_values, input_grad
 from .distributions import DiscreteDistribution, GaussianMixture, as_batch, as_generator
 from .errors import DegenerateDistributionError, DomainError, LambdaSolveError
 from .generators import GeneratorSpec
@@ -124,8 +127,12 @@ def solve_lambda(disc, gen: GeneratorSpec,
 
     mu_ref is either a finite distribution (exact weighted sum, tolerance
     1e-10) or a sample batch from mu (Monte Carlo mean, tolerance 1e-6).
-    It evaluates disc's h there and hands it to `_solve_lambda`.
+    It evaluates disc's h there and hands it to `_solve_lambda`.  gen must
+    be disc.generator (DomainError otherwise); the benchmark's tracer reads
+    it by position, so it stays only until the next change to the
+    benchmark.
     """
+    _check_generator(disc, gen)
     return _solve_lambda(gen, _h_values(disc, mu_ref), mu_ref)
 
 
@@ -175,9 +182,10 @@ def _solve_lambda(gen: GeneratorSpec, h: np.ndarray,
     return lam
 
 
-def _refined_weights(mu: DiscreteDistribution, disc, gen: GeneratorSpec,
+def _refined_weights(mu: DiscreteDistribution, disc,
                      lam: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
     """Ratios f'^-1(h - lambda) on mu's support and the renormalized weights."""
+    gen = disc.generator
     h = _h_values(disc, mu)
     if lam is None:
         lam = _solve_lambda(gen, h, mu)
@@ -189,7 +197,7 @@ def _refined_weights(mu: DiscreteDistribution, disc, gen: GeneratorSpec,
     return ratios, weights / total
 
 
-def refine_discrete(mu: DiscreteDistribution, disc, gen: GeneratorSpec, *,
+def refine_discrete(mu: DiscreteDistribution, disc, *,
                     lam: Optional[float] = None) -> DiscreteDistribution:
     """Reweight mu by f'^-1(h - lambda) and renormalize exactly.
 
@@ -197,12 +205,12 @@ def refine_discrete(mu: DiscreteDistribution, disc, gen: GeneratorSpec, *,
     passing lam=0.0 reproduces the ratio-renormalization heuristic used
     when the discriminator class is not closed under additive constants.
     """
-    _, weights = _refined_weights(mu, disc, gen, lam)
+    _, weights = _refined_weights(mu, disc, lam)
     return mu.reweighted(weights)
 
 
-def refined_score(base_score: Callable[[np.ndarray], np.ndarray], disc, gen: GeneratorSpec,
-                  x: np.ndarray, *, lam: Optional[float] = None) -> np.ndarray:
+def refined_score(base_score: Callable[[np.ndarray], np.ndarray], disc, x: np.ndarray, *,
+                  lam: Optional[float] = None) -> np.ndarray:
     """Score of the refined model: base score plus the guidance term.
 
     guidance(x) = (d/ds log f'^-1)(h(x) - lam) * grad_x h(x), with the
@@ -217,6 +225,7 @@ def refined_score(base_score: Callable[[np.ndarray], np.ndarray], disc, gen: Gen
     """
     if not isinstance(disc, Discriminator):
         raise DomainError("refined_score needs a net discriminator with input gradients")
+    gen = disc.generator
     x = as_batch(x)
     lo, hi = gen.conjugate_domain
 
@@ -234,19 +243,18 @@ def refined_score(base_score: Callable[[np.ndarray], np.ndarray], disc, gen: Gen
     return base_score(x) + guidance
 
 
-def refined_density_unnormalized(base: GaussianMixture, disc, gen: GeneratorSpec,
-                                 x: np.ndarray, *, lam: float = 0.0) -> np.ndarray:
+def refined_density_unnormalized(base: GaussianMixture, disc, x: np.ndarray, *,
+                                 lam: float = 0.0) -> np.ndarray:
     """density(x) * f'^-1(h(x) - lam), the refined density up to its normalizer."""
     x = as_batch(x)
     h = _h_values(disc, x) - lam
-    return np.exp(base.log_density(x)) * np.asarray(gen.f_prime_inv(h))
+    return np.exp(base.log_density(x)) * np.asarray(disc.generator.f_prime_inv(h))
 
 
 @dataclass(frozen=True)
 class RefinedModel:
     """A continuous refined model: the base reweighted by f'^-1(h - lambda_h)."""
 
-    gen: GeneratorSpec
     disc: object
     lambda_h: float
     base: GaussianMixture
@@ -254,12 +262,18 @@ class RefinedModel:
     mc_se: float = 0.0
 
     def score(self, x: np.ndarray) -> np.ndarray:
-        return refined_score(self.base.score, self.disc, self.gen, x, lam=self.lambda_h)
+        return refined_score(self.base.score, self.disc, x, lam=self.lambda_h)
 
 
 def refine_continuous(base: GaussianMixture, disc, gen: GeneratorSpec, *,
                       n_mc: int = 10_000, seed=0) -> RefinedModel:
-    """Build the continuous refined model, solving lambda by Monte Carlo."""
+    """Build the continuous refined model, solving lambda by Monte Carlo.
+
+    gen must be disc.generator (DomainError otherwise); the benchmark
+    passes it by position, so it stays only until the next change to the
+    benchmark.
+    """
+    _check_generator(disc, gen)
     rng = as_generator(seed)
     batch = base.sample(rng, n_mc)
     h = _h_values(disc, batch)
@@ -267,13 +281,13 @@ def refine_continuous(base: GaussianMixture, disc, gen: GeneratorSpec, *,
     ratios = np.asarray(gen.f_prime_inv(h - lam))
     residual = abs(float(ratios.mean()) - 1.0)
     se = float(ratios.std(ddof=1) / math.sqrt(n_mc))
-    return RefinedModel(gen=gen, disc=disc, lambda_h=lam, base=base,
+    return RefinedModel(disc=disc, lambda_h=lam, base=base,
                         mc_residual=residual, mc_se=se)
 
 
-def export_refined_csv(path, mu: DiscreteDistribution, disc, gen: GeneratorSpec) -> None:
+def export_refined_csv(path, mu: DiscreteDistribution, disc) -> None:
     """Write (support, base weight, ratio, refined weight) rows, lambda solved on mu."""
-    ratios, weights = _refined_weights(mu, disc, gen, None)
+    ratios, weights = _refined_weights(mu, disc, None)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         dim_cols = [f"x{j}" for j in range(mu.dim)]

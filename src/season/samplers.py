@@ -13,8 +13,9 @@ at forward time T - tau_{k+1}, and the score handle is queried at step
 index k (forward time T - tau_k).  Guidance adds
 (d/ds log f'^-1)(h(y) - lambda_k) * grad h(y), where lambda_k solves the
 normalizer equation on the current chain batch, mean of
-f'^-1(h(y) - lambda_k) equal to 1.  It vanishes for constant
-discriminators, leaving trajectories bit-identical to the unguided run.
+f'^-1(h(y) - lambda_k) equal to 1, under the generator f of discs[k].
+It vanishes for constant discriminators, leaving trajectories
+bit-identical to the unguided run.
 
 Both samplers are deterministic per seed; noise is drawn once per step
 for the whole chain batch, so the random stream does not depend on the
@@ -32,7 +33,7 @@ import numpy as np
 
 # input_grad is unused here; bench/test_bench.py checks that tracing puts
 # samplers.input_grad back, so the name stays.
-from .discriminator import Discriminator, input_grad  # noqa: F401
+from .discriminator import Discriminator, _check_generator, input_grad  # noqa: F401
 from .distributions import OUSchedule, as_batch, as_generator
 from .errors import ChainDivergenceError, DomainError
 from .generators import GeneratorSpec
@@ -110,11 +111,13 @@ def reverse_em(score: Callable[[np.ndarray, int], np.ndarray], cfg: ReverseDiffu
     score(x, k) is the model score during [tau_k, tau_{k+1}].  With discs
     given (one per step, aligned to level tau_{k+1}) the drift adds the
     guidance term of `refined_score`, domain check included, with lambda
-    solved for that level on the chains.
+    solved for that level on the chains.  gen must be the generator of
+    every disc (DomainError otherwise); the benchmark passes it by
+    position, so it stays only until the next change to the benchmark.
     """
     if discs is not None:
-        if gen is None:
-            raise DomainError("guidance requires the generator")
+        for disc in discs:
+            _check_generator(disc, gen)
         if len(discs) != cfg.K:
             raise DomainError(f"{len(discs)} discriminators for K = {cfg.K} levels")
     rng = as_generator(cfg.seed)
@@ -127,7 +130,7 @@ def reverse_em(score: Callable[[np.ndarray, int], np.ndarray], cfg: ReverseDiffu
         if discs is None:
             drift = score(y, k)
         else:
-            drift = refined_score(lambda x: score(x, k), discs[k], gen, y)
+            drift = refined_score(lambda x: score(x, k), discs[k], y)
         z = rng.standard_normal(y.shape)
         y = y + drift_scale * (y + 2.0 * drift) + noise_scale * z
         _check_guard(y, k)

@@ -222,7 +222,7 @@ def _gradient_suite() -> list[CheckResult]:
         x_nu = rng.standard_normal((8, dim))
         x_mu = rng.standard_normal((10, dim))
         analytic, _, _ = grads(disc, gen, x_nu, x_mu)
-        fd = _central_differences(disc.params, lambda: objective_R(disc, gen, x_nu, x_mu))
+        fd = _central_differences(disc.params, lambda: objective_R(disc, x_nu, x_mu))
         param_errs.append(np.abs(analytic - fd) / np.maximum(np.abs(fd), 1.0))
 
         x_probe = rng.standard_normal((25, dim))

@@ -222,7 +222,7 @@ class TestThinSubcommands:
         assert rows[0] == ["x0", "base_weight", "ratio", "refined_weight"]
         nu_d, mu_d = model_from_spec(DISCRETE_NU), model_from_spec(DISCRETE_MU)
         kl = get_generator("kl")
-        expected = refine_discrete(mu_d, exact_tabular(nu_d, mu_d, kl), kl).weights
+        expected = refine_discrete(mu_d, exact_tabular(nu_d, mu_d, kl)).weights
         assert [float(r[3]) for r in rows[1:]] == expected.tolist()
 
     def test_train_net_and_refine_csv(self, tmp_path):
@@ -416,6 +416,15 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed checkpoint: ") and err.count("\n") == 1
         assert "Traceback" not in err and not out.exists()
+
+    def test_net_checkpoint_without_layers_exits_2(self, tmp_path, capsys):
+        model = write_json(tmp_path / "mu.json", DISCRETE_MU)
+        disc = write_json(tmp_path / "disc.json", {"version": 1, "kind": "net",
+                                                   "generator": "kl", "activation": "tanh"})
+        out = tmp_path / "out.csv"
+        assert main(["refine", "--model", model, "--disc", disc, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: malformed checkpoint: missing key 'layers'\n"
+        assert not out.exists()
 
     def test_tabular_checkpoint_without_generator_exits_2(self, tmp_path, capsys):
         doc = self._tabular_doc()

@@ -327,3 +327,12 @@ class TestSeedsAndSpecs:
     def test_model_from_spec_unknown(self):
         with pytest.raises(DomainError):
             model_from_spec({"type": "dirichlet"})
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"type": "discrete", "support": [[0.0]]}, "weights"),
+        ({"type": "gaussian_mixture", "means": [[0.0]], "weights": [1.0]}, "covs"),
+    ], ids=["discrete", "gaussian_mixture"])
+    def test_model_from_spec_missing_key_names_it(self, spec, key):
+        with pytest.raises(DomainError) as exc:
+            model_from_spec(spec)
+        assert str(exc.value) == f"malformed distribution spec: missing key '{key}'"

@@ -93,7 +93,7 @@ class TestGainEstimators:
         mu = two_point(0.4, 0.6)
         for gen in ALL:
             tab = TabularDiscriminator(gen, mu.support, np.full(2, float(gen.f_prime(1.0))))
-            assert est_gain_direct(gen, tab, mu).value == pytest.approx(0.0, abs=1e-10)
+            assert est_gain_direct(tab, mu).value == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_tabular_optimum_equals_exact_fdiv(self, gen):
@@ -101,14 +101,14 @@ class TestGainEstimators:
         for _ in range(10):
             nu, mu = random_pair(rng, int(rng.integers(2, 6)))
             tab = exact_tabular(nu, mu, gen)
-            got = est_gain_direct(gen, tab, mu).value
+            got = est_gain_direct(tab, mu).value
             assert got == pytest.approx(exact_fdiv(nu, mu, gen), abs=1e-9)
 
     def test_mc_estimate_matches_quadrature_oracle(self):
         model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(JS, 1, 8, seed=4)
         batch = model.sample(5, 10_000)
-        est = est_gain_direct(JS, disc, batch)
+        est = est_gain_direct(disc, batch)
         lam = solve_lambda(disc, JS, batch)
         x = np.linspace(-9, 9, 80_001)[:, None]
         integrand = np.exp(model.log_density(x)) * np.asarray(
@@ -120,19 +120,19 @@ class TestGainEstimators:
     def test_1d_batch_is_points_on_the_line(self, estimator):
         disc = init_discriminator(JS, 1, 8, seed=4)
         batch = np.random.default_rng(6).standard_normal(50)
-        assert estimator(JS, disc, batch) == estimator(JS, disc, batch[:, None])
+        assert estimator(disc, batch) == estimator(disc, batch[:, None])
 
     def test_pushforward_neutral_eta_is_zero(self):
         disc = zero_discriminator(JS, dim=1)
         batch = np.random.default_rng(6).standard_normal((500, 1))
-        est = est_gain_pushforward(JS, disc, batch)
+        est = est_gain_pushforward(disc, batch)
         assert est.value == pytest.approx(0.0, abs=1e-12)
 
     def test_pushforward_eta_near_zero_approaches_two_log_two(self):
         disc = zero_discriminator(JS, dim=1)
         disc.bias = -12.0  # h very negative, eta almost 0
         batch = np.random.default_rng(7).standard_normal((500, 1))
-        est = est_gain_pushforward(JS, disc, batch)
+        est = est_gain_pushforward(disc, batch)
         assert est.value == pytest.approx(TWO_LOG_TWO, abs=1e-3)
 
     @pytest.mark.parametrize("estimator", [est_gain_direct, est_gain_pushforward])
@@ -147,7 +147,7 @@ class TestGainEstimators:
                 h = h - solve_lambda(disc, JS, mu)
             r = np.asarray(JS.f_prime_inv(h))
             expected = float(mu.weights @ np.asarray(JS.f(r)))
-            est = estimator(JS, disc, mu)
+            est = estimator(disc, mu)
             assert est.value == pytest.approx(expected, abs=1e-12)
             assert est.stderr == 0.0 and est.n == 2
             got.append(est.value)
@@ -158,7 +158,7 @@ class TestGainEstimators:
         rng = np.random.default_rng(8)
         nu, mu = random_pair(rng, 4)
         tab = exact_tabular(nu, mu, JS)
-        direct = est_gain_direct(JS, tab, mu).value
+        direct = est_gain_direct(tab, mu).value
         h = tab.h_for(mu)
         r = np.asarray(JS.f_prime_inv(h))
         eta = r / (1 + r)
@@ -172,7 +172,7 @@ class TestDfH:
         for gen in ALL:
             nu, mu = random_pair(rng, 4)
             tab = exact_tabular(nu, mu, gen)
-            assert est_DfH(tab, gen, nu, mu).value == pytest.approx(
+            assert est_DfH(tab, nu, mu).value == pytest.approx(
                 exact_fdiv(nu, mu, gen), abs=1e-12)
 
     def test_bounded_by_ipm_and_fdiv(self):
@@ -188,12 +188,12 @@ class TestDfH:
         d = two_point(0.5, 0.5)
         for gen in ALL:
             tab = exact_tabular(d, d, gen)
-            assert est_DfH(tab, gen, d, d).value == pytest.approx(0.0, abs=1e-14)
+            assert est_DfH(tab, d, d).value == pytest.approx(0.0, abs=1e-14)
 
     def test_batch_mode_reports_stderr(self):
         rng = np.random.default_rng(11)
         disc = init_discriminator(JS, 1, 6, seed=1)
-        est = est_DfH(disc, JS, rng.standard_normal((400, 1)) + 0.5,
+        est = est_DfH(disc, rng.standard_normal((400, 1)) + 0.5,
                       rng.standard_normal((400, 1)))
         assert est.stderr > 0 and math.isfinite(est.value)
 
@@ -205,7 +205,7 @@ class TestDfH:
         got = []
         for w in ([0.9, 0.1], [0.1, 0.9]):
             nu = DiscreteDistribution(support, np.array(w))
-            est = est_DfH(disc, JS, nu, mu_batch)
+            est = est_DfH(disc, nu, mu_batch)
             expected = float(nu.weights @ disc.h_batch(support)) - float(conj.mean())
             assert est.value == pytest.approx(expected, abs=1e-12)
             # only the batch side carries Monte Carlo error
@@ -239,7 +239,7 @@ class TestIPM:
         rng = np.random.default_rng(13)
         nu, mu = random_pair(rng, 4)
         tab = exact_tabular(nu, mu, JS)
-        refined = refine_discrete(mu, tab, JS)
+        refined = refine_discrete(mu, tab)
         assert abs(ipm_at_witness(tab.values, nu, refined)) <= 1e-12
 
 

@@ -56,7 +56,7 @@ class TestExactOptimalH:
             nu, mu = random_pair(rng, int(rng.integers(2, 5)), floor=0.05)
             for gen in ALL:
                 tab = exact_tabular(nu, mu, gen)
-                assert est_DfH(tab, gen, nu, mu).value == pytest.approx(
+                assert est_DfH(tab, nu, mu).value == pytest.approx(
                     exact_fdiv(nu, mu, gen), abs=1e-10)
 
     def test_zero_ratio_gives_minus_inf_sentinel(self):
@@ -182,7 +182,7 @@ class TestDualGridMin:
         for _ in range(5):
             nu, mu = random_pair(rng, 3)
             _, h_star = primal_sup_tabular(nu, mu, gen, HSpec("ball", 0.5))
-            refined = refine_discrete(mu, h_star, gen)
+            refined = refine_discrete(mu, h_star)
             res = dual_grid_min(nu, mu, gen, HSpec("ball", 0.5))
             tv = 0.5 * float(np.abs(res.q_star.weights - refined.weights).sum())
             assert tv <= 10.0 * (1.0 / 200.0)

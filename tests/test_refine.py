@@ -21,7 +21,7 @@ from season.distributions import DiscreteDistribution, gaussian_mixture
 from season.errors import DegenerateDistributionError, DomainError, LambdaSolveError
 from season.experiments import random_discrete_pair
 from season.generators import GENERATOR_NAMES, get_generator, link
-from season.metrics import est_gain_direct
+from season.metrics import est_gain_direct, exact_fdiv
 from season.oracle import HSpec, primal_sup_tabular
 from season.refine import (
     _brentq,
@@ -123,7 +123,7 @@ class TestRefineDiscrete:
             k = int(rng.integers(2, 9))
             nu, mu = random_pair(rng, k)
             tab = exact_tabular(nu, mu, gen)
-            refined = refine_discrete(mu, tab, gen)
+            refined = refine_discrete(mu, tab)
             tv = 0.5 * float(np.abs(refined.weights - nu.weights).sum())
             assert tv <= 1e-10
 
@@ -132,7 +132,7 @@ class TestRefineDiscrete:
                                   np.array([0.2, 0.3, 0.5]))
         for gen in ALL:
             tab = TabularDiscriminator(gen, mu.support, np.full(3, float(gen.f_prime(1.0))))
-            refined = refine_discrete(mu, tab, gen)
+            refined = refine_discrete(mu, tab)
             assert np.allclose(refined.weights, mu.weights, atol=1e-12)
 
     def test_js_class_probability_example_with_heuristic_lambda(self):
@@ -143,18 +143,18 @@ class TestRefineDiscrete:
         tab = TabularDiscriminator(JS, mu.support, h)
         ratios = np.asarray(JS.f_prime_inv(h))
         assert np.allclose(ratios, [2.0, 0.5], atol=1e-12)
-        refined = refine_discrete(mu, tab, JS, lam=0.0)
+        refined = refine_discrete(mu, tab, lam=0.0)
         assert np.allclose(refined.weights, [0.8, 0.2], atol=1e-12)
 
     def test_idempotence_at_optimum(self):
         rng = np.random.default_rng(3)
         for gen in ALL:
             nu, mu = random_pair(rng, 5)
-            first = refine_discrete(mu, exact_tabular(nu, mu, gen), gen)
+            first = refine_discrete(mu, exact_tabular(nu, mu, gen))
             tab2 = exact_tabular(nu, first, gen)
             # the fresh optimum against the same target is the neutral constant
             assert np.allclose(tab2.values, float(gen.f_prime(1.0)), atol=1e-7)
-            second = refine_discrete(first, tab2, gen)
+            second = refine_discrete(first, tab2)
             tv = 0.5 * float(np.abs(second.weights - nu.weights).sum())
             assert tv <= 1e-9
 
@@ -163,14 +163,36 @@ class TestRefineDiscrete:
         mu = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
         tab = exact_tabular(nu, mu, KL)
         assert tab.values[1] == -math.inf
-        refined = refine_discrete(mu, tab, KL)
+        refined = refine_discrete(mu, tab)
         assert np.allclose(refined.weights, [1.0, 0.0], atol=1e-12)
 
     def test_degenerate_error(self):
         mu = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
         tab = TabularDiscriminator(KL, mu.support, np.array([-np.inf, -np.inf]))
         with pytest.raises(DegenerateDistributionError):
-            refine_discrete(mu, tab, KL, lam=0.0)
+            refine_discrete(mu, tab, lam=0.0)
+
+
+class TestGeneratorFromDiscriminator:
+    """Refinement reads f from the discriminator, the f its h was fitted under."""
+
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    def test_three_point_optimum_recovers_nu(self, gen, tmp_path):
+        # With a separate gen argument, kl next to the js_shifted optimum refined
+        # mu to (0.414, 0.327, 0.259) and gave a gain of 0.0182 for 0.0345.
+        support = np.array([[0.0], [1.0], [2.0]])
+        nu = DiscreteDistribution(support, np.array([0.5, 0.3, 0.2]))
+        mu = DiscreteDistribution(support, np.full(3, 1.0 / 3.0))
+        tab = exact_tabular(nu, mu, gen)
+        refined = refine_discrete(mu, tab)
+        assert 0.5 * float(np.abs(refined.weights - nu.weights).sum()) <= 1e-10
+        assert est_gain_direct(tab, mu).value == pytest.approx(exact_fdiv(nu, mu, gen),
+                                                               abs=1e-12)
+        path = tmp_path / "refined.csv"
+        export_refined_csv(path, mu, tab)
+        with open(path) as fh:
+            written = [float(row[-1]) for row in list(csv.reader(fh))[1:]]
+        assert np.array_equal(written, refined.weights)
 
 
 class TestRefinedScore:
@@ -178,14 +200,14 @@ class TestRefinedScore:
         model = gaussian_mixture([[0.5]], [[[0.7]]], [1.0])
         disc = zero_discriminator(JS, dim=1)
         x = np.linspace(-2, 2, 21)[:, None]
-        assert np.allclose(refined_score(model.score, disc, JS, x), model.score(x),
+        assert np.allclose(refined_score(model.score, disc, x), model.score(x),
                            atol=1e-12)
 
     def test_kl_guidance_is_plain_input_gradient(self):
         model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(KL, 1, 8, seed=4)
         x = np.linspace(-2, 2, 31)[:, None]
-        got = refined_score(model.score, disc, KL, x)
+        got = refined_score(model.score, disc, x)
         assert np.allclose(got, model.score(x) + input_grad(disc, x), atol=1e-12)
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
@@ -195,10 +217,10 @@ class TestRefinedScore:
         disc.bias = -0.2 if math.isfinite(gen.conjugate_domain[1]) else 0.3
         x = np.linspace(-2.5, 2.5, 100)[:, None]
         lam = 0.05
-        score = refined_score(model.score, disc, gen, x, lam=lam)
+        score = refined_score(model.score, disc, x, lam=lam)
         eps = 1e-6
-        up = np.log(refined_density_unnormalized(model, disc, gen, x + eps, lam=lam))
-        down = np.log(refined_density_unnormalized(model, disc, gen, x - eps, lam=lam))
+        up = np.log(refined_density_unnormalized(model, disc, x + eps, lam=lam))
+        down = np.log(refined_density_unnormalized(model, disc, x - eps, lam=lam))
         fd = (up - down) / (2 * eps)
         rel = np.abs(score[:, 0] - fd) / np.maximum(np.abs(fd), 1.0)
         assert rel.max() <= 1e-4
@@ -206,7 +228,7 @@ class TestRefinedScore:
     def test_one_forward_pass_per_call(self, forward_rows):
         model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(JS, 1, 8, seed=4)
-        refined_score(model.score, disc, JS, np.linspace(-2, 2, 31)[:, None], lam=0.1)
+        refined_score(model.score, disc, np.linspace(-2, 2, 31)[:, None], lam=0.1)
         assert forward_rows == [31]
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
@@ -218,22 +240,22 @@ class TestRefinedScore:
         lam = 0.05
         factor = np.asarray(gen.log_ratio_deriv(disc.h_batch(x) - lam))
         expected = model.score(x) + factor[:, None] * input_grad(disc, x)
-        assert np.array_equal(refined_score(model.score, disc, gen, x, lam=lam), expected)
+        assert np.array_equal(refined_score(model.score, disc, x, lam=lam), expected)
 
     def test_1d_batch_is_points_on_the_line(self):
         model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(JS, 1, 8, seed=4)
         x = np.linspace(-1, 1, 5)
         for fn, base in ((refined_score, model.score), (refined_density_unnormalized, model)):
-            assert np.array_equal(fn(base, disc, JS, x, lam=0.1),
-                                  fn(base, disc, JS, x[:, None], lam=0.1))
+            assert np.array_equal(fn(base, disc, x, lam=0.1),
+                                  fn(base, disc, x[:, None], lam=0.1))
 
     def test_domain_boundary_reported_with_location(self):
         disc = zero_discriminator(JS, dim=1)
         disc.bias = 2.0  # pushes h to f'(1) + 2 > 0, outside the range of f'
         model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
         with pytest.raises(DomainError):
-            refined_score(model.score, disc, JS, np.zeros((1, 1)), lam=0.0)
+            refined_score(model.score, disc, np.zeros((1, 1)), lam=0.0)
 
     def test_lambda_solved_on_the_batch_by_default(self):
         disc = init_discriminator(JS, 1, 8, seed=4)
@@ -241,8 +263,8 @@ class TestRefinedScore:
         model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
         x = np.linspace(-2, 2, 31)[:, None]
         lam = solve_lambda(disc, JS, x)
-        assert np.array_equal(refined_score(model.score, disc, JS, x),
-                              refined_score(model.score, disc, JS, x, lam=lam))
+        assert np.array_equal(refined_score(model.score, disc, x),
+                              refined_score(model.score, disc, x, lam=lam))
 
 
 class TestRefinedDensity:
@@ -251,7 +273,7 @@ class TestRefinedDensity:
         disc = init_discriminator(KL, 1, 6, seed=6)
         x = np.linspace(-3, 3, 41)[:, None]
         lam = 0.3
-        got = refined_density_unnormalized(model, disc, KL, x, lam=lam)
+        got = refined_density_unnormalized(model, disc, x, lam=lam)
         h = disc.h_batch(x)
         expected = np.exp(model.log_density(x)) * np.exp(h - lam - 1.0)
         assert np.allclose(got, expected, rtol=1e-12)
@@ -265,7 +287,7 @@ class TestRefinedDensity:
         batch = model.sample(1, 200_000)
         lam = solve_lambda(disc, gen, batch)
         x = np.linspace(-9, 9, 120_001)[:, None]
-        dens = refined_density_unnormalized(model, disc, gen, x, lam=lam)
+        dens = refined_density_unnormalized(model, disc, x, lam=lam)
         mass = float(np.trapezoid(dens, x[:, 0]))
         assert mass == pytest.approx(1.0, abs=5e-3)
 
@@ -273,7 +295,7 @@ class TestRefinedDensity:
         model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
         disc = zero_discriminator(KL, dim=1)
         x = np.linspace(-3, 3, 11)[:, None]
-        dens = refined_density_unnormalized(model, disc, KL, x, lam=0.0)
+        dens = refined_density_unnormalized(model, disc, x, lam=0.0)
         ratio = dens / np.exp(model.log_density(x))
         assert np.allclose(ratio, ratio[0])
 
@@ -290,9 +312,9 @@ class TestRefineContinuous:
 
     @pytest.mark.parametrize("solve_then_use", [
         lambda model, disc: refine_continuous(model, disc, JS, n_mc=500, seed=0),
-        lambda model, disc: est_gain_direct(JS, disc, model.sample(0, 500)),
+        lambda model, disc: est_gain_direct(disc, model.sample(0, 500)),
         lambda model, disc: refine_discrete(
-            DiscreteDistribution(np.linspace(-1, 1, 5), np.full(5, 0.2)), disc, JS),
+            DiscreteDistribution(np.linspace(-1, 1, 5), np.full(5, 0.2)), disc),
     ], ids=["refine_continuous", "est_gain_direct", "refine_discrete"])
     def test_lambda_solved_on_the_h_of_one_forward_pass(self, forward_rows, solve_then_use):
         model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
@@ -308,7 +330,7 @@ class TestExportCSV:
         mu = DiscreteDistribution(support, np.array([0.4, 0.4, 0.2]))
         tab = exact_tabular(nu, mu, JS)
         path = tmp_path / "refined.csv"
-        export_refined_csv(path, mu, tab, JS)
+        export_refined_csv(path, mu, tab)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x0", "base_weight", "ratio", "refined_weight"]
@@ -319,7 +341,7 @@ class TestExportCSV:
         mu = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
         tab = TabularDiscriminator(KL, mu.support, np.array([-np.inf, -np.inf]))
         with pytest.raises(DegenerateDistributionError):
-            export_refined_csv(tmp_path / "refined.csv", mu, tab, KL)
+            export_refined_csv(tmp_path / "refined.csv", mu, tab)
 
 
 def _poly(x, r, *c):

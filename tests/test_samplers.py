@@ -92,7 +92,7 @@ class TestReverseEM:
                                      n_chains=500, dim=1, seed=0)
         prior = np.random.default_rng(0).standard_normal((500, 1))  # the chains' start
         with pytest.raises(DomainError, match="leaves the range"):
-            refined_score(lambda y: -y, disc, JS, prior, lam=0.0)
+            refined_score(lambda y: -y, disc, prior, lam=0.0)
         out = reverse_em(lambda y, k: -y, cfg, JS, [disc] * cfg.K)
         assert np.isfinite(out).all()
 
