@@ -28,6 +28,16 @@ activations as its scratch and allocates only dz1, so a forward pass's
 cache serves one backward pass.  Neither pass writes to the input points
 or to `params`.
 
+`h_batch` runs the net over blocks of _BLOCK_ROWS = 8,192 rows, the
+remainder joining the last block (8,192 to 16,383 rows), so a 100k-row
+batch holds (width, 16,383) activations, not (width, 100k).  Each block
+starts at a multiple of 8,192 rows and is long enough to take the whole
+batch's kernels, so under one BLAS thread the result equals one full
+pass byte for byte.  Other splits drift in the last bit: a 1-row block
+takes matrix-vector kernels, and equal-size blocks shift rows against
+the kernels' unrolling.  With more BLAS threads, even one full pass
+depends on the thread count.
+
 Training is plain gradient ascent on `params` that halves the step
 whenever the objective decreases.  `TrainConfig.steps` caps the number of
 updates; training stops earlier once the objective R has gained less than
@@ -64,6 +74,7 @@ logger = logging.getLogger(__name__)
 CLAMP_MARGIN = 1e-6
 STOP_WINDOW = 50  # steps over which the objective's gain is measured
 STOP_FRACTION = 0.05  # stop once that gain is below this fraction of one SE
+_BLOCK_ROWS = 8192  # h_batch's block length in rows
 
 __all__ = [
     "Discriminator",
@@ -154,7 +165,10 @@ class Discriminator:
         return sigmoid(cache["z3"]), cache["h"]
 
     def h_batch(self, x: np.ndarray) -> np.ndarray:
-        return self._forward_full(x)["h"]
+        """h in blocks of _BLOCK_ROWS rows, the remainder joining the last (module docstring)."""
+        x = as_batch(x)
+        cuts = np.arange(_BLOCK_ROWS, len(x) - _BLOCK_ROWS + 1, _BLOCK_ROWS)
+        return np.concatenate([self._forward_full(block)["h"] for block in np.split(x, cuts)])
 
     def _backprop(self, cache: dict, dh: np.ndarray, inputs: bool = False) -> np.ndarray:
         """Push dL/dh back through the net.

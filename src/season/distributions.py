@@ -142,7 +142,10 @@ class GaussianMixture:
     """
 
     def __init__(self, means, covs, weights):
-        means = as_batch(means)
+        try:
+            means = as_batch(means)
+        except DomainError as exc:
+            raise DomainError(f"means: {exc}") from None
         k, d = means.shape
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (k,):

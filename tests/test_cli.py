@@ -375,7 +375,7 @@ class TestInputErrors:
         assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("spec, shown", [
-        ({**MIXTURE_SPEC, "means": [[[0.0]]]}, "points must be (n,) or (n, d)"),
+        ({**MIXTURE_SPEC, "means": [[[0.0]]]}, "means: points must be (n,) or (n, d)"),
         ({**MIXTURE_SPEC, "means": [["a"]]}, "malformed distribution spec"),
         ({**MIXTURE_SPEC, "covs": 1.0}, "expected (1, 1, 1)"),
         ({**MIXTURE_SPEC, "covs": [1.0]}, "expected (1, 1, 1)"),

@@ -1,7 +1,12 @@
 """Discriminator nets: forward contracts, exact gradients, training."""
 
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +137,36 @@ def gaussian_pair(n, seed=0):
     """n rows of N(1, 1) data and n rows of an N(0, 1) model."""
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, 1)) + 1.0, rng.standard_normal((n, 1))
+
+
+def run_single_threaded(code):
+    """Standard output of code run in a fresh interpreter with one BLAS thread.
+
+    The interpreter imports season and this test module.  BLAS threads split
+    each product at rows that depend on n, so byte-level comparisons between
+    batch sizes hold only on one thread.
+    """
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env).stdout
+
+
+# 9 sizes from 8,193 to 100,003 rows, then the edges of the block rule
+BLOCK_GRID_SIZES = [8193, 12289, 16383, 24575, 32769, 50000, 65537, 81919, 100003,
+                    0, 1, 8191, 8192, 16384, 16385]
+
+
+def blocked_h_drift():
+    """(generator, d, width, n) of each grid case where h_batch differs from one full pass."""
+    drift = []
+    for gen, dim, width, n in itertools.product(ALL, (1, 2, 3), (4, 16, 32), BLOCK_GRID_SIZES):
+        disc = random_net(gen, dim, width, seed=100 * dim + width)
+        x = np.random.default_rng(n).standard_normal((n, dim))
+        if disc.h_batch(x).tobytes() != disc._forward_full(x)["h"].tobytes():
+            drift.append([gen.name, dim, width, n])
+    return drift
 
 
 class TestForward:
@@ -309,6 +344,26 @@ class TestFeatureMajorPasses:
         disc = init_discriminator(KL, 1, 4, seed=0)
         with pytest.raises(DomainError, match="dimension 2 do not fit a net of dimension 1"):
             disc.h_batch(np.zeros((3, 2)))
+
+
+class TestRowBlocks:
+    """h_batch's row blocks leave every output byte unchanged under one BLAS thread."""
+
+    def test_blocked_h_batch_equals_one_full_pass(self):
+        drift = run_single_threaded(
+            "import json, test_discriminator as t; print(json.dumps(t.blocked_h_drift()))")
+        assert json.loads(drift) == []
+
+    @pytest.mark.parametrize("n, blocks", [
+        (0, [0]), (1, [1]), (8191, [8191]), (8192, [8192]), (16383, [16383]),
+        (16384, [8192, 8192]), (16385, [8192, 8193]), (100003, [8192] * 11 + [9891]),
+    ])
+    def test_remainder_joins_the_last_block(self, n, blocks, monkeypatch):
+        rows, original = [], Discriminator._forward_full
+        monkeypatch.setattr(Discriminator, "_forward_full",
+                            lambda disc, x: rows.append(len(x)) or original(disc, x))
+        assert init_discriminator(KL, 1, 4).h_batch(np.zeros(n)).shape == (n,)
+        assert rows == blocks
 
 
 class TestInputGradients:
