@@ -13,8 +13,8 @@ Exit codes: 0 success, 1 verify-suite failure, 2 config/validation error
 (bad config or input file, domain error), 3 numeric failure (NaN,
 divergence or any other package error).  `main` maps exceptions to these
 codes in one place and prints a one-line message, never a traceback.
-Outputs are byte-identical for identical config + seed; CSV floats carry
-17 significant digits.
+Outputs are byte-identical for identical config + seed and the same BLAS
+thread count; CSV floats carry 17 significant digits.
 OUTPUT_DIR overrides the configured output directory.
 """
 

@@ -81,7 +81,6 @@ __all__ = [
     "TabularDiscriminator",
     "TrainConfig",
     "init_discriminator",
-    "zero_discriminator",
     "objective_R",
     "grads",
     "input_grad",
@@ -112,9 +111,10 @@ def _param_views(flat: np.ndarray, dim: int, width: int) -> list[np.ndarray]:
 class Discriminator:
     """Two-hidden-layer tanh net with the link head.
 
-    `params` holds every parameter (zeros when None).  Mutable only during
-    training; `freeze` makes it read-only and the instance safe to share
-    across threads.
+    `params` holds every parameter (zeros when None); the all-zero net has
+    eta = 1/2 and h = f'(1) everywhere, the neutral constant.  Mutable only
+    during training; `freeze` makes it read-only and the instance safe to
+    share across threads.
     """
 
     generator: GeneratorSpec
@@ -276,11 +276,6 @@ def init_discriminator(gen: GeneratorSpec, dim: int, width: int, seed=0) -> Disc
     for weights, fan_in in ((disc.w1, dim), (disc.w2, width), (disc.w3, width)):
         weights[...] = rng.standard_normal(weights.shape) / math.sqrt(fan_in)
     return disc
-
-
-def zero_discriminator(gen: GeneratorSpec, dim: int, width: int = 4) -> Discriminator:
-    """All-zero net: eta = 1/2 and h = f'(1) everywhere (neutral constant)."""
-    return Discriminator(gen, dim, width)
 
 
 def _clamped_mu_values(gen: GeneratorSpec, h_mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

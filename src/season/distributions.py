@@ -82,8 +82,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class DiscreteDistribution:
     """Finite support points in R^d with probability weights.
 
-    Weights must be nonnegative and sum to 1 within 1e-12; support points
-    must be distinct.  1-d input supports are reshaped to (n, 1).
+    Weights must be finite, nonnegative and sum to 1 within 1e-12; support
+    points must be finite and distinct.  1-d input supports are reshaped to
+    (n, 1).
     """
 
     support: np.ndarray
@@ -96,6 +97,10 @@ class DiscreteDistribution:
             raise DomainError(
                 f"weights shape {weights.shape} does not match {support.shape[0]} support points"
             )
+        if not np.isfinite(support).all():
+            raise DomainError("support points must be finite")
+        if not np.isfinite(weights).all():
+            raise DomainError("weights must be finite")
         if np.any(weights < 0):
             raise DomainError("weights must be nonnegative")
         total = float(weights.sum())
@@ -139,6 +144,7 @@ class GaussianMixture:
     """Closed-form Gaussian mixture in low dimension.
 
     means are k points as `as_batch` reads them; covs is one (k, d, d) array.
+    Means, covariances and weights must be finite.
     """
 
     def __init__(self, means, covs, weights):
@@ -150,11 +156,14 @@ class GaussianMixture:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (k,):
             raise DomainError(f"{k} components but weights shape {weights.shape}")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise DomainError("mixture weights must be nonnegative and sum to 1")
         covs = np.asarray(covs, dtype=float)
         if covs.shape != (k, d, d):
             raise DomainError(f"covariances have shape {covs.shape}, expected ({k}, {d}, {d})")
+        for name, value in (("means", means), ("covariances", covs), ("weights", weights)):
+            if not np.isfinite(value).all():
+                raise DomainError(f"mixture {name} must be finite")
+        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+            raise DomainError("mixture weights must be nonnegative and sum to 1")
         covs = 0.5 * (covs + covs.swapaxes(1, 2))
         try:
             chols = np.linalg.cholesky(covs)
@@ -229,7 +238,7 @@ def check_score_consistency(model: GaussianMixture, rng: SeedLike = 0) -> float:
         fd[:, j] = (model.log_density(xp) - model.log_density(xm)) / (2.0 * h[:, j])
     scale = np.maximum(np.linalg.norm(s, axis=1), 1.0)
     err = float((np.linalg.norm(fd - s, axis=1) / scale).max())
-    if err > _SCORE_RTOL:
+    if not err <= _SCORE_RTOL:  # NaN fails too
         raise DomainError("score disagrees with finite differences: "
                           f"rel err {err:.3e} > {_SCORE_RTOL}")
     return err

@@ -40,9 +40,9 @@ from .metrics import (
     est_gain_pushforward,
     est_DfH,
     exact_fdiv,
-    generalization_report,
     ipm_at_witness,
     ipm_tabular_exact,
+    slow_rate_term,
     _masked_dot,
     _mc,
     _tabular_sup,
@@ -261,8 +261,9 @@ def bound_trial(seed: int, *, gen_name: str = "js_shifted", n: int = 200,
     ratios, weights = _refined_weights(model, h_star, None)
     gain = _masked_dot(model.weights, np.asarray(gen.f(ratios)))
     lhs = ipm_tabular_exact(population, model.reweighted(weights), norm)
-    return generalization_report(lhs, d_value, gain, rademacher,
-                                 norm_H=norm, delta=delta, n=n)
+    return BoundReport(d_H_lhs=lhs, D_fH=d_value, gain_If=gain, rademacher=rademacher,
+                       slow_rate=slow_rate_term(norm, delta, n), delta=delta, n=n,
+                       norm_H=norm)
 
 
 def bound_trials(n_trials: int = 100, seed: int = 0, **kwargs) -> tuple[int, list[BoundReport]]:

@@ -12,7 +12,7 @@ the f its h was fitted under.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -36,7 +36,6 @@ __all__ = [
     "ipm_tabular_exact",
     "ipm_at_witness",
     "slow_rate_term",
-    "generalization_report",
     "convergence_bound",
     "fdiv_kl_lemma_check",
     "vi_duality_check",
@@ -204,29 +203,7 @@ class BoundReport:
         return bool(self.d_H_lhs <= self.rhs + self.tol)
 
     def to_dict(self) -> dict:
-        return {
-            "d_H_lhs": self.d_H_lhs,
-            "D_fH": self.D_fH,
-            "gain_If": self.gain_If,
-            "rademacher": self.rademacher,
-            "slow_rate": self.slow_rate,
-            "rhs": self.rhs,
-            "delta": self.delta,
-            "n": self.n,
-            "norm_H": self.norm_H,
-            "tol": self.tol,
-            "holds": self.holds,
-        }
-
-
-def generalization_report(d_H_lhs: float, D_fH: float, gain_If: float, rademacher: float,
-                          *, norm_H: float, delta: float, n: int) -> BoundReport:
-    """Assemble the bound lhs <= D - gain + R_n + slow_rate with a holds flag."""
-    return BoundReport(
-        d_H_lhs=d_H_lhs, D_fH=D_fH, gain_If=gain_If, rademacher=rademacher,
-        slow_rate=slow_rate_term(norm_H, delta, n), delta=delta, n=n,
-        norm_H=norm_H,
-    )
+        return {**asdict(self), "rhs": self.rhs, "tol": self.tol, "holds": self.holds}
 
 
 @dataclass(frozen=True)

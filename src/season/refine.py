@@ -258,8 +258,6 @@ class RefinedModel:
     disc: object
     lambda_h: float
     base: GaussianMixture
-    mc_residual: float = 0.0  # |E_mu[f'^-1(h - lambda)] - 1| recorded at construction
-    mc_se: float = 0.0
 
     def score(self, x: np.ndarray) -> np.ndarray:
         return refined_score(self.base.score, self.disc, x, lam=self.lambda_h)
@@ -276,13 +274,8 @@ def refine_continuous(base: GaussianMixture, disc, gen: GeneratorSpec, *,
     _check_generator(disc, gen)
     rng = as_generator(seed)
     batch = base.sample(rng, n_mc)
-    h = _h_values(disc, batch)
-    lam = _solve_lambda(gen, h, batch)
-    ratios = np.asarray(gen.f_prime_inv(h - lam))
-    residual = abs(float(ratios.mean()) - 1.0)
-    se = float(ratios.std(ddof=1) / math.sqrt(n_mc))
-    return RefinedModel(disc=disc, lambda_h=lam, base=base,
-                        mc_residual=residual, mc_se=se)
+    lam = _solve_lambda(gen, _h_values(disc, batch), batch)
+    return RefinedModel(disc=disc, lambda_h=lam, base=base)
 
 
 def export_refined_csv(path, mu: DiscreteDistribution, disc) -> None:

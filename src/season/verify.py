@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import generators as G
-from .discriminator import grads, init_discriminator, input_grad, objective_R, zero_discriminator
+from .discriminator import Discriminator, grads, init_discriminator, input_grad, objective_R
 from .distributions import as_generator, constant_schedule, ou_params
 from .experiments import (
     bound_trials,
@@ -239,7 +239,7 @@ def _neutral_guidance(T: float, K: int, n_chains: int, seed: int):
     cfg = ReverseDiffusionConfig(schedule=constant_schedule(1.0, T), K=K,
                                  n_chains=n_chains, dim=1, seed=seed)
     js = get_generator("js_shifted")
-    neutral = [zero_discriminator(js, 1) for _ in range(K)]
+    neutral = [Discriminator(js, 1, 4) for _ in range(K)]
     return reverse_em(lambda x, k: -x, cfg), reverse_em(lambda x, k: -x, cfg, js, neutral)
 
 

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -391,6 +392,30 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert shown in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, spec", [
+        ("train-discriminator", {**DISCRETE_NU, "weights": [math.nan, 1.0]}),
+        ("refine", {**DISCRETE_MU, "weights": [math.nan, 1.0]}),
+        ("sample", {**MIXTURE_SPEC, "means": [[math.nan]]}),
+        ("sample", {**MIXTURE_SPEC, "covs": [[[math.inf]]]}),
+    ], ids=["train-weights-nan", "refine-weights-nan", "sample-means-nan", "sample-covs-inf"])
+    def test_non_finite_distribution_spec_exits_2(self, command, spec, tmp_path, capsys):
+        bad = write_json(tmp_path / "bad.json", spec)  # json writes NaN and Infinity
+        out = str(tmp_path / "out")
+        argv = {
+            "train-discriminator": ["--data", bad, "--seed", "0",
+                                    "--model", write_json(tmp_path / "mu.json", DISCRETE_MU)],
+            "refine": ["--model", bad,
+                       "--disc", write_json(tmp_path / "disc.json", self._tabular_doc())],
+            "sample": ["--model", bad, "--steps", "5", "--seed", "0"],
+        }[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, *argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Warning" not in err and "Traceback" not in err and caught == []
+        assert "finite" in err
 
     @staticmethod
     def _tabular_doc():

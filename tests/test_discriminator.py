@@ -29,7 +29,6 @@ from season.discriminator import (
     objective_R,
     save_discriminator,
     train,
-    zero_discriminator,
 )
 from season.distributions import DiscreteDistribution, as_batch, gaussian_mixture
 from season.errors import DomainError, TrainingDivergedError
@@ -172,13 +171,13 @@ def blocked_h_drift():
 class TestForward:
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_zero_net_gives_neutral_constant(self, gen):
-        disc = zero_discriminator(gen, dim=2)
+        disc = Discriminator(gen, 2, 4)
         eta, h = disc.forward_batch([[0.3, -1.2]])
         assert eta[0] == pytest.approx(0.5)
         assert h[0] == pytest.approx(float(gen.f_prime(1.0)))
 
     def test_js_half_is_minus_log_two(self):
-        disc = zero_discriminator(JS, dim=1)
+        disc = Discriminator(JS, 1, 4)
         disc.bias = 0.7
         _, h = disc.forward_batch([0.0])
         assert h[0] - disc.bias == pytest.approx(-math.log(2.0))
@@ -242,7 +241,7 @@ class TestObjective:
     def test_equal_batches_neutral_h_gives_zero(self):
         x = np.random.default_rng(0).standard_normal((64, 1))
         for gen in ALL:
-            disc = zero_discriminator(gen, dim=1)
+            disc = Discriminator(gen, 1, 4)
             assert objective_R(disc, x, x) == pytest.approx(0.0, abs=1e-14)
 
     def test_js_objective_is_two_log_two_minus_bce(self):
@@ -266,7 +265,7 @@ class TestObjective:
             assert value == pytest.approx(exact_fdiv(nu, mu, gen), abs=1e-12)
 
     def test_clamp_keeps_conjugate_finite(self):
-        disc = zero_discriminator(JS, dim=1)
+        disc = Discriminator(JS, 1, 4)
         disc.bias = 5.0  # pushes h past the domain edge of f*
         x = np.zeros((4, 1))
         assert math.isfinite(objective_R(disc, x, x))
@@ -368,7 +367,7 @@ class TestRowBlocks:
 
 class TestInputGradients:
     def test_constant_disc_zero_gradient(self):
-        disc = zero_discriminator(JS, dim=2)
+        disc = Discriminator(JS, 2, 4)
         g = input_grad(disc, np.random.default_rng(0).standard_normal((10, 2)))
         assert np.allclose(g, 0.0)
 

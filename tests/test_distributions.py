@@ -11,6 +11,7 @@ import pytest
 
 from season.distributions import (
     DiscreteDistribution,
+    GaussianMixture,
     OUSchedule,
     as_batch,
     check_score_consistency,
@@ -38,6 +39,15 @@ class TestDiscreteDistribution:
     def test_negative_weights_rejected(self):
         with pytest.raises(DomainError):
             DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([-0.1, 1.1]))
+
+    @pytest.mark.parametrize("support, weights", [
+        ([[0.0], [np.nan]], [0.5, 0.5]),
+        ([[0.0], [np.inf]], [0.5, 0.5]),
+        ([[0.0], [1.0]], [np.nan, 1.0]),
+    ], ids=["support-nan", "support-inf", "weight-nan"])
+    def test_non_finite_rejected(self, support, weights):
+        with pytest.raises(DomainError, match="must be finite"):
+            DiscreteDistribution(np.array(support), np.array(weights))
 
     def test_duplicate_support_rejected(self):
         with pytest.raises(DomainError):
@@ -165,6 +175,16 @@ class TestGaussianMixture:
         err = check_score_consistency(model, rng=3)
         assert err <= 1e-4
 
+    def test_score_check_fails_on_nan(self):
+        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
+        model.score = lambda x: np.full_like(x, np.nan)
+        with pytest.raises(DomainError, match="score disagrees"):
+            check_score_consistency(model)
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(DomainError, match="weights must be finite"):
+            GaussianMixture([[0.0], [1.0]], [[[1.0]], [[1.0]]], [np.nan, 1.0])
+
     def test_density_integrates_to_one_1d(self):
         model = gaussian_mixture([[-2.0], [1.0]], [[[0.3]], [[0.8]]], [0.4, 0.6])
         x = np.linspace(-12, 12, 40001)[:, None]
@@ -235,7 +255,7 @@ class TestOUProcess:
     def test_import_leaves_quadrature_unloaded(self):
         # a fresh interpreter: other tests import scipy.stats, which loads it
         src = Path(__file__).resolve().parents[1] / "src"
-        code = "import sys, season; print('scipy.integrate' in sys.modules)"
+        code = "import sys, season.cli; print('scipy.integrate' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": str(src)})
         assert out.stdout.strip() == "False"

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from season.discriminator import (
+    Discriminator,
     TabularDiscriminator,
     exact_tabular,
     init_discriminator,
-    zero_discriminator,
 )
 from season.distributions import DiscreteDistribution, gaussian_mixture
 from season.errors import DomainError
 from season.generators import GENERATOR_NAMES, TWO_LOG_TWO, get_generator
 from season.metrics import (
+    BoundReport,
     ConvergenceBoundInputs,
     convergence_bound,
     est_DfH,
@@ -22,7 +23,6 @@ from season.metrics import (
     est_gain_pushforward,
     exact_fdiv,
     fdiv_kl_lemma_check,
-    generalization_report,
     ipm_at_witness,
     ipm_tabular_exact,
     _tabular_sup,
@@ -123,13 +123,13 @@ class TestGainEstimators:
         assert estimator(disc, batch) == estimator(disc, batch[:, None])
 
     def test_pushforward_neutral_eta_is_zero(self):
-        disc = zero_discriminator(JS, dim=1)
+        disc = Discriminator(JS, 1, 4)
         batch = np.random.default_rng(6).standard_normal((500, 1))
         est = est_gain_pushforward(disc, batch)
         assert est.value == pytest.approx(0.0, abs=1e-12)
 
     def test_pushforward_eta_near_zero_approaches_two_log_two(self):
-        disc = zero_discriminator(JS, dim=1)
+        disc = Discriminator(JS, 1, 4)
         disc.bias = -12.0  # h very negative, eta almost 0
         batch = np.random.default_rng(7).standard_normal((500, 1))
         est = est_gain_pushforward(disc, batch)
@@ -263,13 +263,16 @@ class TestBoundAssembly:
         assert slow_rate_term(1.0, 0.05, 200) == pytest.approx(0.173082, abs=1e-6)
 
     def test_report_holds_flag(self):
-        rep = generalization_report(0.1, 0.3, 0.05, 0.1, norm_H=1.0, delta=0.05, n=200)
+        terms = dict(D_fH=0.3, gain_If=0.05, rademacher=0.1,
+                     slow_rate=slow_rate_term(1.0, 0.05, 200), delta=0.05, n=200, norm_H=1.0)
+        rep = BoundReport(d_H_lhs=0.1, **terms)
         assert rep.slow_rate == pytest.approx(0.173082, abs=1e-6)
         assert rep.holds  # 0.1 <= 0.3 - 0.05 + 0.1 + 0.173
-        rep2 = generalization_report(1.0, 0.3, 0.05, 0.1, norm_H=1.0, delta=0.05, n=200)
-        assert not rep2.holds
-        assert set(rep.to_dict()) >= {"d_H_lhs", "D_fH", "gain_If", "rademacher",
-                                      "slow_rate", "delta", "n", "holds"}
+        assert not BoundReport(d_H_lhs=1.0, **terms).holds
+        d = rep.to_dict()
+        assert set(d) == {"d_H_lhs", "D_fH", "gain_If", "rademacher", "slow_rate", "rhs",
+                          "delta", "n", "norm_H", "tol", "holds"}
+        assert d["rhs"] == rep.rhs and d["tol"] == 1e-9 and d["holds"] is True
 
     def test_convergence_bound_zero_inputs(self):
         inp = ConvergenceBoundInputs(0.0, 0.0, 0.0, 1, 2.0, 10, 1.0, 0.0)

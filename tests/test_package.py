@@ -1,9 +1,15 @@
-"""Package surface: every name a module exports exists on it, and each
+"""Package surface: every name a module exports exists on it, importing the
+package loads no module, settable values do not grow, and each
 discriminator carries the one generator its consumers use."""
 
+import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +36,60 @@ def test_every_all_entry_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_import_loads_no_submodule():
+    # a fresh interpreter: this test session has loaded every module already
+    src = Path(season.__file__).resolve().parents[1]
+    code = "import sys, season; print(sorted(m for m in sys.modules if m.startswith('season.')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
+
+
+def _defaults(fn: ast.FunctionDef) -> int:
+    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _settable_values(tree: ast.Module) -> int:
+    count = 0
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            count += _defaults(node)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    count += _defaults(item)
+                elif (_is_dataclass(node) and isinstance(item, ast.AnnAssign)
+                      and item.value is not None
+                      and not ast.unparse(item.annotation).startswith("ClassVar")):
+                    count += 1
+    for call in ast.walk(tree):
+        if (isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "add_argument"
+                and isinstance(call.args[0], ast.Constant)
+                and call.args[0].value.startswith("--")):
+            count += 1
+    return count
+
+
+def test_settable_values_do_not_grow():
+    """Settable values: defaulted parameters of public functions and methods,
+    defaulted non-ClassVar fields of public dataclasses, and CLI --flags.
+
+    Each one doubles the configurations that tests and benchmarks must cover.
+    A change that adds one raises BOUND here and justifies the value in
+    CHANGES.md; a change that removes one lowers BOUND.
+    """
+    BOUND = 81
+    src = Path(season.__file__).resolve().parent
+    total = sum(_settable_values(ast.parse(path.read_text())) for path in src.glob("*.py"))
+    assert total <= BOUND
 
 
 def _public_callables(module):

@@ -15,7 +15,6 @@ from season.discriminator import (
     init_discriminator,
     input_grad,
     train,
-    zero_discriminator,
 )
 from season.distributions import DiscreteDistribution, gaussian_mixture
 from season.errors import DegenerateDistributionError, DomainError, LambdaSolveError
@@ -198,7 +197,7 @@ class TestGeneratorFromDiscriminator:
 class TestRefinedScore:
     def test_constant_disc_keeps_base_score(self):
         model = gaussian_mixture([[0.5]], [[[0.7]]], [1.0])
-        disc = zero_discriminator(JS, dim=1)
+        disc = Discriminator(JS, 1, 4)
         x = np.linspace(-2, 2, 21)[:, None]
         assert np.allclose(refined_score(model.score, disc, x), model.score(x),
                            atol=1e-12)
@@ -251,7 +250,7 @@ class TestRefinedScore:
                                   fn(base, disc, x[:, None], lam=0.1))
 
     def test_domain_boundary_reported_with_location(self):
-        disc = zero_discriminator(JS, dim=1)
+        disc = Discriminator(JS, 1, 4)
         disc.bias = 2.0  # pushes h to f'(1) + 2 > 0, outside the range of f'
         model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
         with pytest.raises(DomainError):
@@ -293,7 +292,7 @@ class TestRefinedDensity:
 
     def test_constant_disc_distribution_unchanged(self):
         model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
-        disc = zero_discriminator(KL, dim=1)
+        disc = Discriminator(KL, 1, 4)
         x = np.linspace(-3, 3, 11)[:, None]
         dens = refined_density_unnormalized(model, disc, x, lam=0.0)
         ratio = dens / np.exp(model.log_density(x))
@@ -305,8 +304,9 @@ class TestRefineContinuous:
         model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(JS, 1, 8, seed=8)
         refined = refine_continuous(model, disc, JS, n_mc=20_000, seed=0)
-        assert refined.mc_residual <= 1e-6
-        assert refined.mc_se > 0
+        h = disc.h_batch(model.sample(np.random.default_rng(0), 20_000))
+        ratios = JS.f_prime_inv(h - refined.lambda_h)
+        assert abs(float(ratios.mean()) - 1.0) <= 1e-6
         x = np.zeros((3, 1))
         assert refined.score(x).shape == (3, 1)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from season.discriminator import init_discriminator, zero_discriminator
+from season.discriminator import Discriminator, init_discriminator
 from season.distributions import constant_schedule, gaussian_mixture
 from season.errors import ChainDivergenceError, DomainError
 from season.generators import get_generator
@@ -80,7 +80,7 @@ class TestReverseEM:
         sched = constant_schedule(1.0, 2.0)
         cfg = ReverseDiffusionConfig(schedule=sched, K=50, n_chains=500, dim=1, seed=5)
         unguided = reverse_em(lambda x, k: -x, cfg)
-        neutral = [zero_discriminator(JS, 1) for _ in range(cfg.K)]
+        neutral = [Discriminator(JS, 1, 4) for _ in range(cfg.K)]
         guided = reverse_em(lambda x, k: -x, cfg, JS, neutral)
         assert np.array_equal(unguided, guided)
 
@@ -100,7 +100,7 @@ class TestReverseEM:
         sched = constant_schedule(1.0, 2.0)
         cfg = ReverseDiffusionConfig(schedule=sched, K=10, n_chains=10, dim=1, seed=6)
         with pytest.raises(DomainError):
-            reverse_em(lambda x, k: -x, cfg, JS, [zero_discriminator(JS, 1)] * 4)
+            reverse_em(lambda x, k: -x, cfg, JS, [Discriminator(JS, 1, 4)] * 4)
 
     def test_deterministic_per_seed(self):
         sched = constant_schedule(1.0, 1.0)
