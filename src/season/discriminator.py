@@ -170,16 +170,21 @@ class Discriminator:
         cuts = np.arange(_BLOCK_ROWS, len(x) - _BLOCK_ROWS + 1, _BLOCK_ROWS)
         return np.concatenate([self._forward_full(block)["h"] for block in np.split(x, cuts)])
 
-    def _backprop(self, cache: dict, dh: np.ndarray, inputs: bool = False) -> np.ndarray:
+    def _backprop(self, cache: dict, dh: Optional[np.ndarray],
+                  inputs: bool = False) -> np.ndarray:
         """Push dL/dh back through the net.
 
         Returns the parameter gradient laid out like params or, with
-        inputs=True, the (n, d) input gradient instead; never both.  The
+        inputs=True, the (n, d) input gradient instead; never both.
+        dh=None means dL/dh = 1 at every row (the input-only pass of
+        `input_grad`), which skips the multiplication by ones.  The
         pass consumes the cache: a2 becomes dz2 = w3 dz3 (1 - a2^2) and a1
         becomes 1 - a1^2 in place, so dz1 is its one new (width, n) array.
         """
         z3, a2, a1, x = (cache[k] for k in ("z3", "a2", "a1", "x"))
-        dz3 = dh * np.asarray(self.generator.link_of_logit_deriv(z3))
+        dz3 = np.asarray(self.generator.link_of_logit_deriv(z3))
+        if dh is not None:
+            dz3 = dh * dz3
         g_w3 = None if inputs else a2 @ dz3
         dz2 = np.multiply(a2, a2, out=a2)
         np.subtract(1.0, dz2, out=dz2)
@@ -349,7 +354,7 @@ def input_grad(disc: Discriminator, x: np.ndarray,
     """
     cache = disc._forward_full(x)
     factor = None if outer_deriv is None else np.asarray(outer_deriv(cache["h"]))
-    dx = disc._backprop(cache, np.ones_like(cache["h"]), inputs=True)
+    dx = disc._backprop(cache, None, inputs=True)
     return dx if factor is None else factor[:, None] * dx
 
 

@@ -133,10 +133,11 @@ def _log_sum_exp(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns the column maxima m, exp(comp - m) and its column sums, so that
     log sum_j exp(comp_j) = m + log(sums) and exp(comp - m) / sums are the
-    normalized weights.
+    normalized weights.  comp is overwritten with exp(comp - m).
     """
     m = comp.max(axis=0)
-    terms = np.exp(comp - m)
+    comp -= m
+    terms = np.exp(comp, out=comp)
     return m, terms, terms.sum(axis=0)
 
 
@@ -175,6 +176,7 @@ class GaussianMixture:
         self.weights = _freeze(weights)
         self._chols = chols
         self._precisions = np.linalg.inv(covs)
+        self._log_weights = np.log(weights)[:, None]
         self._log_norm = -0.5 * (
             d * math.log(2.0 * math.pi) + 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
         )
@@ -185,12 +187,17 @@ class GaussianMixture:
         """log(w_j N(x; m_j, C_j)), shape (k, n), and C_j^-1 (x - m_j), shape (k, d, n).
 
         Both are component- and feature-major, so each reduction over
-        components or coordinates runs with the n points contiguous.
+        components or coordinates runs with the n points contiguous.  The
+        temporaries are updated in place, in the order of
+        (log_norm - 0.5 * mahalanobis) + log(w), so the bits do not change.
         """
         diff = x.T - self.means[:, :, None]
         prec_diff = self._precisions @ diff
-        mahalanobis = (diff * prec_diff).sum(axis=1)
-        comp = (self._log_norm[:, None] - 0.5 * mahalanobis) + np.log(self.weights)[:, None]
+        diff *= prec_diff
+        comp = diff.sum(axis=1)
+        comp *= -0.5
+        comp += self._log_norm[:, None]
+        comp += self._log_weights
         return comp, prec_diff
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
@@ -201,7 +208,9 @@ class GaussianMixture:
         comp, prec_diff = self._components(as_batch(x))
         _, resp, total = _log_sum_exp(comp)
         resp /= total
-        return -(resp[:, None, :] * prec_diff).sum(axis=0).T
+        prec_diff *= resp[:, None, :]
+        s = prec_diff.sum(axis=0)
+        return np.negative(s, out=s).T
 
     def sample(self, rng: SeedLike, n: int) -> np.ndarray:
         rng = as_generator(rng)

@@ -221,7 +221,8 @@ def refined_score(base_score: Callable[[np.ndarray], np.ndarray], disc, x: np.nd
     f'^-1(h - lam) over x equal to 1, from that forward's h; the solved
     lam keeps every h - lam inside the range of f'.  The domain check runs
     on that forward's h, before the backward pass: h - lam must lie inside
-    the range of f', or DomainError names the first point outside it.
+    the range of f', or DomainError names the first point outside it; a
+    NaN h or lam is outside it too.
     """
     if not isinstance(disc, Discriminator):
         raise DomainError("refined_score needs a net discriminator with input gradients")
@@ -231,8 +232,9 @@ def refined_score(base_score: Callable[[np.ndarray], np.ndarray], disc, x: np.nd
 
     def log_ratio_deriv(h: np.ndarray) -> np.ndarray:
         s = h - (_solve_lambda(gen, h, x) if lam is None else lam)
-        if np.any(s <= lo) or np.any(s >= hi):
-            bad = int(np.flatnonzero((s <= lo) | (s >= hi))[0])
+        inside = (s > lo) & (s < hi)  # NaN fails both
+        if not inside.all():
+            bad = int(np.flatnonzero(~inside)[0])
             raise DomainError(
                 f"h - lambda = {s[bad]} at x = {x[bad]} leaves the range of f' "
                 f"{gen.conjugate_domain}"

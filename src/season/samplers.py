@@ -19,12 +19,13 @@ bit-identical to the unguided run.
 
 Both samplers are deterministic per seed; noise is drawn once per step
 for the whole chain batch, so the random stream does not depend on the
-drift.
+drift.  After every step a guard stops the run with ChainDivergenceError,
+naming the first chain and the step, once a coordinate is NaN, +-inf or
+beyond +-1e6; exactly +-1e6 passes.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -67,7 +68,11 @@ class LangevinConfig:
 
 
 def _check_guard(x: np.ndarray, step: int) -> None:
-    bad = (~np.isfinite(x) | (np.abs(x) > _GUARD)).any(axis=1)
+    """Raise at the first chain holding NaN, +-inf or a coordinate beyond +-1e6.
+
+    One mask: NaN and +-inf fail |x| <= 1e6 just as a large value does.
+    """
+    bad = ~(np.abs(x) <= _GUARD).all(axis=1)
     if bad.any():
         raise ChainDivergenceError(int(np.flatnonzero(bad)[0]), step)
 
@@ -147,10 +152,17 @@ def w1_1d(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def export_samples_csv(path, batch: np.ndarray, seed: int) -> None:
-    """One row per sample: chain id, coordinates, seed."""
+    """One row per chain after a chain,x0,...,seed header; lines end in \\r\\n.
+
+    A row is the chain index, each coordinate as .17g (it reads back to the
+    same float64; nan, inf and -inf as such) and the seed as str() gives
+    it.  No field needs quoting, so these are the bytes csv.writer writes.
+    """
     batch = as_batch(batch)
+    d = batch.shape[1]
+    row = "{}," + "{:.17g}," * d + "{}\r\n"
+    # one flat list, d values to a row: a list per row leaves ~0.2 MB of heap behind
+    values = iter(batch.ravel().tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chain"] + [f"x{j}" for j in range(batch.shape[1])] + ["seed"])
-        for i, row in enumerate(batch):
-            writer.writerow([i] + [f"{v:.17g}" for v in row] + [seed])
+        fh.write(",".join(["chain", *(f"x{j}" for j in range(d)), "seed"]) + "\r\n")
+        fh.writelines(row.format(*chain, seed) for chain in zip(range(len(batch)), *[values] * d))

@@ -129,6 +129,23 @@ def row_major_mixture(model, x):
     return log_density, np.einsum("nk,nkd->nd", resp, comp_scores)
 
 
+def copying_mixture(model, x):
+    """(log_density, score) by the column-wise formula with a fresh array per step.
+
+    The reference for the in-place version: the same operations in the
+    same order, so the two must agree bit for bit.
+    """
+    diff = x.T - model.means[:, :, None]
+    prec_diff = model._precisions @ diff
+    mahalanobis = (diff * prec_diff).sum(axis=1)
+    comp = (model._log_norm[:, None] - 0.5 * mahalanobis) + np.log(model.weights)[:, None]
+    m = comp.max(axis=0)
+    resp = np.exp(comp - m)
+    total = resp.sum(axis=0)
+    resp /= total
+    return m + np.log(total), -(resp[:, None, :] * prec_diff).sum(axis=0).T
+
+
 def assert_within(actual, reference, tol=1e-13):
     assert actual.shape == reference.shape
     assert np.all(np.abs(actual - reference) <= tol * np.maximum(np.abs(reference), 1.0))
@@ -164,6 +181,19 @@ class TestGaussianMixture:
         log_density, score = row_major_mixture(model, x)
         assert_within(model.log_density(x), log_density)
         assert_within(model.score(x), score)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bit_identical_to_copying_formula(self, d, k):
+        model = random_mixture(k, d, seed=20 * d + k)
+        x = 4.0 * np.random.default_rng(d * k).standard_normal((500, d))
+        x[:k] = model.means  # exact component centres
+        x[k] = 40.0  # far out: every component but one underflows
+        before = x.copy()
+        log_density, score = copying_mixture(model, x)
+        assert np.array_equal(model.log_density(x), log_density)
+        assert np.array_equal(model.score(x), score)
+        assert np.array_equal(x, before)
 
     def test_standard_normal_score(self):
         model = gaussian_mixture(np.zeros((1, 2)), [np.eye(2)], [1.0])
@@ -260,11 +290,16 @@ class TestOUProcess:
                              check=True, env={**os.environ, "PYTHONPATH": str(src)})
         assert out.stdout.strip() == "False"
 
-    @pytest.mark.parametrize("module", ["season", "season.cli"])
-    def test_import_loads_no_scipy(self, module):
+    # the layers the benchmark imports, and the whole CLI
+    @pytest.mark.parametrize("modules", [
+        "season.discriminator, season.distributions, season.experiments, season.generators, "
+        "season.oracle, season.refine, season.samplers",
+        "season.cli",
+    ], ids=["benchmark-layers", "season.cli"])
+    def test_import_loads_no_scipy(self, modules):
         # a fresh interpreter: other tests import scipy, which stays loaded
         src = Path(__file__).resolve().parents[1] / "src"
-        code = (f"import sys, {module}; "
+        code = (f"import sys, {modules}; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": str(src)})

@@ -23,6 +23,7 @@ from season.generators import GENERATOR_NAMES, get_generator, link
 from season.metrics import est_gain_direct, exact_fdiv
 from season.oracle import HSpec, primal_sup_tabular
 from season.refine import (
+    RefinedModel,
     _brentq,
     _solve_lambda,
     export_refined_csv,
@@ -248,6 +249,21 @@ class TestRefinedScore:
         for fn, base in ((refined_score, model.score), (refined_density_unnormalized, model)):
             assert np.array_equal(fn(base, disc, x, lam=0.1),
                                   fn(base, disc, x[:, None], lam=0.1))
+
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    def test_nan_point_fails_the_domain_check(self, gen):
+        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        disc = init_discriminator(gen, 1, 8, seed=4)
+        with pytest.raises(DomainError, match=r"h - lambda = nan at x = \[nan\]"):
+            refined_score(model.score, disc, np.array([np.nan, 0.3]), lam=0.0)
+
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    def test_nan_lambda_fails_the_domain_check(self, gen):
+        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        disc = init_discriminator(gen, 1, 8, seed=4)
+        refined = RefinedModel(disc=disc, lambda_h=math.nan, base=model)
+        with pytest.raises(DomainError, match=r"h - lambda = nan at x = \[-2\.\]"):
+            refined.score(np.linspace(-2.0, 2.0, 5))
 
     def test_domain_boundary_reported_with_location(self):
         disc = Discriminator(JS, 1, 4)

@@ -8,13 +8,14 @@ import pytest
 from scipy import stats
 
 from season.discriminator import Discriminator, init_discriminator
-from season.distributions import constant_schedule, gaussian_mixture
+from season.distributions import as_batch, constant_schedule, gaussian_mixture
 from season.errors import ChainDivergenceError, DomainError
 from season.generators import get_generator
 from season.refine import refined_score
 from season.samplers import (
     LangevinConfig,
     ReverseDiffusionConfig,
+    _check_guard,
     export_samples_csv,
     langevin,
     reverse_em,
@@ -160,6 +161,62 @@ class TestExport:
                    "2,0.29999999999999999,7\r\n"
         assert column.read_bytes() == expected.encode()
         assert flat.read_bytes() == column.read_bytes()
+
+
+def csv_writer_export(path, batch, seed):
+    """The samples file as csv.writer writes it: the reference for its bytes."""
+    batch = as_batch(batch)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["chain"] + [f"x{j}" for j in range(batch.shape[1])] + ["seed"])
+        for i, row in enumerate(batch):
+            writer.writerow([i] + [f"{v:.17g}" for v in row] + [seed])
+
+
+EDGE_VALUES = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308, 0.1, -2.5, 1.0]
+
+
+class TestExportBytes:
+    @pytest.mark.parametrize("seed", [7, np.int64(2**40)], ids=["int", "int64"])
+    @pytest.mark.parametrize("shape", [(10, 1), (5, 2), (0, 1), (0, 2), (3, 0)])
+    def test_equal_to_csv_writer(self, tmp_path, shape, seed):
+        batch = np.resize(np.array(EDGE_VALUES), shape)
+        export_samples_csv(tmp_path / "got.csv", batch, seed)
+        csv_writer_export(tmp_path / "want.csv", batch, seed)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_random_batch_equal_to_csv_writer(self, tmp_path):
+        scales = 10.0 ** np.arange(-8.0, 8.0, 0.008)[:, None]
+        batch = np.random.default_rng(3).standard_normal((2000, 1)) * scales
+        export_samples_csv(tmp_path / "got.csv", batch, 11)
+        csv_writer_export(tmp_path / "want.csv", batch, 11)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def two_mask_guard(x, step):
+    """The guard as two masks, isfinite and |x| > 1e6: the reference."""
+    bad = (~np.isfinite(x) | (np.abs(x) > 1e6)).any(axis=1)
+    if bad.any():
+        raise ChainDivergenceError(int(np.flatnonzero(bad)[0]), step)
+
+
+class TestGuard:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e6, -1e6,
+                                       np.nextafter(1e6, math.inf), -np.nextafter(1e6, math.inf)])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_same_chain_and_step_as_two_masks(self, value, dim):
+        x = np.random.default_rng(dim).standard_normal((50, dim))
+        x[17, dim - 1] = value
+        x[31, 0] = value
+        outcomes = []
+        for guard in (_check_guard, two_mask_guard):
+            try:
+                guard(x, 4)
+                outcomes.append(None)
+            except ChainDivergenceError as exc:
+                outcomes.append((exc.chain_index, exc.step))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (None if abs(value) == 1e6 else (17, 4))  # exactly 1e6 passes
 
 
 def test_nan_score_stops_at_guard():
