@@ -61,6 +61,7 @@ import numpy as np
 
 from .distributions import (
     DiscreteDistribution,
+    _require_distinct,
     _row_positions,
     as_batch,
     as_generator,
@@ -214,7 +215,7 @@ class Discriminator:
 class TabularDiscriminator:
     """One free value per support point; realizes the rich class exactly.
 
-    Values may be -inf where the density ratio vanishes.
+    Support points are distinct; values may be -inf where the ratio vanishes.
     """
 
     generator: GeneratorSpec
@@ -226,6 +227,7 @@ class TabularDiscriminator:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.support.shape[0],):
             raise DomainError("one value per support point required")
+        _require_distinct(self.support)
 
     def h_for(self, dist: DiscreteDistribution) -> np.ndarray:
         """Values aligned to dist.support; every point must be known."""

@@ -64,12 +64,20 @@ def split_seeds(seed: int, n: int) -> list[np.random.Generator]:
 def _row_positions(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Index in `reference` of each row of `points`, or -1 where it is absent.
 
-    Rows match when their float64 bytes are equal.  A row repeated in
-    `reference` maps to its last occurrence.  This is the one place that
-    aligns supports.
+    Rows match when their float64 bytes are equal (0.0 and -0.0 differ);
+    `reference` must hold distinct rows.  Byte-equal arrays skip the lookup
+    and get a fresh, writable arange.  This is the one place that aligns
+    supports.
     """
+    if points.shape == reference.shape and points.tobytes() == reference.tobytes():
+        return np.arange(points.shape[0])
     index = {row.tobytes(): i for i, row in enumerate(reference)}
     return np.array([index.get(row.tobytes(), -1) for row in points], dtype=np.intp)
+
+
+def _require_distinct(support: np.ndarray) -> None:
+    if len({row.tobytes() for row in support}) < support.shape[0]:
+        raise DomainError("support points must be distinct")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -106,8 +114,7 @@ class DiscreteDistribution:
         total = float(weights.sum())
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"weights sum to {total!r}, not 1")
-        if not np.array_equal(_row_positions(support, support), np.arange(support.shape[0])):
-            raise DomainError("support points must be distinct")
+        _require_distinct(support)
         object.__setattr__(self, "support", _freeze(support))
         object.__setattr__(self, "weights", _freeze(weights))
 
@@ -313,27 +320,28 @@ def discrete_ratio(nu: DiscreteDistribution, mu: DiscreteDistribution) -> np.nda
 
     Points of mu that nu misses get ratio 0.  Raises
     AbsoluteContinuityError when nu has mass outside mu's support or at a
-    point where mu has weight 0 (the +inf divergence case).
+    point where mu has weight 0 (the +inf divergence case).  Rows of nu
+    are masked only when some lie outside mu's support.
     """
     index = _row_positions(nu.support, mu.support)
-    outside = (index < 0) & (nu.weights > 0)
-    if outside.any():
-        j = int(np.flatnonzero(outside)[0])
-        raise AbsoluteContinuityError(
-            f"nu has mass {nu.weights[j]} at {nu.support[j]} outside mu's support"
-        )
-    inside = index >= 0
+    nu_w = nu.weights
+    if np.any(index < 0):
+        outside = (index < 0) & (nu_w > 0)
+        if outside.any():
+            j = int(np.flatnonzero(outside)[0])
+            raise AbsoluteContinuityError(
+                f"nu has mass {nu_w[j]} at {nu.support[j]} outside mu's support"
+            )
+        index, nu_w = index[index >= 0], nu_w[index >= 0]
     nu_aligned = np.zeros(mu.n)
-    nu_aligned[index[inside]] = nu.weights[inside]
-    ratio = np.zeros(mu.n)
+    nu_aligned[index] = nu_w
     pos = mu.weights > 0
-    if np.any(nu_aligned[~pos] > 0):
-        bad = np.flatnonzero(~pos & (nu_aligned > 0))[0]
+    stray = ~pos & (nu_aligned > 0)
+    if stray.any():
         raise AbsoluteContinuityError(
-            f"nu has mass at {mu.support[bad]} where mu has weight 0"
+            f"nu has mass at {mu.support[np.flatnonzero(stray)[0]]} where mu has weight 0"
         )
-    ratio[pos] = nu_aligned[pos] / mu.weights[pos]
-    return ratio
+    return np.divide(nu_aligned, mu.weights, out=np.zeros(mu.n), where=pos)
 
 
 @malformed_input("distribution spec")

@@ -21,12 +21,12 @@ of w, R is concave and C^1 with slope
 
 a free coordinate adds 0, since f'^-1(theta_i) = nu_i / mu_i.  The sup is
 R at the root of R'(w) = 0, found by the Brent root finder of `refine`
-on a bracket where R' changes sign; when it does not change sign there,
-the bracket endpoint is the maximizer.  R'(w) = 0 is E_mu[f'^-1(h*)] = 1,
-so lambda = 0 at the optimum h* of this additively closed class, which
-the tests check.  R(h) is evaluated as the same zero-weight-skipping sums
-that `metrics.est_DfH` uses, and zero-weight points are left out of R' as
-well.
+on a bracket where R' changes sign, reusing the slopes at its ends; when
+R' does not change sign there, the bracket endpoint is the maximizer.
+R'(w) = 0 is E_mu[f'^-1(h*)] = 1, so lambda = 0 at the optimum h* of
+this additively closed class, which the tests check.  R(h) is evaluated
+as the same zero-weight-skipping sums that `metrics.est_DfH` uses, and
+zero-weight points are left out of R' as well.
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ def dual_grid_min(nu: DiscreteDistribution, mu: DiscreteDistribution, gen: Gener
     |nu_j - q_j| and mu_j f(q_j / mu_j) are tabulated once per value and
     coordinate and gathered per point: f runs on (n + 3) * k values, not
     on every grid entry.  Each point's terms are summed left to right
-    over j, as a row sum of the full grid would.
+    over j, as a row sum of the full grid would, in place; the candidates
+    are scored apart and joined to the grid's totals before the argmin.
     """
     if nu.n > 4:
         raise DomainError("grid search is limited to supports of at most 4 points")
@@ -147,9 +148,9 @@ def dual_grid_min(nu: DiscreteDistribution, mu: DiscreteDistribution, gen: Gener
     table = np.stack([np.abs(nu_w - points), fterms], axis=2)  # (n + 3, k, 2)
     sums = np.take(table[:, 0], lattice[0], axis=0)
     for j in range(1, mu.n):
-        sums = sums + np.take(table[:, j], lattice[j], axis=0)
-    sums = np.vstack([sums, table[n + 1:].sum(axis=1)])  # then the candidates nu, mu
-    total = _ipm_term(h_spec, sums[:, 0]) + sums[:, 1]
+        sums += np.take(table[:, j], lattice[j], axis=0)
+    candidates = table[n + 1:].sum(axis=1)  # nu and mu, scored after the grid
+    total = np.concatenate([_ipm_term(h_spec, s[:, 0]) + s[:, 1] for s in (sums, candidates)])
     best = int(np.argmin(total))
     g = lattice.shape[1]
     q = lattice[:, best] / n if best < g else points[n + 1 + best - g]
@@ -159,10 +160,13 @@ def dual_grid_min(nu: DiscreteDistribution, mu: DiscreteDistribution, gen: Gener
 
 def _window_slope(w: float, gen: GeneratorSpec, theta: np.ndarray, nu_w: np.ndarray,
                   mu_w: np.ndarray, width: float) -> float:
-    """R'(w) of the window clip(theta, w, w + width): clipped coordinates only."""
-    below, above = theta < w, theta > w + width
-    return (float((nu_w[below] - mu_w[below] * gen.f_prime_inv(w)).sum())
-            + float((nu_w[above] - mu_w[above] * gen.f_prime_inv(w + width)).sum()))
+    """R'(w) of the window clip(theta, w, w + width): clipped coordinates only.
+
+    One f'^-1 call serves both ends; masking after the product sums the same terms.
+    """
+    r_lo, r_hi = gen.f_prime_inv(np.array([w, w + width]))
+    return (float((nu_w - mu_w * r_lo)[theta < w].sum())
+            + float((nu_w - mu_w * r_hi)[theta > w + width].sum()))
 
 
 def primal_sup_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
@@ -201,14 +205,14 @@ def primal_sup_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
 
     live = mu_w > 0
     args = (gen, theta[live], nu_w[live], mu_w[live], width)
-    if _window_slope(lo, *args) <= 0.0:
+    if (slope_lo := _window_slope(lo, *args)) <= 0.0:
         w = lo
-    elif _window_slope(hi, *args) >= 0.0:
+    elif (slope_hi := _window_slope(hi, *args)) >= 0.0:
         w = hi
     else:
         # xtol 1e-15 leaves 4 eps |w| as the limit in w, so lambda at h* stays
         # at rounding level (scipy's default 2e-12 left up to 5e-13)
-        w = _brentq(_window_slope, lo, hi, args=args, xtol=1e-15)
+        w = _brentq(_window_slope, lo, hi, args=args, xtol=1e-15, fa=slope_lo, fb=slope_hi)
     h_star = np.clip(theta, w, w + width)
     return plugin_value(h_star), TabularDiscriminator(gen, mu.support, h_star)
 

@@ -58,7 +58,7 @@ _BRENT_MAXITER = 100
 
 
 def _brentq(f: Callable[..., float], a: float, b: float, *, args: tuple = (),
-            xtol: float) -> float:
+            xtol: float, fa: Optional[float] = None, fb: Optional[float] = None) -> float:
     """A root of f(x, *args) in [a, b] by Brent's method (Brent, 1973, ch. 4).
 
     A step-for-step port of scipy's brentq.c, with its relative tolerance
@@ -68,17 +68,17 @@ def _brentq(f: Callable[..., float], a: float, b: float, *, args: tuple = (),
     bisects otherwise; it stops once half the bracket is below
     (xtol + rtol |x|) / 2.  A NaN value of f, a bracket without a sign
     change and a search that has not converged after 100 steps raise
-    LambdaSolveError.
+    LambdaSolveError.  fa and fb, if given, are taken as f(a) and f(b), NaN-checked alike.
     """
 
-    def value(x: float) -> float:
-        fx = float(f(x, *args))
+    def value(x: float, fx: Optional[float] = None) -> float:
+        fx = float(f(x, *args) if fx is None else fx)
         if math.isnan(fx):
             raise LambdaSolveError(f"root search met NaN at x = {x!r}")
         return fx
 
     xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = value(xpre, fa), value(xcur, fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -169,13 +169,14 @@ def _solve_lambda(gen: GeneratorSpec, h: np.ndarray,
     step = 0.5 * (hi - edge) if bounded else 1.0
     for _ in range(_MAX_BRACKET_STEPS):
         lo = edge + step if bounded else hi - step
-        if _excess(lo, gen, h, w) >= 0.0:
+        if (excess_lo := _excess(lo, gen, h, w)) >= 0.0:
             break
         step = 0.5 * step if bounded else 2.0 * step
     else:
         raise LambdaSolveError("expectation never reaches 1; bracket search failed")
     # Near the edge E changes on the scale of lo - edge, so xtol shrinks with it.
-    lam = _brentq(_excess, lo, hi, args=(gen, h, w), xtol=1e-15 * min(1.0, lo - edge))
+    lam = _brentq(_excess, lo, hi, args=(gen, h, w), xtol=1e-15 * min(1.0, lo - edge),
+                  fa=excess_lo)
     residual = abs(_excess(lam, gen, h, w))
     if not residual <= tol:
         raise LambdaSolveError(f"root search stalled: |E - 1| = {residual:.3e} > {tol}")

@@ -460,6 +460,16 @@ class TestInputErrors:
                      "--out", str(tmp_path / "out.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: unknown generator None")
 
+    def test_tabular_checkpoint_with_repeated_point_exits_2(self, tmp_path, capsys):
+        doc = self._tabular_doc()
+        doc["support"], doc["values"] = [[0.0], [0.0], [1.0]], [1.0, 2.0, 3.0]
+        model = write_json(tmp_path / "mu.json", DISCRETE_MU)
+        disc = write_json(tmp_path / "disc.json", doc)
+        out = tmp_path / "out.csv"
+        assert main(["refine", "--model", model, "--disc", disc, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: support points must be distinct\n"
+        assert not out.exists()
+
     def test_refine_has_no_generator_flag(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["refine", "--model", "mu.json", "--disc", "disc.json", "--generator", "kl",

@@ -405,6 +405,13 @@ class TestTraining:
         dist = DiscreteDistribution(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
         assert np.array_equal(tab.h_for(dist), [0.2, 0.1])
 
+    @pytest.mark.parametrize("support", [[[0.0], [0.0], [1.0]], [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]],
+                             ids=["d1", "d2"])
+    def test_tabular_repeated_support_point_raises(self, support):
+        # h_for used to read the last value of a repeated point
+        with pytest.raises(DomainError, match="distinct"):
+            TabularDiscriminator(JS, np.array(support), np.array([1.0, 2.0, 3.0]))
+
     def test_tabular_two_point_example(self):
         nu = two_point(0.5, 0.5)
         mu = two_point(0.25, 0.75)

@@ -3,12 +3,18 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from season.discriminator import TabularDiscriminator
 from season.distributions import DiscreteDistribution, _row_positions, discrete_ratio
-from season.errors import DegenerateDistributionError, LambdaSolveError
+from season.errors import (
+    AbsoluteContinuityError,
+    DegenerateDistributionError,
+    DomainError,
+    LambdaSolveError,
+)
 from season.generators import GENERATOR_NAMES, get_generator
 from season.refine import solve_lambda
 
@@ -46,6 +52,82 @@ def test_alignment_and_ratio_follow_permutations(data):
                           ratio[perm])
     assert np.array_equal(discrete_ratio(DiscreteDistribution(support[perm], wn[perm]), mu),
                           ratio)
+
+
+def test_byte_equal_support_gets_a_fresh_writable_arange():
+    mu = DiscreteDistribution(np.array([[0.5, 1.0], [-1.0, 0.0], [2.0, 3.0]]), np.full(3, 1 / 3))
+    first = _row_positions(mu.support.copy(), mu.support)
+    assert first.tolist() == [0, 1, 2]
+    assert first.flags.writeable and not np.shares_memory(first, mu.support)
+    first[0] = 7  # metrics._aligned_weights writes into the positions
+    assert _row_positions(mu.support.copy(), mu.support).tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("points, reference, expected", [
+    ([[-0.0], [1.0]], [[0.0], [1.0]], [-1, 1]),
+    ([[1.0, 0.0], [2.0, -0.0]], [[1.0, 0.0], [2.0, 0.0]], [0, -1]),
+], ids=["d1", "d2"])
+def test_signed_zero_rows_do_not_match(points, reference, expected):
+    # same shape, different bytes: the row lookup runs and misses the -0.0 row
+    assert _row_positions(np.array(points), np.array(reference)).tolist() == expected
+
+
+@pytest.mark.parametrize("support", [[[0.0], [1.0], [0.0]], [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]],
+                         ids=["d1", "d2"])
+def test_repeated_support_row_raises(support):
+    with pytest.raises(DomainError, match="distinct"):
+        DiscreteDistribution(np.array(support), np.full(3, 1 / 3))
+
+
+def dict_path_ratio(nu, mu):
+    """d nu / d mu by an explicit row-bytes lookup, point by point."""
+    index = {row.tobytes(): i for i, row in enumerate(mu.support)}
+    nu_aligned = np.zeros(mu.n)
+    for row, w in zip(nu.support, nu.weights):
+        if row.tobytes() in index:
+            nu_aligned[index[row.tobytes()]] = w
+        elif w > 0:
+            raise AbsoluteContinuityError(f"nu has mass {w} at {row} outside mu's support")
+    ratio = np.zeros(mu.n)
+    for i, (w_nu, w_mu) in enumerate(zip(nu_aligned, mu.weights)):
+        if w_mu == 0 and w_nu > 0:
+            raise AbsoluteContinuityError(f"nu has mass at {mu.support[i]} where mu has weight 0")
+        if w_mu > 0:
+            ratio[i] = w_nu / w_mu
+    return ratio
+
+
+@SETTINGS
+@given(data=st.data())
+def test_ratio_on_partial_supports_matches_dict_path(data):
+    dim = data.draw(st.integers(1, 2))
+    pool = np.array(data.draw(st.lists(st.tuples(*[st.floats(-10.0, 10.0)] * dim),
+                                       min_size=5, max_size=5, unique=True)), dtype=float)
+    rows = st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True)
+    mu_rows = data.draw(rows)
+    mode = data.draw(st.sampled_from(["same", "subset", "any"]))
+    if mode == "same":  # byte-equal supports take the arange shortcut
+        nu_rows = mu_rows
+    elif mode == "subset":
+        nu_rows = data.draw(st.permutations(mu_rows))[:data.draw(st.integers(1, len(mu_rows)))]
+    else:
+        nu_rows = data.draw(rows)
+    wn = draw_weights(data, len(nu_rows))
+    outside = ~np.isin(nu_rows, mu_rows)
+    if data.draw(st.booleans()) and wn[~outside].sum() > 0:  # zero mass off mu's support
+        wn[outside] = 0.0
+        wn /= wn.sum()
+    mu = DiscreteDistribution(pool[mu_rows], draw_weights(data, len(mu_rows)))
+    nu = DiscreteDistribution(pool[nu_rows], wn)
+    with np.errstate(over="ignore"):  # a subnormal mu weight gives an inf ratio on both paths
+        try:
+            expected = dict_path_ratio(nu, mu)
+        except AbsoluteContinuityError as exc:
+            with pytest.raises(AbsoluteContinuityError) as raised:
+                discrete_ratio(nu, mu)
+            assert str(raised.value) == str(exc)
+            return
+        assert np.array_equal(discrete_ratio(nu, mu), expected)
 
 
 def h_values(gen):

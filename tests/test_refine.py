@@ -420,6 +420,11 @@ def discrete_instances(rng):
                 yield random_discrete_pair(rng, k, floor)
 
 
+def scipy_brentq(f, a, b, *, args=(), xtol, fa=None, fb=None):
+    """scipy's brentq in place of `_brentq`: it evaluates f(a) and f(b) itself."""
+    return brentq(f, a, b, args=args, xtol=xtol)
+
+
 class TestBrentq:
     def test_bit_identical_to_scipy_on_random_brackets(self):
         rng = np.random.default_rng(20)
@@ -444,7 +449,7 @@ class TestBrentq:
                 batch = np.random.default_rng(seed).standard_normal((400, 1))
                 cases.append((gen, init_discriminator(gen, 1, 8, seed=seed).h_batch(batch), batch))
         ours = [_solve_lambda(gen, h, ref) for gen, h, ref in cases]
-        monkeypatch.setattr("season.refine._brentq", brentq)
+        monkeypatch.setattr("season.refine._brentq", scipy_brentq)
         theirs = [_solve_lambda(gen, h, ref) for gen, h, ref in cases]
         assert ours == theirs
 
@@ -456,7 +461,7 @@ class TestBrentq:
                     for nu, mu in discrete_instances(rng) for gen in ALL]
 
         ours = sups()
-        monkeypatch.setattr("season.oracle._brentq", brentq)
+        monkeypatch.setattr("season.oracle._brentq", scipy_brentq)
         theirs = sups()
         for (v0, h0), (v1, h1) in zip(ours, theirs):
             assert v0 == v1
