@@ -9,6 +9,7 @@
     season sample ...               Langevin-sample a configured score field
     season bounds ...               assemble a generalization bound report
 
+Seeds, in configs and as --seed, are integers >= 0.
 Exit codes: 0 success, 1 verify-suite failure, 2 config/validation error
 (bad config or input file, domain error), 3 numeric failure (NaN,
 divergence or any other package error).  `main` maps exceptions to these
@@ -64,7 +65,7 @@ def _require(cfg: dict, key: str, types, path: str, default=_MISSING, *,
              minimum: Optional[int] = None):
     """cfg[key] checked against types (bool never counts as a number).
 
-    A missing key is an error unless a default is given; minimum bounds a count.
+    A missing key is an error unless a default is given; minimum bounds a count or seed.
     """
     if key not in cfg:
         if default is _MISSING:
@@ -94,7 +95,7 @@ def _generator_from(cfg: dict, default: str = "js_shifted"):
 
 
 def _run_identity(cfg: dict, out: Path) -> None:
-    seed = _require(cfg, "seed", int, "$")
+    seed = _require(cfg, "seed", int, "$", minimum=0)
     n_instances = _require(cfg, "n_instances", int, "$", 100, minimum=1)
     rows = identity_discrete_experiment(n_instances=n_instances, seed=seed)
     with open(out / "identity_terms.csv", "w", newline="") as fh:
@@ -109,7 +110,7 @@ def _run_identity(cfg: dict, out: Path) -> None:
 
 
 def _run_refine_1d(cfg: dict, out: Path) -> None:
-    seed = _require(cfg, "seed", int, "$")
+    seed = _require(cfg, "seed", int, "$", minimum=0)
     disc_cfg = _require(cfg, "discriminator", dict, "$", {})
     sampler_cfg = _require(cfg, "sampler", dict, "$", {})
     result = refinement_benefit_experiment(
@@ -141,7 +142,7 @@ def _write_bound_report(path: Path, seed: int, gen_name: str, n: int, delta: flo
 
 
 def _run_bounds(cfg: dict, out: Path) -> None:
-    seed = _require(cfg, "seed", int, "$")
+    seed = _require(cfg, "seed", int, "$", minimum=0)
     gen = _generator_from(cfg)
     n = _require(cfg, "n", int, "$", 200, minimum=1)
     delta = float(_require(cfg, "delta", _REAL, "$", 0.05))
@@ -168,9 +169,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = run_suite(args.suite)
-    payload = {"suites": [r.to_dict() for r in reports],
-               "passed": all(r.passed for r in reports)}
+    payload = run_suite(args.suite)
     print(json.dumps(payload, sort_keys=True, indent=2))
     return EXIT_OK if payload["passed"] else EXIT_SUITE_FAILED
 
@@ -276,6 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError("--seed", f"must be at least 0, got {args.seed}")
         return args.func(args)
     except (ConfigError, DomainError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -68,7 +68,7 @@ from .distributions import (
     discrete_ratio,
 )
 from .errors import DomainError, TrainingDivergedError, malformed_input
-from .generators import GeneratorSpec, get_generator, sigmoid
+from .generators import GeneratorSpec, get_generator
 
 logger = logging.getLogger(__name__)
 
@@ -161,10 +161,6 @@ class Discriminator:
         h = self.generator.link_of_logit(z3) + self.bias
         return {"x": x, "a1": a1, "a2": a2, "z3": z3, "h": h}
 
-    def forward_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cache = self._forward_full(x)
-        return sigmoid(cache["z3"]), cache["h"]
-
     def h_batch(self, x: np.ndarray) -> np.ndarray:
         """h in blocks of _BLOCK_ROWS rows, the remainder joining the last (module docstring)."""
         x = as_batch(x)
@@ -215,7 +211,8 @@ class Discriminator:
 class TabularDiscriminator:
     """One free value per support point; realizes the rich class exactly.
 
-    Support points are distinct; values may be -inf where the ratio vanishes.
+    Support points are distinct, with -0.0 read as 0.0; values may be -inf
+    where the ratio vanishes.
     """
 
     generator: GeneratorSpec
@@ -223,7 +220,7 @@ class TabularDiscriminator:
     values: np.ndarray
 
     def __post_init__(self):
-        self.support = as_batch(self.support)
+        self.support = as_batch(self.support) + 0.0
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.support.shape[0],):
             raise DomainError("one value per support point required")
@@ -454,9 +451,11 @@ def discriminator_from_dict(doc: dict) -> Union[Discriminator, TabularDiscrimina
     if doc.get("version") != _CHECKPOINT_VERSION:
         raise DomainError(f"unsupported checkpoint version {doc.get('version')!r}")
     if doc.get("kind") == "tabular":
+        values = np.asarray(doc["values"], dtype=float)
+        if np.isnan(values).any() or np.isposinf(values).any():
+            raise DomainError("checkpoint values must be finite or -inf")
         return TabularDiscriminator(get_generator(doc["generator"]),
-                                    np.asarray(doc["support"], dtype=float),
-                                    np.asarray(doc["values"], dtype=float))
+                                    np.asarray(doc["support"], dtype=float), values)
     if doc.get("kind") != "net":
         raise DomainError(f"unsupported checkpoint kind {doc.get('kind')!r}")
     if doc.get("activation") != "tanh":
@@ -472,8 +471,10 @@ def discriminator_from_dict(doc: dict) -> Union[Discriminator, TabularDiscrimina
         raise DomainError("checkpoint layer shapes do not match their weights and biases")
     # layer by layer, weights before bias, then the free bias: the layout of params
     params = [v for layer in layers for v in layer["weights"] + layer["bias"]] + [doc["bias"]]
-    return Discriminator(get_generator(doc["generator"]), dim, width,
-                         np.asarray(params, dtype=float))
+    params = np.asarray(params, dtype=float)
+    if not np.isfinite(params).all():
+        raise DomainError("checkpoint weights and biases must be finite")
+    return Discriminator(get_generator(doc["generator"]), dim, width, params)
 
 
 def save_discriminator(disc: Union[Discriminator, TabularDiscriminator], path) -> None:

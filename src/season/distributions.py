@@ -64,10 +64,10 @@ def split_seeds(seed: int, n: int) -> list[np.random.Generator]:
 def _row_positions(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Index in `reference` of each row of `points`, or -1 where it is absent.
 
-    Rows match when their float64 bytes are equal (0.0 and -0.0 differ);
-    `reference` must hold distinct rows.  Byte-equal arrays skip the lookup
-    and get a fresh, writable arange.  This is the one place that aligns
-    supports.
+    Rows match when their float64 bytes are equal, so 0.0 and -0.0 differ;
+    both support classes store -0.0 as 0.0.  `reference` must hold distinct
+    rows.  Byte-equal arrays skip the lookup and get a fresh, writable
+    arange.  This is the one place that aligns supports.
     """
     if points.shape == reference.shape and points.tobytes() == reference.tobytes():
         return np.arange(points.shape[0])
@@ -91,15 +91,15 @@ class DiscreteDistribution:
     """Finite support points in R^d with probability weights.
 
     Weights must be finite, nonnegative and sum to 1 within 1e-12; support
-    points must be finite and distinct.  1-d input supports are reshaped to
-    (n, 1).
+    points must be finite and distinct, with -0.0 read as 0.0.  1-d input
+    supports are reshaped to (n, 1).
     """
 
     support: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        support = as_batch(self.support)
+        support = as_batch(self.support) + 0.0
         weights = np.asarray(self.weights, dtype=float)
         if weights.shape != (support.shape[0],):
             raise DomainError(

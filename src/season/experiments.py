@@ -14,7 +14,7 @@ can be assembled term by term and checked across seeded trials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -121,15 +121,7 @@ def identity_discrete_experiment(n_instances: int = 100, seed: int = 0) -> list[
         nu, mu = random_discrete_pair(rng, k)
         for name in GENERATOR_NAMES:
             terms = identity_terms(nu, mu, get_generator(name))
-            rows.append({
-                "instance_id": f"{name}-{i:04d}",
-                "d_H": terms.d_H,
-                "D_fH": terms.D_fH,
-                "gain": terms.gain,
-                "residual": terms.residual,
-                "lambda": terms.lambda_h,
-                "tv_to_nu": terms.tv_to_nu,
-            })
+            rows.append({"instance_id": f"{name}-{i:04d}", **asdict(terms)})
     return rows
 
 

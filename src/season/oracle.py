@@ -222,8 +222,6 @@ class DualityCheck:
     primal: float
     dual: float
     gap: float
-    resolution: float
-    within_tolerance: bool  # |gap| <= 2 * resolution
     too_coarse: bool  # gap > 10 * resolution, grid cannot certify
 
 
@@ -234,8 +232,5 @@ def strong_duality_check(nu: DiscreteDistribution, mu: DiscreteDistribution,
     primal, _ = primal_sup_tabular(nu, mu, gen, h_spec)
     dual = dual_grid_min(nu, mu, gen, h_spec, resolution).value
     gap = dual - primal  # grid dual overshoots the true common value
-    return DualityCheck(
-        primal=primal, dual=dual, gap=gap, resolution=resolution,
-        within_tolerance=bool(abs(gap) <= 2.0 * resolution),
-        too_coarse=bool(gap > 10.0 * resolution),
-    )
+    return DualityCheck(primal=primal, dual=dual, gap=gap,
+                        too_coarse=bool(gap > 10.0 * resolution))

@@ -28,7 +28,7 @@ def assert_criterion(verified, number):
     _, payload = verified
     [crit] = [c for s in payload["suites"] for c in s["criteria"] if c["criterion"] == number]
     failed = [f"{c['name']}: {c['detail']}" for c in crit["checks"] if not c["passed"]]
-    assert crit["checks"] and not failed, failed
+    assert crit["checks"] and not failed, f"{crit['seconds']:.1f}s: {failed}"
     print(f"PASS criterion {number} ({crit['title']}, {crit['seconds']:.1f}s): "
           + "; ".join(f"{c['name']} {c['detail']}" for c in crit["checks"]))
 

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import time
 import warnings
 from dataclasses import replace
 
@@ -203,6 +204,21 @@ class TestVerify:
         assert [(c["name"], c["passed"]) for c in crit8["checks"]] == \
             [("stub-8", True), ("time-limit", False)]
 
+    def test_entries_differ_only_in_seconds(self):
+        delays = iter([0.0, 0.03])
+
+        def check():
+            time.sleep(next(delays))
+            return [verify.CheckResult("stub", True, "stub")]
+
+        crit = verify.Criterion(1, "stub", "identity", check, time_limit=5.0)
+        first, second = crit.run(), crit.run()
+        assert first["seconds"] < second["seconds"]
+        assert first["checks"][-1] == {"name": "time-limit", "passed": True,
+                                       "detail": "limit 5 s"}
+        del first["seconds"], second["seconds"]
+        assert first == second
+
 
 class TestThinSubcommands:
     def test_train_refine_roundtrip_tabular(self, tmp_path):
@@ -225,6 +241,27 @@ class TestThinSubcommands:
         kl = get_generator("kl")
         expected = refine_discrete(mu_d, exact_tabular(nu_d, mu_d, kl)).weights
         assert [float(r[3]) for r in rows[1:]] == expected.tolist()
+
+    def test_signed_zero_support_is_the_point_zero(self, tmp_path):
+        # json reads -0.0 back as -0.0; the support still aligns with 0.0
+        nu = write_json(tmp_path / "nu.json", {**DISCRETE_NU, "support": [[-0.0], [1.0]]})
+        mu = write_json(tmp_path / "mu.json", DISCRETE_MU)
+        out = tmp_path / "disc.json"
+        assert main(["train-discriminator", "--data", nu, "--model", mu,
+                     "--seed", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["support"] == [[0.0], [1.0]]
+
+    def test_signed_zero_checkpoint_refines_a_model_on_zero(self, tmp_path):
+        doc = TestInputErrors._tabular_doc()
+        mu = write_json(tmp_path / "mu.json", DISCRETE_MU)
+        outputs = []
+        for zero in (0.0, -0.0):
+            doc["support"] = [[zero], [1.0]]
+            disc = write_json(tmp_path / "disc.json", doc)
+            out = tmp_path / f"refined{zero}.csv"
+            assert main(["refine", "--model", mu, "--disc", disc, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_train_net_and_refine_csv(self, tmp_path):
         nu = write_json(tmp_path / "nu.json", {
@@ -441,6 +478,56 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed checkpoint: ") and err.count("\n") == 1
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("case", ["tabular-nan", "tabular-inf", "net-weight-nan",
+                                      "net-bias-inf"])
+    def test_non_finite_checkpoint_exits_2(self, case, tmp_path, capsys):
+        if case.startswith("tabular"):
+            doc = self._tabular_doc()
+            doc["values"] = [math.nan if case == "tabular-nan" else math.inf, -0.5]
+        else:
+            doc = discriminator_to_dict(init_discriminator(get_generator("js_shifted"), 1, 4))
+            if case == "net-weight-nan":
+                doc["layers"][1]["weights"][2] = math.nan
+            else:
+                doc["bias"] = math.inf
+        model = write_json(tmp_path / "mu.json", DISCRETE_MU)
+        disc = write_json(tmp_path / "disc.json", doc)  # json writes NaN and Infinity
+        out = tmp_path / "out.csv"
+        assert main(["refine", "--model", model, "--disc", disc, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint ") and err.count("\n") == 1
+        assert "finite" in err and "Traceback" not in err and not out.exists()
+
+    def test_minus_inf_tabular_value_refines(self, tmp_path):
+        doc = self._tabular_doc()
+        doc["values"][0] = -math.inf  # the ratio vanishes at the first point
+        model = write_json(tmp_path / "mu.json", DISCRETE_MU)
+        disc = write_json(tmp_path / "disc.json", doc)
+        out = tmp_path / "out.csv"
+        assert main(["refine", "--model", model, "--disc", disc, "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert [float(r[3]) for r in rows[1:]] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("command", ["run-identity-discrete", "run-refine-1d", "run-bounds",
+                                         "train-discriminator", "sample", "bounds"])
+    def test_negative_seed_exits_2(self, command, tmp_path, capsys):
+        model = write_json(tmp_path / "mu.json", MIXTURE_SPEC)
+        out = str(tmp_path / "out")
+        if command.startswith("run-"):
+            argv = ["run", write_json(tmp_path / "cfg.json", {
+                "experiment": command[4:], "seed": -1, "output_dir": out})]
+        else:
+            argv = {
+                "train-discriminator": [command, "--data", model, "--model", model],
+                "sample": [command, "--model", model],
+                "bounds": [command],
+            }[command] + ["--seed", "-1", "--out", out]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert "seed: must be at least 0, got -1" in err
 
     def test_net_checkpoint_without_layers_exits_2(self, tmp_path, capsys):
         model = write_json(tmp_path / "mu.json", DISCRETE_MU)

@@ -32,7 +32,7 @@ from season.discriminator import (
 )
 from season.distributions import DiscreteDistribution, as_batch, gaussian_mixture
 from season.errors import DomainError, TrainingDivergedError
-from season.generators import GENERATOR_NAMES, get_generator
+from season.generators import GENERATOR_NAMES, get_generator, sigmoid
 from season.metrics import exact_fdiv
 
 KL = get_generator("kl")
@@ -168,25 +168,31 @@ def blocked_h_drift():
     return drift
 
 
+def eta_and_h(disc, x):
+    """eta = sigmoid(z) and h from one forward pass of the net."""
+    cache = disc._forward_full(x)
+    return sigmoid(cache["z3"]), cache["h"]
+
+
 class TestForward:
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_zero_net_gives_neutral_constant(self, gen):
         disc = Discriminator(gen, 2, 4)
-        eta, h = disc.forward_batch([[0.3, -1.2]])
+        eta, h = eta_and_h(disc, [[0.3, -1.2]])
         assert eta[0] == pytest.approx(0.5)
         assert h[0] == pytest.approx(float(gen.f_prime(1.0)))
 
     def test_js_half_is_minus_log_two(self):
         disc = Discriminator(JS, 1, 4)
         disc.bias = 0.7
-        _, h = disc.forward_batch([0.0])
+        _, h = eta_and_h(disc, [0.0])
         assert h[0] - disc.bias == pytest.approx(-math.log(2.0))
 
     def test_forward_is_pure(self):
         disc = init_discriminator(JS, 2, 8, seed=0)
         x = np.array([[0.4, -0.2]])
-        eta, h = disc.forward_batch(x)
-        again = disc.forward_batch(x)
+        eta, h = eta_and_h(disc, x)
+        again = eta_and_h(disc, x)
         assert np.array_equal(eta, again[0]) and np.array_equal(h, again[1])
         assert np.array_equal(x, [[0.4, -0.2]])
 
@@ -249,8 +255,8 @@ class TestObjective:
         disc = init_discriminator(JS, 1, 8, seed=2)
         x_nu = rng.standard_normal((40, 1)) + 1.0
         x_mu = rng.standard_normal((40, 1))
-        eta_nu, _ = disc.forward_batch(x_nu)
-        eta_mu, _ = disc.forward_batch(x_mu)
+        eta_nu, _ = eta_and_h(disc, x_nu)
+        eta_mu, _ = eta_and_h(disc, x_mu)
         bce = float(-np.log(eta_nu).mean() - np.log(1 - eta_mu).mean())
         value = objective_R(disc, x_nu, x_mu)
         assert value == pytest.approx(2 * math.log(2.0) - bce, abs=1e-10)
@@ -443,9 +449,9 @@ class TestTraining:
         disc = train(JS, x_nu, x_mu,
                      TrainConfig(width=16, steps=500, step_size=0.5, seed=0))
         grid = np.linspace(-1.0, 2.0, 61)[:, None]
-        eta, _ = disc.forward_batch(grid)
+        eta, _ = eta_and_h(disc, grid)
         # Bayes posterior of two unit-variance Gaussians is sigmoid(x - 1/2)
-        eta_mid, _ = disc.forward_batch(np.array([[0.5]]))
+        eta_mid, _ = eta_and_h(disc, np.array([[0.5]]))
         assert abs(float(eta_mid[0]) - 0.5) <= 0.05
         assert np.all(np.diff(eta) > -1e-3)
         assert eta[0] < 0.4 and eta[-1] > 0.6

@@ -53,6 +53,12 @@ class TestDiscreteDistribution:
         with pytest.raises(DomainError):
             DiscreteDistribution(np.array([[1.0], [1.0]]), np.array([0.5, 0.5]))
 
+    def test_signed_zero_is_the_point_zero(self):
+        with pytest.raises(DomainError, match="distinct"):
+            DiscreteDistribution(np.array([[0.0], [-0.0]]), np.array([0.5, 0.5]))
+        d = DiscreteDistribution(np.array([[-0.0], [1.0]]), np.array([0.5, 0.5]))
+        assert not np.signbit(d.support).any()
+
     def test_1d_support_reshaped(self):
         d = DiscreteDistribution(np.array([0.0, 1.0, 2.0]), np.array([0.2, 0.3, 0.5]))
         assert d.support.shape == (3, 1) and d.dim == 1

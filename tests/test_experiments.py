@@ -53,7 +53,8 @@ class TestIdentityPipeline:
     def test_experiment_rows_schema(self):
         rows = identity_discrete_experiment(n_instances=5, seed=1)
         assert len(rows) == 15
-        assert {"instance_id", "d_H", "D_fH", "gain", "residual"} <= set(rows[0])
+        assert [set(r) for r in rows] == [{"instance_id", "d_H", "D_fH", "gain", "residual",
+                                           "lambda_h", "tv_to_nu"}] * 15
 
     def test_one_lambda_solve_per_instance(self, lambda_solves):
         rows = identity_discrete_experiment(n_instances=100, seed=7)
