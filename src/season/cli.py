@@ -9,7 +9,9 @@
     season sample ...               Langevin-sample a configured score field
     season bounds ...               assemble a generalization bound report
 
-Seeds, in configs and as --seed, are integers >= 0.
+Seeds, in configs and as --seed, are integers >= 0.  A run config holds only
+keys its experiment reads, and no output directory is made before the
+outputs are computed and found finite.
 Exit codes: 0 success, 1 verify-suite failure, 2 config/validation error
 (bad config or input file, domain error), 3 numeric failure (NaN,
 divergence or any other package error).  `main` maps exceptions to these
@@ -63,15 +65,16 @@ _REAL = (int, float)
 
 def _require(cfg: dict, key: str, types, path: str, default=_MISSING, *,
              minimum: Optional[int] = None):
-    """cfg[key] checked against types (bool never counts as a number).
+    """Remove cfg[key] and return it, checked against types (bool never counts as a number).
 
     A missing key is an error unless a default is given; minimum bounds a count or seed.
+    Removing each field as it is read leaves in cfg only the keys nothing reads.
     """
     if key not in cfg:
         if default is _MISSING:
             raise ConfigError(f"{path}.{key}", "missing required field")
         return default
-    val = cfg[key]
+    val = cfg.pop(key)
     if isinstance(val, bool) or not isinstance(val, types):
         names = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
         raise ConfigError(f"{path}.{key}", f"expected {names}, got {type(val).__name__}")
@@ -80,11 +83,16 @@ def _require(cfg: dict, key: str, types, path: str, default=_MISSING, *,
     return val
 
 
+def _reject_unknown(cfg: dict, path: str) -> None:
+    """Raise ConfigError on a key still in cfg once its runner has read every field."""
+    if cfg:
+        raise ConfigError(f"{path}.{next(iter(cfg))}", "unknown field")
+
+
 def _output_dir(cfg: dict) -> Path:
-    out = os.environ.get("OUTPUT_DIR") or _require(cfg, "output_dir", str, "$", ".")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """OUTPUT_DIR, else $.output_dir; each runner creates it only once its outputs are computed."""
+    configured = _require(cfg, "output_dir", str, "$", ".")
+    return Path(os.environ.get("OUTPUT_DIR") or configured)
 
 
 def _generator_from(cfg: dict, default: str = "js_shifted"):
@@ -97,24 +105,24 @@ def _generator_from(cfg: dict, default: str = "js_shifted"):
 def _run_identity(cfg: dict, out: Path) -> None:
     seed = _require(cfg, "seed", int, "$", minimum=0)
     n_instances = _require(cfg, "n_instances", int, "$", 100, minimum=1)
+    _reject_unknown(cfg, "$")
     rows = identity_discrete_experiment(n_instances=n_instances, seed=seed)
+    if not math.isfinite(max(r["residual"] for r in rows)):
+        raise FloatingPointError("identity residual is not finite")
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "identity_terms.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["instance_id", "d_H", "D_fH", "gain", "residual"])
         for r in rows:
             writer.writerow([r["instance_id"], _fmt(r["d_H"]), _fmt(r["D_fH"]),
                              _fmt(r["gain"]), _fmt(r["residual"])])
-    worst = max(r["residual"] for r in rows)
-    if not math.isfinite(worst):
-        raise FloatingPointError("identity residual is not finite")
 
 
 def _run_refine_1d(cfg: dict, out: Path) -> None:
     seed = _require(cfg, "seed", int, "$", minimum=0)
     disc_cfg = _require(cfg, "discriminator", dict, "$", {})
     sampler_cfg = _require(cfg, "sampler", dict, "$", {})
-    result = refinement_benefit_experiment(
-        seed,
+    kwargs = dict(
         k_levels=_require(sampler_cfg, "k_levels", int, "$.sampler", 16, minimum=1),
         t_horizon=float(_require(sampler_cfg, "t_horizon", _REAL, "$.sampler", 2.0)),
         n_chains=_require(sampler_cfg, "n_chains", int, "$.sampler", 2000, minimum=1),
@@ -122,6 +130,12 @@ def _run_refine_1d(cfg: dict, out: Path) -> None:
         disc_steps=_require(disc_cfg, "steps", int, "$.discriminator", 300, minimum=0),
         disc_lr=float(_require(disc_cfg, "lr", _REAL, "$.discriminator", 0.25)),
     )
+    for fields, path in ((cfg, "$"), (sampler_cfg, "$.sampler"), (disc_cfg, "$.discriminator")):
+        _reject_unknown(fields, path)
+    result = refinement_benefit_experiment(seed, **kwargs)
+    if not (math.isfinite(result.w1_guided) and math.isfinite(result.w1_unguided)):
+        raise FloatingPointError("Wasserstein distances are not finite")
+    out.mkdir(parents=True, exist_ok=True)
     export_samples_csv(out / "samples_base.csv", result.samples_unguided, seed)
     export_samples_csv(out / "samples_refined.csv", result.samples_guided, seed)
     _json_dump(out / "w1_report.json", {
@@ -130,15 +144,11 @@ def _run_refine_1d(cfg: dict, out: Path) -> None:
         "w1_refined": result.w1_guided,
         "improved": result.improved,
     })
-    if not (math.isfinite(result.w1_guided) and math.isfinite(result.w1_unguided)):
-        raise FloatingPointError("Wasserstein distances are not finite")
 
 
-def _write_bound_report(path: Path, seed: int, gen_name: str, n: int, delta: float) -> None:
-    payload = bound_trial(seed, gen_name=gen_name, n=n, delta=delta).to_dict()
-    payload["seed"] = seed
-    payload["generator"] = gen_name
-    _json_dump(path, payload)
+def _bound_report(seed: int, gen_name: str, n: int, delta: float) -> dict:
+    report = bound_trial(seed, gen_name=gen_name, n=n, delta=delta)
+    return {**report.to_dict(), "seed": seed, "generator": gen_name}
 
 
 def _run_bounds(cfg: dict, out: Path) -> None:
@@ -146,7 +156,10 @@ def _run_bounds(cfg: dict, out: Path) -> None:
     gen = _generator_from(cfg)
     n = _require(cfg, "n", int, "$", 200, minimum=1)
     delta = float(_require(cfg, "delta", _REAL, "$", 0.05))
-    _write_bound_report(out / "bound_report.json", seed, gen.name, n, delta)
+    _reject_unknown(cfg, "$")
+    payload = _bound_report(seed, gen.name, n, delta)
+    out.mkdir(parents=True, exist_ok=True)
+    _json_dump(out / "bound_report.json", payload)
 
 
 _RUNNERS = {
@@ -215,7 +228,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    _write_bound_report(Path(args.out), args.seed, args.generator, args.n, args.delta)
+    _json_dump(Path(args.out), _bound_report(args.seed, args.generator, args.n, args.delta))
     return EXIT_OK
 
 

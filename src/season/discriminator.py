@@ -82,7 +82,6 @@ __all__ = [
     "TabularDiscriminator",
     "TrainConfig",
     "init_discriminator",
-    "objective_R",
     "grads",
     "input_grad",
     "train",
@@ -308,20 +307,13 @@ def _check_generator(disc, gen: Optional[GeneratorSpec]) -> None:
                           f"generator {disc.generator.name!r}")
 
 
-def objective_R(disc: Discriminator, samples_nu: np.ndarray, samples_mu: np.ndarray) -> float:
-    """Variational objective mean_nu[h] - mean_mu[f* o h] under disc.generator."""
-    gen = disc.generator
-    h_nu = disc.h_batch(samples_nu)
-    h_mu, _ = _clamped_mu_values(gen, disc.h_batch(samples_mu))
-    return float(h_nu.mean() - gen.conjugate_fn(h_mu).mean())
-
-
 def grads(disc: Discriminator, gen: GeneratorSpec, samples_nu: np.ndarray,
           samples_mu: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Exact gradient of objective_R, laid out like disc.params, its value and its SE.
+    """Gradient, value and SE of R = mean_nu[h] - mean_mu[f* o h] on two batches.
 
-    The Monte Carlo standard error of the value is
-    sqrt(var(h_nu) / n_nu + var(f*(h_mu)) / n_mu) over the same rows.
+    This is the one evaluator of R on sample batches, with h_mu clamped into
+    dom f*.  The exact gradient is laid out like disc.params; the Monte Carlo
+    standard error is sqrt(var(h_nu) / n_nu + var(f*(h_mu)) / n_mu).
     gen must be disc.generator (DomainError otherwise); the benchmark's
     tracer reads it by position, so it stays only until the next change
     to the benchmark.

@@ -63,7 +63,8 @@ class GeneratorSpec:
     All handles are numpy ufunc compositions: they accept scalars or
     arrays and follow IEEE semantics at the boundary (e.g. f_prime_inv
     maps -inf to 0 for every built-in, which is what refinement needs at
-    zero density ratios).
+    zero density ratios, and f_prime(+inf) is the slope lim f(t) / t that
+    gives the pointwise Bayes loss at eta = 1).
 
     conjugate_domain is the open interval where f* is finite; it equals
     the range of f' for the built-ins, so it also delimits f_prime_inv.
@@ -76,7 +77,6 @@ class GeneratorSpec:
     log_ratio_deriv: Callable  # d/ds log f'^-1(s), the guidance factor
     conjugate_fn: Callable  # closed-form f* on conjugate_domain
     conjugate_domain: tuple[float, float]
-    bayes_loss_at_one: float  # lim_{eta -> 1} of the pointwise Bayes loss
     link_of_logit: Callable  # Psi(sigmoid(z)) = f'(exp(z)), stable form
     link_of_logit_deriv: Callable  # d/dz of the above
 
@@ -177,7 +177,6 @@ _KL = GeneratorSpec(
     log_ratio_deriv=lambda s: np.ones_like(np.asarray(s, dtype=float)),
     conjugate_fn=_kl_exp_shifted,
     conjugate_domain=(-math.inf, math.inf),
-    bayes_loss_at_one=-math.inf,
     link_of_logit=lambda z: np.asarray(z, dtype=float) + 1.0,
     link_of_logit_deriv=lambda z: np.ones_like(np.asarray(z, dtype=float)),
 )
@@ -190,7 +189,6 @@ _RKL = GeneratorSpec(
     log_ratio_deriv=_rkl_fprime_inv,  # d/ds (-log(-s)) = -1/s
     conjugate_fn=_rkl_conj,
     conjugate_domain=(-math.inf, 0.0),
-    bayes_loss_at_one=0.0,
     link_of_logit=lambda z: -np.exp(-np.asarray(z, dtype=float)),
     link_of_logit_deriv=lambda z: np.exp(-np.asarray(z, dtype=float)),
 )
@@ -203,7 +201,6 @@ _JS = GeneratorSpec(
     log_ratio_deriv=_js_log_ratio_deriv,
     conjugate_fn=_js_conj,
     conjugate_domain=(-math.inf, 0.0),
-    bayes_loss_at_one=0.0,
     link_of_logit=lambda z: -_softplus(-np.asarray(z, dtype=float)),
     link_of_logit_deriv=lambda z: sigmoid(-np.asarray(z, dtype=float)),
 )
@@ -247,9 +244,12 @@ def inverse_link(gen: GeneratorSpec, z: float) -> float:
 
 
 def bayes_pointwise_loss(gen: GeneratorSpec, eta: float) -> float:
-    """Pointwise Bayes loss -(1 - eta) f(eta / (1 - eta)), with endpoint limits."""
+    """Pointwise Bayes loss -(1 - eta) f(eta / (1 - eta)) on [0, 1].
+
+    At eta = 1 it is the limit -f'(+inf): -inf for kl, +0.0 for the others.
+    """
     if not (0.0 <= eta <= 1.0):
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
     if eta == 1.0:
-        return gen.bayes_loss_at_one
+        return -float(gen.f_prime(math.inf))
     return -(1.0 - eta) * float(gen.f(eta / (1.0 - eta)))

@@ -50,10 +50,6 @@ class MCEstimate:
     stderr: float
     n: int
 
-    def agrees_with(self, other: "MCEstimate", k: float = 3.0) -> bool:
-        combined = math.hypot(self.stderr, other.stderr)
-        return abs(self.value - other.value) <= k * combined
-
 
 def _mc(values: np.ndarray) -> MCEstimate:
     values = np.asarray(values, dtype=float)
@@ -176,7 +172,7 @@ def _tabular_sup(norm: float, idx: np.ndarray, zeta: np.ndarray) -> float:
 def slow_rate_term(norm_H: float, delta: float, n: int) -> float:
     """2 ||H|| sqrt(ln(1/delta) / (2n)), the concentration penalty."""
     if not (0.0 < delta < 1.0) or n < 1:
-        raise DomainError("need delta in (0, 1) and n >= 1")
+        raise DomainError(f"need n >= 1 and delta in (0, 1), got n={n}, delta={delta}")
     return 2.0 * norm_H * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
 
 
@@ -241,19 +237,18 @@ def convergence_bound(inp: ConvergenceBoundInputs) -> float:
 class LemmaCheck:
     lhs: float
     rhs: float
-    holds: bool
 
 
 def fdiv_kl_lemma_check(nu: DiscreteDistribution, mu: DiscreteDistribution,
                         gen: GeneratorSpec) -> LemmaCheck:
-    """Check I_f(nu : mu) <= sup_i |f'(r_i)| sqrt(KL(nu : mu)) exactly."""
+    """Both sides of I_f(nu : mu) <= sup_i |f'(r_i)| sqrt(KL(nu : mu)), exactly."""
     ratio = discrete_ratio(nu, mu)
     lhs = exact_fdiv(nu, mu, gen)
     kl = exact_fdiv(nu, mu, get_generator("kl"))
     with np.errstate(divide="ignore"):
         wit = np.abs(np.asarray(gen.f_prime(ratio[mu.weights > 0])))
     rhs = float(wit.max()) * math.sqrt(kl)
-    return LemmaCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + 1e-12))
+    return LemmaCheck(lhs=lhs, rhs=rhs)
 
 
 @dataclass(frozen=True)
@@ -261,16 +256,15 @@ class VIDualityResult:
     lhs: float  # log sum mu exp(-L), the log-partition value
     rhs: float  # E_gibbs[L] + KL(gibbs : mu), the objective at the Gibbs posterior
     gibbs: DiscreteDistribution
-    residual: float  # |lhs + rhs|
-    holds: bool
+    residual: float  # |lhs + rhs|, zero up to rounding
 
 
 def vi_duality_check(mu: DiscreteDistribution, L_values: Sequence[float]) -> VIDualityResult:
     """Log-partition duality: log sum mu e^-L = -(E_gibbs[L] + KL(gibbs : mu)).
 
     The Gibbs posterior gibbs_i proportional to mu_i e^-L_i minimizes
-    E_Q[L] + KL(Q : mu) over all Q on the support; holds when the residual
-    is at most 1e-10.
+    E_Q[L] + KL(Q : mu) over all Q on the support.  Returns both sides
+    and the residual |lhs + rhs|; criterion 11 of `verify` bounds it.
     """
     L = np.asarray(L_values, dtype=float)
     if L.shape != (mu.n,):
@@ -282,6 +276,4 @@ def vi_duality_check(mu: DiscreteDistribution, L_values: Sequence[float]) -> VID
     g /= g.sum()
     gibbs = mu.reweighted(g)
     rhs = _masked_dot(g, L) + exact_fdiv(gibbs, mu, get_generator("kl"))
-    residual = abs(lhs + rhs)
-    return VIDualityResult(lhs=lhs, rhs=rhs, gibbs=gibbs, residual=residual,
-                           holds=bool(residual <= 1e-10))
+    return VIDualityResult(lhs=lhs, rhs=rhs, gibbs=gibbs, residual=abs(lhs + rhs))

@@ -221,8 +221,7 @@ def primal_sup_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
 class DualityCheck:
     primal: float
     dual: float
-    gap: float
-    too_coarse: bool  # gap > 10 * resolution, grid cannot certify
+    gap: float  # dual - primal; the grid dual overshoots the common value
 
 
 def strong_duality_check(nu: DiscreteDistribution, mu: DiscreteDistribution,
@@ -231,6 +230,4 @@ def strong_duality_check(nu: DiscreteDistribution, mu: DiscreteDistribution,
     """Compare the tabular primal sup against the simplex-grid dual minimum."""
     primal, _ = primal_sup_tabular(nu, mu, gen, h_spec)
     dual = dual_grid_min(nu, mu, gen, h_spec, resolution).value
-    gap = dual - primal  # grid dual overshoots the true common value
-    return DualityCheck(primal=primal, dual=dual, gap=gap,
-                        too_coarse=bool(gap > 10.0 * resolution))
+    return DualityCheck(primal=primal, dual=dual, gap=dual - primal)

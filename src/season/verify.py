@@ -3,7 +3,10 @@
 `CRITERIA` holds each criterion once: its number, a short title, its suite
 (core, identity, bounds or samplers), a check function returning
 CheckResults whose details state their tolerances, and the time limit the
-criterion states, if any.  The table's order is the run order, so suites
+criterion states, if any.  Pass/fail rules and tolerances live only in these
+check functions; the results they read carry values.  `BoundReport` alone keeps
+`holds` and its `tol`: both are keys of the bound_report.json that `season run`
+and `season bounds` write.  The table's order is the run order, so suites
 run in the order their first entries appear.  `run_suite` times every entry,
 appends a failed `time-limit` check when one runs over its limit, and
 returns the report as plain JSON data, which `season verify` prints.  Only
@@ -22,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import generators as G
-from .discriminator import Discriminator, grads, init_discriminator, input_grad, objective_R
+from .discriminator import Discriminator, grads, init_discriminator, input_grad
 from .distributions import as_generator, constant_schedule, ou_params
 from .experiments import (
     bound_trials,
@@ -105,7 +108,8 @@ def _strong_duality() -> list[CheckResult]:
         nu, mu = random_discrete_pair(rng, 3, floor=0.2)
         results += [strong_duality_check(nu, mu, gen, HSpec("ball", 0.5)) for gen in _GENERATORS]
     return [_check("strong-duality-gap", [abs(r.gap) for r in results], 2.0 / 200.0),
-            CheckResult("strong-duality-grid-fine-enough", not any(r.too_coarse for r in results),
+            CheckResult("strong-duality-grid-fine-enough",
+                        not any(r.gap > 10.0 * (1.0 / 200.0) for r in results),
                         "no gap above 10/200 on 20 pairs x 3 generators")]
 
 
@@ -164,7 +168,8 @@ def _gain_concordance() -> list[CheckResult]:
     for seed in range(10):
         direct, push = concordance_run(seed, n_eval=10_000)
         checks.append(CheckResult(
-            f"gain-estimator-concordance[seed={seed}]", direct.agrees_with(push, k=3.0),
+            f"gain-estimator-concordance[seed={seed}]",
+            abs(direct.value - push.value) <= 3.0 * math.hypot(direct.stderr, push.stderr),
             f"direct {direct.value:.4f}+-{direct.stderr:.4f} vs push "
             f"{push.value:.4f}+-{push.stderr:.4f}, tol 3 combined SE"))
     return checks
@@ -188,7 +193,7 @@ def _gradient_suite() -> list[CheckResult]:
     eps = 1e-5
     param_errs, input_errs = [], []
     for trial in range(20):
-        gen = _GENERATORS[trial % 3]
+        gen = _GENERATORS[trial % len(_GENERATORS)]
         width = int(rng.integers(3, 7))
         dim = int(rng.integers(1, 3))
         disc = init_discriminator(gen, dim, width, seed=int(rng.integers(1 << 30)))
@@ -196,7 +201,7 @@ def _gradient_suite() -> list[CheckResult]:
         x_nu = rng.standard_normal((8, dim))
         x_mu = rng.standard_normal((10, dim))
         analytic, _, _ = grads(disc, gen, x_nu, x_mu)
-        fd = _central_differences(disc.params, lambda: objective_R(disc, x_nu, x_mu))
+        fd = _central_differences(disc.params, lambda: grads(disc, gen, x_nu, x_mu)[1])
         param_errs.append(np.abs(analytic - fd) / np.maximum(np.abs(fd), 1.0))
 
         x_probe = rng.standard_normal((25, dim))
@@ -248,7 +253,7 @@ def _refinement_benefit() -> list[CheckResult]:
 
 def _generalization_bound() -> list[CheckResult]:
     sr = slow_rate_term(1.0, 0.05, 200)
-    held, _ = bound_trials(n_trials=100, seed=13)
+    held = sum(r.holds for r in bound_trials(n_trials=100, seed=13))
     # the criterion prints 0.173083, a misrounding of 2 sqrt(ln 20 / 400) = 0.17308184
     return [_check("slow-rate-value", abs(sr - 2.0 * math.sqrt(math.log(20.0) / 400.0)), 1e-15),
             _check("slow-rate-six-decimals", abs(sr - 0.173082), 1e-6),
@@ -262,7 +267,8 @@ def _appendix_lemmas() -> list[CheckResult]:
     for _ in range(1000):
         nu, mu = random_discrete_pair(rng, int(rng.integers(2, 5)))
         excess.append(exact_fdiv(nu, mu, js) - exact_fdiv(nu, mu, kl))
-        lemma_ok = lemma_ok and all(fdiv_kl_lemma_check(nu, mu, g).holds for g in _GENERATORS)
+        lemma_ok = lemma_ok and all(c.lhs <= c.rhs + 1e-12 for c in
+                                    (fdiv_kl_lemma_check(nu, mu, g) for g in _GENERATORS))
     checks = [_check("bose-einstein-kl", excess, 1e-12),
               CheckResult("fdiv-kl-lemma", lemma_ok,
                           "witness bound held within 1e-12 on 1000 random pairs")]

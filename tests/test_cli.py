@@ -7,6 +7,7 @@ import os
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +21,17 @@ from season.discriminator import (
     init_discriminator,
 )
 from season.distributions import model_from_spec
-from season.generators import get_generator
+from season.generators import GENERATOR_NAMES, get_generator
 from season.refine import refine_discrete
 
 MIXTURE_SPEC = {"type": "gaussian_mixture", "means": [[0.0]], "covs": [[[1.0]]],
                 "weights": [1.0]}
 DISCRETE_NU = {"type": "discrete", "support": [[0.0], [1.0]], "weights": [0.5, 0.5]}
 DISCRETE_MU = {"type": "discrete", "support": [[0.0], [1.0]], "weights": [0.25, 0.75]}
+
+
+def no_fit(*args, **kwargs):
+    raise AssertionError("a discriminator was fitted")
 
 
 def write_json(path, payload):
@@ -44,7 +49,7 @@ class TestRunIdentity:
         with open(tmp_path / "out" / "identity_terms.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["instance_id", "d_H", "D_fH", "gain", "residual"]
-        assert len(rows) == 31  # 10 instances x 3 generators
+        assert len(rows) == 1 + 10 * len(GENERATOR_NAMES)  # header, then instances x generators
         assert all(float(r[4]) <= 1e-9 for r in rows[1:])
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -102,9 +107,16 @@ class TestRunValidation:
         ("refine-1d", "discriminator", {"width": 0}, "$.discriminator.width"),
         ("refine-1d", "discriminator", {"steps": -1}, "$.discriminator.steps"),
         ("refine-1d", "sampler", [4], "$.sampler"),
+        ("identity-discrete", "n_instance", 2, "$.n_instance"),
+        ("identity-discrete", "generator", "kl", "$.generator"),
+        ("bounds", "n_trials", 5, "$.n_trials"),
+        ("refine-1d", "sampler", {"kchains": 4}, "$.sampler.kchains"),
+        ("refine-1d", "discriminator", {"width": 8, "step": 60}, "$.discriminator.step"),
+        ("refine-1d", "steps", 60, "$.steps"),
     ])
     def test_malformed_optional_field_exits_2(self, experiment, field, value, path,
-                                              tmp_path, capsys):
+                                              tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("season.experiments.train", no_fit)
         cfg = write_json(tmp_path / "cfg.json", {
             "experiment": experiment, "seed": 1, field: value,
             "output_dir": str(tmp_path / "out"),
@@ -112,13 +124,11 @@ class TestRunValidation:
         assert main(["run", cfg]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {path}:")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("horizon", [math.nan, math.inf], ids=["NaN", "Infinity"])
     def test_nonfinite_horizon_exits_2_before_any_fit(self, horizon, tmp_path, capsys,
                                                        monkeypatch):
-        def no_fit(*args, **kwargs):
-            raise AssertionError("a discriminator was fitted")
-
         monkeypatch.setattr("season.experiments.train", no_fit)
         cfg = write_json(tmp_path / "cfg.json", {
             "experiment": "refine-1d", "seed": 0, "sampler": {"t_horizon": horizon},
@@ -127,6 +137,7 @@ class TestRunValidation:
         assert main(["run", cfg]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: noise schedule needs finite")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_experiment_creates_no_output_dir(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {"experiment": "nope", "seed": 1,
@@ -528,6 +539,8 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert "seed: must be at least 0, got -1" in err
+        if command.startswith("run-"):
+            assert not Path(out).exists()
 
     def test_net_checkpoint_without_layers_exits_2(self, tmp_path, capsys):
         model = write_json(tmp_path / "mu.json", DISCRETE_MU)

@@ -19,7 +19,7 @@ from season.experiments import (
     random_discrete_pair,
     refinement_benefit_experiment,
 )
-from season.generators import get_generator
+from season.generators import GENERATOR_NAMES, get_generator
 
 
 @pytest.fixture
@@ -52,13 +52,13 @@ class TestIdentityPipeline:
 
     def test_experiment_rows_schema(self):
         rows = identity_discrete_experiment(n_instances=5, seed=1)
-        assert len(rows) == 15
+        assert len(rows) == 5 * len(GENERATOR_NAMES)
         assert [set(r) for r in rows] == [{"instance_id", "d_H", "D_fH", "gain", "residual",
-                                           "lambda_h", "tv_to_nu"}] * 15
+                                           "lambda_h", "tv_to_nu"}] * len(rows)
 
     def test_one_lambda_solve_per_instance(self, lambda_solves):
         rows = identity_discrete_experiment(n_instances=100, seed=7)
-        assert len(rows) == 300 and len(lambda_solves) == 300
+        assert len(rows) == len(lambda_solves) == 100 * len(GENERATOR_NAMES)
 
     def test_deterministic_per_seed(self):
         a = identity_discrete_experiment(n_instances=5, seed=2)
@@ -123,17 +123,16 @@ class TestBoundPipeline:
         assert len(lambda_solves) == 1
 
     def test_trials_mostly_hold(self):
-        held, reports = bound_trials(20, seed=41)
-        assert held >= 19
+        reports = bound_trials(20, seed=41)
+        assert sum(r.holds for r in reports) >= 19
         assert len(reports) == 20
 
     def test_binding_ball_still_holds(self):
-        held, _ = bound_trials(10, seed=5, norm=0.25)
-        assert held == 10
+        assert [r.holds for r in bound_trials(10, seed=5, norm=0.25)] == [True] * 10
 
 
 class TestConcordance:
     def test_estimators_agree_within_three_se(self):
         direct, push = concordance_run(0, n_eval=4000, n_train=1500, steps=300)
-        assert direct.agrees_with(push)
+        assert abs(direct.value - push.value) <= 3.0 * math.hypot(direct.stderr, push.stderr)
         assert direct.stderr > 0 and push.stderr > 0

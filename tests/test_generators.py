@@ -251,6 +251,14 @@ class TestBayesPointwiseLoss:
     def test_kl_at_half_zero(self):
         assert bayes_pointwise_loss(KL, 0.5) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("name, limit", [("kl", -math.inf), ("reverse_kl", 0.0),
+                                             ("js_shifted", 0.0)])
+    def test_limit_at_one(self, name, limit):
+        # -f'(+inf): the sign of a zero limit is pinned too, +0.0 and not -0.0
+        value = bayes_pointwise_loss(get_generator(name), 1.0)
+        assert value == limit
+        assert math.copysign(1.0, value) == math.copysign(1.0, limit)
+
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_matches_grid_infimum(self, gen):
         t = np.linspace(1e-4, 1 - 1e-4, 20001)

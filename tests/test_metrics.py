@@ -319,14 +319,15 @@ class TestLemmaChecks:
             res = fdiv_kl_lemma_check(d, d, gen)
             assert res.lhs == pytest.approx(0.0, abs=1e-15)
             assert res.rhs == pytest.approx(0.0, abs=1e-12)
-            assert res.holds
+            assert res.lhs <= res.rhs + 1e-12
 
     def test_random_four_point_pairs_always_hold(self):
         rng = np.random.default_rng(18)
         for _ in range(1000):
             nu, mu = random_pair(rng, 4)
             for gen in ALL:
-                assert fdiv_kl_lemma_check(nu, mu, gen).holds
+                res = fdiv_kl_lemma_check(nu, mu, gen)
+                assert res.lhs <= res.rhs + 1e-12
 
 
 class TestVIDuality:
@@ -335,7 +336,7 @@ class TestVIDuality:
         res = vi_duality_check(mu, [0.0, 0.0])
         assert res.lhs == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(res.gibbs.weights, mu.weights)
-        assert res.holds
+        assert res.residual <= 1e-10
 
     def test_two_point_example(self):
         mu = two_point(0.5, 0.5)
