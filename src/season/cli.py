@@ -26,9 +26,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
+import logging.handlers
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -285,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError("--seed", f"must be at least 0, got {args.seed}")
@@ -297,6 +299,28 @@ def main(argv=None) -> int:
     except (SeasonError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+
+
+def main(argv=None) -> int:
+    """Run one command; an error exit prints its one-line message and nothing else.
+
+    numpy's RuntimeWarnings are ignored, and `season` log records are held
+    back and printed to stderr only when the command did not fail.
+    """
+    args = build_parser().parse_args(argv)
+    held = logging.handlers.MemoryHandler(sys.maxsize, flushLevel=logging.CRITICAL + 1)
+    log = logging.getLogger("season")
+    log.addHandler(held)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = _run(args)
+    finally:
+        log.removeHandler(held)
+    if code not in (EXIT_CONFIG, EXIT_NUMERIC):
+        held.setTarget(logging.StreamHandler(sys.stderr))
+    held.close()  # flushes to the target, if one was set
+    return code
 
 
 if __name__ == "__main__":

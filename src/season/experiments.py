@@ -205,8 +205,10 @@ def population_rademacher(population: DiscreteDistribution, n: int, *, norm: flo
 
     A Monte Carlo mean over 400 draws.  Each draw resamples X ~ P^n and
     signs; the per-draw sup is exact (group repeated points, sup = norm/n
-    * sum_groups |sum zeta|).
+    * sum_groups |sum zeta|).  The sample size n must be at least 1.
     """
+    if n < 1:
+        raise DomainError(f"need n >= 1, got n={n}")
     rng = as_generator(seed)
     draws = np.empty(_RADEMACHER_DRAWS)
     for d in range(_RADEMACHER_DRAWS):

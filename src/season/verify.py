@@ -43,7 +43,7 @@ from .metrics import (
     slow_rate_term,
     vi_duality_check,
 )
-from .oracle import HSpec, simplex_grid, strong_duality_check
+from .oracle import HSpec, dual_grid_min, simplex_grid, strong_duality_check
 from .samplers import LangevinConfig, ReverseDiffusionConfig, langevin, reverse_em
 
 __all__ = ["CheckResult", "Criterion", "CRITERIA", "SUITES", "run_suite"]
@@ -102,15 +102,27 @@ def _rich_recovery() -> list[CheckResult]:
 
 
 def _strong_duality() -> list[CheckResult]:
+    ball = HSpec("ball", 0.5)
     rng = as_generator(21)
-    results = []
+    certificates, grid_gaps = [], []
     for _ in range(20):
         nu, mu = random_discrete_pair(rng, 3, floor=0.2)
-        results += [strong_duality_check(nu, mu, gen, HSpec("ball", 0.5)) for gen in _GENERATORS]
-    return [_check("strong-duality-gap", [abs(r.gap) for r in results], 2.0 / 200.0),
+        for gen in _GENERATORS:
+            res = strong_duality_check(nu, mu, gen, ball)
+            certificates.append(res)
+            grid_gaps.append(dual_grid_min(nu, mu, gen, ball).value - res.primal)
+    for k in (4, 8, 16, 32, 64):
+        for _ in range(4):
+            nu, mu = random_discrete_pair(rng, k)
+            certificates += [strong_duality_check(nu, mu, gen, ball) for gen in _GENERATORS]
+    return [_check("strong-duality-gap", np.abs(grid_gaps), 2.0 / 200.0),
             CheckResult("strong-duality-grid-fine-enough",
-                        not any(r.gap > 10.0 * (1.0 / 200.0) for r in results),
-                        "no gap above 10/200 on 20 pairs x 3 generators")]
+                        not any(g > 10.0 * (1.0 / 200.0) for g in grid_gaps),
+                        "no gap above 10/200 on 20 pairs x 3 generators"),
+            _check("strong-duality-certificate-gap",
+                   [abs(r.gap) / max(1.0, abs(r.primal)) for r in certificates], 1e-12),
+            _check("strong-duality-certificate-mass",
+                   [r.mass_error for r in certificates], 1e-12)]
 
 
 def _f_core() -> list[CheckResult]:

@@ -2,8 +2,11 @@
 
 import csv
 import json
+import logging
 import math
 import os
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import replace
@@ -12,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from season import verify
+from season import cli, verify
 from season.cli import build_parser, main
 from season.discriminator import (
     TrainConfig,
@@ -21,6 +24,7 @@ from season.discriminator import (
     init_discriminator,
 )
 from season.distributions import model_from_spec
+from season.errors import TrainingDivergedError
 from season.generators import GENERATOR_NAMES, get_generator
 from season.refine import refine_discrete
 
@@ -595,3 +599,37 @@ class TestInputErrors:
         assert main(["sample", "--model", model, "--step-size", "1.0", "--steps", "50",
                      "--chains", "4", "--seed", "0", "--out", str(tmp_path / "s.csv")]) == 3
         assert "diverged" in capsys.readouterr().err
+
+
+class TestOneStderrLinePerError:
+    def test_numeric_failure_prints_only_its_message(self, tmp_path):
+        # this fit logs a clamp line and numpy overflow warnings before it fails; run
+        # in a fresh interpreter, where neither pytest nor a handler intercepts them
+        cfg = write_json(tmp_path / "cfg.json", {
+            "experiment": "refine-1d", "seed": 0, "output_dir": str(tmp_path / "out"),
+            "discriminator": {"lr": 1e308, "steps": 5}})
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-m", "season.cli", "run", cfg],
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.returncode == 3
+        assert out.stderr.startswith("numeric failure: ")
+        assert out.stderr.count("\n") == 1 and "Warning" not in out.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_log_records_print_only_on_success(self, fails, tmp_path, monkeypatch, capsys):
+        def command(args):
+            logging.getLogger("season.discriminator").warning("clamped 1/2 outputs")
+            np.log(np.zeros(1))  # a RuntimeWarning, ignored either way
+            if fails:
+                raise TrainingDivergedError(1)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_run", command)
+        code = main(["run", write_json(tmp_path / "cfg.json", {})])
+        err = capsys.readouterr().err
+        if fails:
+            assert (code, err) == (3, "numeric failure: objective diverged at step 1\n")
+        else:
+            assert (code, err) == (0, "clamped 1/2 outputs\n")

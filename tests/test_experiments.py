@@ -102,6 +102,14 @@ class TestBoundPipeline:
             np.sqrt(population.weights).sum())
         assert est.value == pytest.approx(approx, rel=0.1)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sample_size_below_one_rejected(self, n):
+        population, _ = default_bound_world()
+        with pytest.raises(DomainError, match="n >= 1"):
+            population_rademacher(population, n)
+        with pytest.raises(DomainError, match="n >= 1"):
+            bound_trials(3, n=n)
+
     def test_single_trial_report_fields(self):
         rep = bound_trial(7)
         d = rep.to_dict()

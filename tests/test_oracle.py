@@ -13,6 +13,7 @@ from season.errors import DomainError, LambdaSolveError
 from season.experiments import default_bound_world, empirical_from_draws
 from season.generators import GENERATOR_NAMES, get_generator
 from season.metrics import est_DfH, exact_fdiv
+from season import oracle
 from season.oracle import (
     HSpec,
     _lattice,
@@ -175,6 +176,9 @@ class TestDualGridMin:
             assert res.gap >= -1e-9  # grid dual can only overshoot
             assert abs(res.gap) <= 2 * (1.0 / 200.0), f"gap {res.gap} vs resolution 1/200"
             assert not res.gap > 10.0 * (1.0 / 200.0)
+            assert abs(res.gap) <= 1e-12 * max(1.0, abs(res.primal))
+            grid_gap = dual_grid_min(nu, mu, gen, HSpec("ball", 0.5)).value - res.primal
+            assert -1e-12 <= grid_gap <= 2 * (1.0 / 200.0)
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_dual_minimizer_matches_refined_model(self, gen):
@@ -186,6 +190,74 @@ class TestDualGridMin:
             res = dual_grid_min(nu, mu, gen, HSpec("ball", 0.5))
             tv = 0.5 * float(np.abs(res.q_star.weights - refined.weights).sum())
             assert tv <= 10.0 * (1.0 / 200.0)
+
+
+class TestDualityCertificate:
+    @pytest.mark.parametrize("norm", [0.05, 0.5, 2.0])
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    @pytest.mark.parametrize("k", [2, 3, 4, 8, 32, 256])
+    def test_exact_at_any_support_size(self, k, gen, norm):
+        rng = np.random.default_rng(k)
+        for _ in range(5):
+            nu, mu = random_pair(rng, k, floor=0.05)
+            res = strong_duality_check(nu, mu, gen, HSpec("ball", norm))
+            assert abs(res.gap) <= 1e-12 * max(1.0, abs(res.primal))
+            assert res.mass_error <= 1e-12
+
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    def test_exact_on_zero_weight_points_and_bound_world_samples(self, gen):
+        for nu, mu in ball_instances(np.random.default_rng(13)):
+            res = strong_duality_check(nu, mu, gen, HSpec("ball", 0.5))
+            assert abs(res.gap) <= 1e-12 * max(1.0, abs(res.primal))
+            assert res.mass_error <= 1e-12
+
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    def test_shifted_window_fails_the_mass_check(self, gen, monkeypatch):
+        # a window offset 1e-9 off the root of R'(w) leaves lambda != 0 at h,
+        # so mu f'^-1(h) no longer has mass 1
+        roots = []
+
+        def shifted(*args, brentq=oracle._brentq, **kwargs):
+            roots.append(brentq(*args, **kwargs) + 1e-9)
+            return roots[-1]
+
+        rng = np.random.default_rng(14)
+        pairs = [random_pair(rng, 8, floor=0.05) for _ in range(5)]
+        spec = HSpec("ball", 0.05)
+        assert all(strong_duality_check(nu, mu, gen, spec).mass_error <= 1e-12
+                   for nu, mu in pairs)
+        monkeypatch.setattr(oracle, "_brentq", shifted)
+        for nu, mu in pairs:
+            assert strong_duality_check(nu, mu, gen, spec).mass_error > 1e-12
+        assert len(roots) == len(pairs)
+
+    def test_rich_q_star_is_nu_and_constants_q_star_is_mu(self):
+        # the rich class's d_H is +inf at every Q but nu, and I_f(Q : mu) = 0
+        # only at Q = mu, so a finite dual and a zero dual pin Q* down
+        rng = np.random.default_rng(15)
+        for k in (2, 3, 8, 32):
+            nu, mu = random_pair(rng, k, floor=0.05)
+            for gen in ALL:
+                rich = strong_duality_check(nu, mu, gen, HSpec("rich"))
+                assert rich.dual == pytest.approx(exact_fdiv(nu, mu, gen), abs=1e-12)
+                assert abs(rich.gap) <= 1e-12 and rich.mass_error <= 1e-15
+                constants = strong_duality_check(nu, mu, gen, HSpec("constants"))
+                assert (constants.primal, constants.dual, constants.gap) == (0.0, 0.0, 0.0)
+                assert constants.mass_error <= 1e-15
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_grid_never_undershoots_the_certificate(self, k):
+        resolution = 1.0 / 200.0 if k < 4 else 1.0 / 50.0
+        for nu, mu in dual_instances(k):
+            for gen in ALL:
+                for spec in (HSpec("rich"), HSpec("constants"), HSpec("ball", 0.5)):
+                    res = strong_duality_check(nu, mu, gen, spec)
+                    assert dual_grid_min(nu, mu, gen, spec, resolution).value >= res.dual - 1e-12
+
+    def test_resolution_does_not_change_the_result(self):
+        nu, mu = random_pair(np.random.default_rng(16), 3)
+        assert strong_duality_check(nu, mu, KL, HSpec("ball", 0.5), 1.0 / 7.0) == \
+            strong_duality_check(nu, mu, KL, HSpec("ball", 0.5))
 
 
 class TestPrimalSup:
