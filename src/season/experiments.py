@@ -9,7 +9,8 @@ discriminators steer reverse diffusion away from a deliberately wrong
 base model, measured by the 1-Wasserstein distance to held-out data.
 
 bounds: a known-population discrete world where the generalization bound
-can be assembled term by term and checked across seeded trials.
+can be assembled term by term, its Rademacher term in closed form, and
+checked across seeded trials.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from .metrics import (
     ipm_tabular_exact,
     slow_rate_term,
     _masked_dot,
-    _mc,
-    _tabular_sup,
 )
 from .oracle import HSpec, primal_sup_tabular
 from .refine import _refined_weights, refine_discrete, solve_lambda
@@ -191,7 +190,6 @@ def refinement_benefit_experiment(seed: int, *, k_levels: int = 16, t_horizon: f
 _BOUND_SUPPORT = np.array([[0.0], [1.0], [2.0], [3.0]])
 _BOUND_POPULATION = np.array([0.4, 0.3, 0.2, 0.1])
 _BOUND_MODEL = np.array([0.25, 0.25, 0.25, 0.25])
-_RADEMACHER_DRAWS = 400
 
 
 def default_bound_world() -> tuple[DiscreteDistribution, DiscreteDistribution]:
@@ -203,19 +201,30 @@ def population_rademacher(population: DiscreteDistribution, n: int, *, norm: flo
                           seed: int = 0) -> MCEstimate:
     """Rademacher complexity of the norm-ball tabular class under the population.
 
-    A Monte Carlo mean over 400 draws.  Each draw resamples X ~ P^n and
-    signs; the per-draw sup is exact (group repeated points, sup = norm/n
-    * sum_groups |sum zeta|).  The sample size n must be at least 1.
+    Exact, so stderr is 0.  One draw's sup is norm/n * sum_j |S_{N_j}|,
+    where N_j ~ Binomial(n, p_j) counts support point j among the n draws
+    and S_m is a sum of m random signs.  By linearity the expectation is
+    norm/n * sum_j E[a(N_j)] with a(m) = E|S_m|, which satisfies a(0) = 0
+    and a(2k + 1) = a(2k + 2) = a(2k - 1) (2k + 1)/(2k).  The binomial pmf
+    is taken in log space.  The sample size n must be at least 1.  seed
+    does not change the result.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got n={n}")
-    rng = as_generator(seed)
-    draws = np.empty(_RADEMACHER_DRAWS)
-    for d in range(_RADEMACHER_DRAWS):
-        idx = rng.choice(population.n, size=n, p=population.weights)
-        zeta = rng.choice([-1.0, 1.0], size=n)
-        draws[d] = _tabular_sup(norm, idx, zeta)
-    return _mc(draws)
+    m = np.arange(n + 1)
+    half = np.arange(1, (n + 1) // 2)
+    a = np.r_[0.0, np.repeat(np.cumprod(np.r_[1.0, (2 * half + 1) / (2 * half)]), 2)[:n]]
+    log_fact = np.r_[0.0, np.cumsum(np.log(m[1:]))]
+    log_choose = log_fact[n] - log_fact - log_fact[::-1]
+    total = 0.0
+    for p in population.weights:
+        with np.errstate(divide="ignore"):
+            log_p, log_q = np.log(p), np.log1p(-p)
+        # a zero count contributes 0 even where its log-probability is -inf
+        log_pmf = (log_choose + np.multiply(m, log_p, out=np.zeros(n + 1), where=m > 0)
+                   + np.multiply(n - m, log_q, out=np.zeros(n + 1), where=m < n))
+        total += np.exp(log_pmf) @ a
+    return MCEstimate(norm / n * float(total), 0.0, population.n)
 
 
 def empirical_from_draws(population: DiscreteDistribution, rng, n: int) -> DiscreteDistribution:
@@ -235,7 +244,8 @@ def bound_trial(seed: int, *, gen_name: str = "js_shifted", n: int = 200,
     identity between D, the gain, and the empirical IPM is exact); the
     capacity and concentration terms use the ball with ||H|| = norm.  The
     two classes induce the same IPM on probability measures because
-    constants cancel in mean differences.  population and model are given
+    constants cancel in mean differences.  rademacher defaults to
+    population_rademacher's exact value.  population and model are given
     together or not at all, for the default world.
     """
     slow_rate = slow_rate_term(norm, delta, n)
@@ -247,8 +257,7 @@ def bound_trial(seed: int, *, gen_name: str = "js_shifted", n: int = 200,
     rng = as_generator(seed)
     p_hat = empirical_from_draws(population, rng, n)
     if rademacher is None:
-        rademacher = population_rademacher(population, n, norm=norm,
-                                           seed=seed + 10_000).value
+        rademacher = population_rademacher(population, n, norm=norm).value
     d_value, h_star = primal_sup_tabular(p_hat, model, gen, HSpec("ball", norm))
     ratios, weights = _refined_weights(model, h_star, None)
     gain = _masked_dot(model.weights, np.asarray(gen.f(ratios)))
@@ -258,14 +267,8 @@ def bound_trial(seed: int, *, gen_name: str = "js_shifted", n: int = 200,
 
 
 def bound_trials(n_trials: int = 100, seed: int = 0, **kwargs) -> list[BoundReport]:
-    """Run seeded trials sharing one Rademacher estimate; returns their reports."""
-    population, model = default_bound_world()
-    norm = kwargs.pop("norm", 1.0)
-    n = kwargs.pop("n", 200)
-    rad = population_rademacher(population, n, norm=norm, seed=seed).value
-    return [bound_trial(seed + 1 + t, n=n, norm=norm, rademacher=rad,
-                        population=population, model=model, **kwargs)
-            for t in range(n_trials)]
+    """Run seeded trials seed + 1, ..., seed + n_trials; returns their reports."""
+    return [bound_trial(seed + 1 + t, **kwargs) for t in range(n_trials)]
 
 
 _CONCORDANCE_STEP_SIZE = 0.5

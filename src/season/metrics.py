@@ -160,15 +160,6 @@ def ipm_at_witness(h_values: np.ndarray, nu: DiscreteDistribution,
     return float(np.sum(diff[mask] * h[mask])) if mask.any() else 0.0
 
 
-def _tabular_sup(norm: float, idx: np.ndarray, zeta: np.ndarray) -> float:
-    """Exact sup over |h_i| <= norm of (1/n) sum_i zeta_i h(x_i).
-
-    idx gives equal sample points equal labels; the sup is norm/n times
-    the sum over groups of |sum of zeta|.
-    """
-    return norm / zeta.size * np.abs(np.bincount(idx, weights=zeta)).sum()
-
-
 def slow_rate_term(norm_H: float, delta: float, n: int) -> float:
     """2 ||H|| sqrt(ln(1/delta) / (2n)), the concentration penalty."""
     if not (0.0 < delta < 1.0) or n < 1:

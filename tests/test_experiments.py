@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from season import metrics, refine
+from season.distributions import DiscreteDistribution
 from season.errors import DomainError
 from season.experiments import (
     bound_trial,
@@ -137,6 +138,63 @@ class TestBoundPipeline:
 
     def test_binding_ball_still_holds(self):
         assert [r.holds for r in bound_trials(10, seed=5, norm=0.25)] == [True] * 10
+
+
+def _enumerated_rademacher(weights: np.ndarray, n: int, norm: float) -> float:
+    """The expected sup by brute force over all (2k)^n (point, sign) sequences.
+
+    A sequence's sup over |h_j| <= norm is norm/n times the sum over points
+    of the absolute sum of their signs.
+    """
+    k = weights.size
+    codes = np.indices((2 * k,) * n).reshape(n, -1).T
+    points, signs = codes // 2, np.where(codes % 2, 1.0, -1.0)
+    prob = np.prod(weights[points] / 2.0, axis=1)
+    rows = np.arange(codes.shape[0])
+    sums = np.zeros((codes.shape[0], k))
+    for i in range(n):
+        sums[rows, points[:, i]] += signs[:, i]
+    return float(prob @ (norm / n * np.abs(sums).sum(axis=1)))
+
+
+_POPULATIONS = {
+    "default": default_bound_world()[0].weights,
+    "random-3": np.random.default_rng(23).dirichlet(np.ones(3)),
+    "zero-weight": np.array([0.5, 0.0, 0.5]),
+    "one-point": np.array([1.0]),
+}
+
+
+class TestPopulationRademacher:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("name", list(_POPULATIONS))
+    def test_matches_enumeration(self, name, n):
+        weights = _POPULATIONS[name]
+        population = DiscreteDistribution(np.arange(weights.size, dtype=float)[:, None], weights)
+        for norm in (1.0, 0.25):
+            est = population_rademacher(population, n, norm=norm)
+            assert est.stderr == 0.0
+            assert abs(est.value - _enumerated_rademacher(weights, n, norm)) <= 1e-12
+
+    def test_large_n_matches_sub_gaussian_limit(self):
+        population, _ = default_bound_world()
+        n = 10**6
+        value = population_rademacher(population, n).value
+        limit = math.sqrt(2.0 / (math.pi * n)) * float(np.sqrt(population.weights).sum())
+        assert math.isfinite(value)
+        assert value == pytest.approx(limit, rel=1e-3)
+
+    def test_seed_does_not_change_the_value(self):
+        population, _ = default_bound_world()
+        assert population_rademacher(population, 200, seed=0) == \
+            population_rademacher(population, 200, seed=1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 13])
+    def test_given_value_matches_default_path(self, seed):
+        population, model = default_bound_world()
+        rad = population_rademacher(population, 200).value
+        given = bound_trial(seed, rademacher=rad, population=population, model=model)
+        assert bound_trial(seed) == given
 
 
 class TestConcordance:

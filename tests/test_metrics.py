@@ -25,7 +25,6 @@ from season.metrics import (
     fdiv_kl_lemma_check,
     ipm_at_witness,
     ipm_tabular_exact,
-    _tabular_sup,
     slow_rate_term,
     vi_duality_check,
 )
@@ -241,18 +240,6 @@ class TestIPM:
         tab = exact_tabular(nu, mu, JS)
         refined = refine_discrete(mu, tab)
         assert abs(ipm_at_witness(tab.values, nu, refined)) <= 1e-12
-
-
-class TestRademacher:
-    def test_tabular_distinct_points_exactly_norm(self):
-        zeta = np.random.default_rng(4).choice([-1.0, 1.0], size=50)
-        assert _tabular_sup(1.0, np.arange(50), zeta) == 1.0
-
-    def test_tabular_grouped_points_hand_formula(self):
-        idx = np.array([0] * 3 + [1] * 5)
-        zeta = np.random.default_rng(5).choice([-1.0, 1.0], size=8)
-        expected = (abs(zeta[:3].sum()) + abs(zeta[3:].sum())) / 8.0
-        assert _tabular_sup(1.0, idx, zeta) == pytest.approx(expected, abs=1e-15)
 
 
 class TestBoundAssembly:
