@@ -54,6 +54,8 @@ class MCEstimate:
 def _mc(values: np.ndarray) -> MCEstimate:
     values = np.asarray(values, dtype=float)
     n = values.size
+    if n == 0:
+        raise DomainError("sample batches need at least one row")
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
     return MCEstimate(float(values.mean()), se, n)
 

@@ -148,10 +148,12 @@ def _solve_lambda(gen: GeneratorSpec, h: np.ndarray,
     Raises DegenerateDistributionError when h is -inf on all of mu's mass,
     and LambdaSolveError when h is NaN or +inf there, when no bracket is
     found, when the root search fails or when |E - 1| at the root exceeds
-    tol.
+    tol.  An empty sample batch raises DomainError.
     """
     if isinstance(mu_ref, DiscreteDistribution):
         w, tol = mu_ref.weights, _EXACT_TOL
+    elif h.shape[0] == 0:
+        raise DomainError("sample batches need at least one row")
     else:
         w, tol = np.full(h.shape[0], 1.0 / h.shape[0]), _MC_TOL
     live = w > 0
@@ -210,6 +212,21 @@ def refine_discrete(mu: DiscreteDistribution, disc, *,
     return mu.reweighted(weights)
 
 
+def _check_in_range(gen: GeneratorSpec, s: np.ndarray, x: np.ndarray) -> None:
+    """Raise DomainError at the first x where s = h - lambda leaves the range of f'.
+
+    The range is open, and a NaN s lies outside it too.
+    """
+    lo, hi = gen.conjugate_domain
+    inside = (s > lo) & (s < hi)  # NaN fails both
+    if not inside.all():
+        bad = int(np.flatnonzero(~inside)[0])
+        raise DomainError(
+            f"h - lambda = {s[bad]} at x = {x[bad]} leaves the range of f' "
+            f"{gen.conjugate_domain}"
+        )
+
+
 def refined_score(base_score: Callable[[np.ndarray], np.ndarray], disc, x: np.ndarray, *,
                   lam: Optional[float] = None) -> np.ndarray:
     """Score of the refined model: base score plus the guidance term.
@@ -229,17 +246,10 @@ def refined_score(base_score: Callable[[np.ndarray], np.ndarray], disc, x: np.nd
         raise DomainError("refined_score needs a net discriminator with input gradients")
     gen = disc.generator
     x = as_batch(x)
-    lo, hi = gen.conjugate_domain
 
     def log_ratio_deriv(h: np.ndarray) -> np.ndarray:
         s = h - (_solve_lambda(gen, h, x) if lam is None else lam)
-        inside = (s > lo) & (s < hi)  # NaN fails both
-        if not inside.all():
-            bad = int(np.flatnonzero(~inside)[0])
-            raise DomainError(
-                f"h - lambda = {s[bad]} at x = {x[bad]} leaves the range of f' "
-                f"{gen.conjugate_domain}"
-            )
+        _check_in_range(gen, s, x)
         return gen.log_ratio_deriv(s)
 
     guidance = input_grad(disc, x, log_ratio_deriv)
@@ -248,10 +258,15 @@ def refined_score(base_score: Callable[[np.ndarray], np.ndarray], disc, x: np.nd
 
 def refined_density_unnormalized(base: GaussianMixture, disc, x: np.ndarray, *,
                                  lam: float = 0.0) -> np.ndarray:
-    """density(x) * f'^-1(h(x) - lam), the refined density up to its normalizer."""
+    """density(x) * f'^-1(h(x) - lam), the refined density up to its normalizer.
+
+    h - lam must lie inside the range of f', as in `refined_score`, or
+    DomainError names the first point outside it.
+    """
     x = as_batch(x)
-    h = _h_values(disc, x) - lam
-    return np.exp(base.log_density(x)) * np.asarray(disc.generator.f_prime_inv(h))
+    s = _h_values(disc, x) - lam
+    _check_in_range(disc.generator, s, x)
+    return np.exp(base.log_density(x)) * np.asarray(disc.generator.f_prime_inv(s))
 
 
 @dataclass(frozen=True)

@@ -329,7 +329,7 @@ def _vi_duality() -> list[CheckResult]:
     mu, _ = random_discrete_pair(rng, 3, floor=0.15)
     L = rng.uniform(-1, 1, 3)
     res = vi_duality_check(mu, L)
-    grid = simplex_grid(3, 1.0 / 200.0)
+    grid = simplex_grid()
     interior = grid[np.all(grid > 0, axis=1)]
     obj = interior @ L + np.sum(interior * np.log(interior / mu.weights), axis=1)
     tv = 0.5 * float(np.abs(interior[int(np.argmin(obj))] - res.gibbs.weights).sum())

@@ -345,7 +345,7 @@ class TestVIDuality:
             mu, _ = random_pair(rng, 3, floor=0.15)
             L = rng.uniform(-1, 1, 3)
             res = vi_duality_check(mu, L)
-            grid = simplex_grid(3, 1.0 / 200.0)
+            grid = simplex_grid()
             interior = grid[np.all(grid > 0, axis=1)]
             obj = (interior @ L) + np.asarray([
                 float(np.sum(q * np.log(q / mu.weights))) for q in interior])

@@ -1,6 +1,5 @@
 """Brute-force oracles: witness optimality, simplex grids, strong duality."""
 
-import itertools
 import math
 from dataclasses import replace
 
@@ -16,7 +15,6 @@ from season.metrics import est_DfH, exact_fdiv
 from season import oracle
 from season.oracle import (
     HSpec,
-    _lattice,
     dual_grid_min,
     primal_sup_tabular,
     simplex_grid,
@@ -69,47 +67,39 @@ class TestExactOptimalH:
 
 class TestSimplexGrid:
     def test_counts_and_normalization(self):
-        g2 = simplex_grid(2, 1.0 / 10.0)
-        assert g2.shape == (11, 2)
-        g3 = simplex_grid(3, 1.0 / 20.0)
-        assert g3.shape == (231, 3)  # C(22, 2)
-        assert np.allclose(g3.sum(axis=1), 1.0)
-        g4 = simplex_grid(4, 1.0 / 10.0)
-        assert g4.shape == (286, 4)  # C(13, 3)
-        assert np.allclose(g4.sum(axis=1), 1.0)
+        grid = simplex_grid()
+        assert grid.shape == (20301, 3)  # C(202, 2)
+        assert np.allclose(grid.sum(axis=1), 1.0)
 
     def test_unsupported_sizes_rejected(self):
-        with pytest.raises(DomainError):
-            simplex_grid(5, 0.1)
+        # the grid holds three-point weights only, so the dual search takes no other size
+        for k in (2, 4):
+            nu, mu = random_pair(np.random.default_rng(k), k)
+            with pytest.raises(DomainError, match="three-point"):
+                dual_grid_min(nu, mu, KL, HSpec("ball", 0.5))
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_rows_are_every_composition_in_lexicographic_order(self, k):
-        n = 10
-        expected = [p for p in itertools.product(range(n + 1), repeat=k) if sum(p) == n]
-        assert np.array_equal(simplex_grid(k, 1.0 / n), np.array(expected) / n)
+    def test_rows_are_every_composition_in_lexicographic_order(self):
+        expected = [(a, b, 200 - a - b) for a in range(201) for b in range(201 - a)]
+        assert np.array_equal(simplex_grid(), np.array(expected) / 200)
 
     def test_cached_lattice_and_grid_are_read_only(self):
-        lattice = _lattice(3, 20)
-        assert _lattice(3, 20) is lattice
-        grid = simplex_grid(3, 1.0 / 20.0)
-        for arr in (lattice, grid):
+        grid = simplex_grid()
+        for arr in (oracle._COUNTS, grid):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1
-        assert np.array_equal(simplex_grid(3, 1.0 / 20.0), grid)
+        assert np.array_equal(simplex_grid(), grid)
 
 
-def per_row_dual(nu, mu, gen, h_spec, resolution):
+def per_row_dual(nu, mu, gen, h_spec):
     """Reference: the dual scored row by row on the full float grid."""
     nu_w = discrete_ratio(nu, mu) * mu.weights
-    grid = np.vstack([simplex_grid(mu.n, resolution), nu_w[None, :], mu.weights[None, :]])
+    grid = np.vstack([simplex_grid(), nu_w[None, :], mu.weights[None, :]])
     with np.errstate(divide="ignore", invalid="ignore"):
         fvals = np.asarray(gen.f(grid / mu.weights[None, :]))
         terms = np.where(mu.weights[None, :] > 0, fvals * mu.weights[None, :],
                          np.where(grid > 0, np.inf, 0.0))
     l1 = np.abs(nu_w[None, :] - grid).sum(axis=1)
-    ipm = {"constants": np.zeros(grid.shape[0]), "ball": h_spec.norm * l1,
-           "rich": np.where(l1 == 0.0, 0.0, np.inf)}[h_spec.kind]
-    total = ipm + terms.sum(axis=1)
+    total = h_spec.norm * l1 + terms.sum(axis=1)
     best = int(np.argmin(total))
     return float(total[best]), grid[best] / grid[best].sum()
 
@@ -128,16 +118,14 @@ def dual_instances(k, n_random=4):
 
 
 class TestDualGridMin:
-    @pytest.mark.parametrize("k, resolution", [(2, 1.0 / 200.0), (3, 1.0 / 200.0),
-                                               (4, 1.0 / 20.0)])
-    def test_bit_identical_to_per_row_scoring(self, k, resolution):
-        for nu, mu in dual_instances(k):
+    @pytest.mark.parametrize("norm", [0.05, 0.5, 2.0])
+    def test_bit_identical_to_per_row_scoring(self, norm):
+        for nu, mu in dual_instances(3):
             for gen in ALL:
-                for spec in (HSpec("rich"), HSpec("constants"), HSpec("ball", 0.5)):
-                    res = dual_grid_min(nu, mu, gen, spec, resolution)
-                    value, q = per_row_dual(nu, mu, gen, spec, resolution)
-                    assert res.value == value
-                    assert np.array_equal(res.q_star.weights, q)
+                res = dual_grid_min(nu, mu, gen, HSpec("ball", norm))
+                value, q = per_row_dual(nu, mu, gen, HSpec("ball", norm))
+                assert res.value == value
+                assert np.array_equal(res.q_star.weights, q)
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_f_runs_once_per_coordinate_level(self, gen):
@@ -150,22 +138,6 @@ class TestDualGridMin:
 
         dual_grid_min(nu, mu, replace(gen, f=counted), HSpec("ball", 0.5))
         assert 0 < sum(seen) <= 3 * 203
-
-    def test_rich_class_forces_nu(self):
-        rng = np.random.default_rng(1)
-        nu, mu = random_pair(rng, 3)
-        for gen in ALL:
-            res = dual_grid_min(nu, mu, gen, HSpec("rich"))
-            assert np.allclose(res.q_star.weights, nu.weights, atol=1e-12)
-            assert res.value == pytest.approx(exact_fdiv(nu, mu, gen), abs=1e-12)
-
-    def test_constants_class_keeps_mu(self):
-        rng = np.random.default_rng(2)
-        nu, mu = random_pair(rng, 3)
-        for gen in ALL:
-            res = dual_grid_min(nu, mu, gen, HSpec("constants"))
-            assert np.allclose(res.q_star.weights, mu.weights, atol=1e-12)
-            assert res.value == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_ball_strong_duality_twenty_seeds(self, gen):
@@ -231,28 +203,12 @@ class TestDualityCertificate:
             assert strong_duality_check(nu, mu, gen, spec).mass_error > 1e-12
         assert len(roots) == len(pairs)
 
-    def test_rich_q_star_is_nu_and_constants_q_star_is_mu(self):
-        # the rich class's d_H is +inf at every Q but nu, and I_f(Q : mu) = 0
-        # only at Q = mu, so a finite dual and a zero dual pin Q* down
-        rng = np.random.default_rng(15)
-        for k in (2, 3, 8, 32):
-            nu, mu = random_pair(rng, k, floor=0.05)
+    @pytest.mark.parametrize("norm", [0.05, 0.5, 2.0])
+    def test_grid_never_undershoots_the_certificate(self, norm):
+        for nu, mu in dual_instances(3):
             for gen in ALL:
-                rich = strong_duality_check(nu, mu, gen, HSpec("rich"))
-                assert rich.dual == pytest.approx(exact_fdiv(nu, mu, gen), abs=1e-12)
-                assert abs(rich.gap) <= 1e-12 and rich.mass_error <= 1e-15
-                constants = strong_duality_check(nu, mu, gen, HSpec("constants"))
-                assert (constants.primal, constants.dual, constants.gap) == (0.0, 0.0, 0.0)
-                assert constants.mass_error <= 1e-15
-
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_grid_never_undershoots_the_certificate(self, k):
-        resolution = 1.0 / 200.0 if k < 4 else 1.0 / 50.0
-        for nu, mu in dual_instances(k):
-            for gen in ALL:
-                for spec in (HSpec("rich"), HSpec("constants"), HSpec("ball", 0.5)):
-                    res = strong_duality_check(nu, mu, gen, spec)
-                    assert dual_grid_min(nu, mu, gen, spec, resolution).value >= res.dual - 1e-12
+                res = strong_duality_check(nu, mu, gen, HSpec("ball", norm))
+                assert dual_grid_min(nu, mu, gen, HSpec("ball", norm)).value >= res.dual - 1e-12
 
     def test_resolution_does_not_change_the_result(self):
         nu, mu = random_pair(np.random.default_rng(16), 3)
@@ -266,20 +222,10 @@ class TestPrimalSup:
         with pytest.raises(DomainError, match="finite positive norm"):
             HSpec("ball", norm)
 
-    def test_rich_value_is_exact_fdiv(self):
-        rng = np.random.default_rng(5)
-        nu, mu = random_pair(rng, 4, floor=0.05)
-        for gen in ALL:
-            value, _ = primal_sup_tabular(nu, mu, gen, HSpec("rich"))
-            assert value == pytest.approx(exact_fdiv(nu, mu, gen), abs=1e-10)
-
-    def test_constants_value_zero(self):
-        rng = np.random.default_rng(6)
-        nu, mu = random_pair(rng, 3)
-        for gen in ALL:
-            value, tab = primal_sup_tabular(nu, mu, gen, HSpec("constants"))
-            assert value == 0.0
-            assert np.allclose(tab.values, float(gen.f_prime(1.0)))
+    @pytest.mark.parametrize("kind", ["rich", "constants"])
+    def test_only_the_ball_class_is_accepted(self, kind):
+        with pytest.raises(DomainError, match="unknown class kind"):
+            HSpec(kind)
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_window_scan_matches_dense_grid(self, gen):
@@ -305,12 +251,12 @@ class TestPrimalSup:
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_ball_value_between_constants_and_rich(self, gen):
+        # the constants' sup is 0 and every per-point function's is I_f(nu : mu)
         rng = np.random.default_rng(8)
         for _ in range(10):
             nu, mu = random_pair(rng, 3)
             v_ball, _ = primal_sup_tabular(nu, mu, gen, HSpec("ball", 0.5))
-            v_rich, _ = primal_sup_tabular(nu, mu, gen, HSpec("rich"))
-            assert -1e-12 <= v_ball <= v_rich + 1e-10
+            assert -1e-12 <= v_ball <= exact_fdiv(nu, mu, gen) + 1e-10
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_ball_search_evaluation_count(self, gen):

@@ -86,7 +86,7 @@ def test_settable_values_do_not_grow():
     A change that adds one raises BOUND here and justifies the value in
     CHANGES.md; a change that removes one lowers BOUND.
     """
-    BOUND = 80
+    BOUND = 78
     src = Path(season.__file__).resolve().parent
     total = sum(_settable_values(ast.parse(path.read_text())) for path in src.glob("*.py"))
     assert total <= BOUND

@@ -20,7 +20,7 @@ from season.distributions import DiscreteDistribution, gaussian_mixture
 from season.errors import DegenerateDistributionError, DomainError, LambdaSolveError
 from season.experiments import random_discrete_pair
 from season.generators import GENERATOR_NAMES, get_generator, link
-from season.metrics import est_gain_direct, exact_fdiv
+from season.metrics import est_DfH, est_gain_direct, est_gain_pushforward, exact_fdiv
 from season.oracle import HSpec, primal_sup_tabular
 from season.refine import (
     RefinedModel,
@@ -113,6 +113,21 @@ class TestSolveLambda:
         disc = init_discriminator(JS, 1, 8, seed=3)
         batch = np.random.default_rng(4).standard_normal(50)
         assert solve_lambda(disc, JS, batch) == solve_lambda(disc, JS, batch[:, None])
+
+    @pytest.mark.parametrize("call", [
+        lambda model, disc, empty: solve_lambda(disc, JS, empty),
+        lambda model, disc, empty: refine_continuous(model, disc, JS, n_mc=0),
+        lambda model, disc, empty: refined_score(model.score, disc, empty),
+        lambda model, disc, empty: est_gain_direct(disc, empty),
+        lambda model, disc, empty: est_gain_pushforward(disc, empty),
+        lambda model, disc, empty: est_DfH(disc, empty, model.sample(0, 50)),
+    ], ids=["solve_lambda", "refine_continuous", "refined_score", "est_gain_direct",
+            "est_gain_pushforward", "est_DfH"])
+    def test_empty_sample_batch_is_a_domain_error(self, call):
+        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        disc = init_discriminator(JS, 1, 4, seed=0)
+        with pytest.raises(DomainError, match="sample batches need at least one row"):
+            call(model, disc, np.empty((0, 1)))
 
 
 class TestRefineDiscrete:
@@ -313,6 +328,18 @@ class TestRefinedDensity:
         dens = refined_density_unnormalized(model, disc, x, lam=0.0)
         ratio = dens / np.exp(model.log_density(x))
         assert np.allclose(ratio, ratio[0])
+
+    def test_point_outside_the_range_of_f_prime_fails_as_in_refined_score(self):
+        # h - lam > 0 = sup dom f* at x = 1, where f'^-1 is negative for js_shifted
+        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        disc = init_discriminator(JS, 1, 4, seed=0)
+        for x, bad in ((np.linspace(-3, 3, 7), r"\[1\.\]"), (np.array([0.0, np.nan]), r"\[nan\]")):
+            messages = []
+            for fn, base in ((refined_score, model.score), (refined_density_unnormalized, model)):
+                with pytest.raises(DomainError, match=f"at x = {bad} leaves the range") as err:
+                    fn(base, disc, x, lam=-0.6655)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1]
 
 
 class TestRefineContinuous:
