@@ -17,14 +17,14 @@ Exit codes: 0 success, 1 verify-suite failure, 2 config/validation error
 divergence or any other package error).  `main` maps exceptions to these
 codes in one place and prints a one-line message, never a traceback.
 Outputs are byte-identical for identical config + seed and the same BLAS
-thread count; CSV floats carry 17 significant digits.
+thread count.  Every CSV goes through one writer, `refine._write_csv`:
+floats carry 17 significant digits and lines end in \\r\\n.
 OUTPUT_DIR overrides the configured output directory.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import logging.handlers
@@ -44,7 +44,7 @@ from .experiments import (
     refinement_benefit_experiment,
 )
 from .generators import GENERATOR_NAMES, get_generator
-from .refine import export_refined_csv
+from .refine import _write_csv, export_refined_csv
 from .samplers import LangevinConfig, export_samples_csv, langevin
 from .verify import SUITES, run_suite
 
@@ -52,10 +52,6 @@ EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _json_dump(path: Path, payload: dict) -> None:
@@ -113,12 +109,10 @@ def _run_identity(cfg: dict, out: Path) -> None:
     if not math.isfinite(max(r["residual"] for r in rows)):
         raise FloatingPointError("identity residual is not finite")
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "identity_terms.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance_id", "d_H", "D_fH", "gain", "residual"])
-        for r in rows:
-            writer.writerow([r["instance_id"], _fmt(r["d_H"]), _fmt(r["D_fH"]),
-                             _fmt(r["gain"]), _fmt(r["residual"])])
+    columns = [("instance_id", False), ("d_H", True), ("D_fH", True), ("gain", True),
+               ("residual", True)]
+    _write_csv(out / "identity_terms.csv", columns,
+               ([r[name] for name, _ in columns] for r in rows))
 
 
 def _run_refine_1d(cfg: dict, out: Path) -> None:

@@ -122,11 +122,13 @@ class Discriminator:
     width: int
     params: Optional[np.ndarray] = None
     converged: Optional[bool] = None
-    final_objective: Optional[float] = None
 
     def __post_init__(self):
         if self.generator is None:
             raise DomainError("the link head requires a generator")
+        if self.dim < 1 or self.width < 1:
+            raise DomainError(f"a net needs dim >= 1 and width >= 1, "
+                              f"got dim={self.dim}, width={self.width}")
         if self.params is None:
             self.params = np.zeros(self.width * (self.dim + self.width + 3) + 2)
         self._views = _param_views(self.params, self.dim, self.width)
@@ -364,8 +366,8 @@ def _ascend(disc: Discriminator, x_nu: np.ndarray, x_mu: np.ndarray,
 
     Each step evaluates R, its SE and its gradient in one `grads` call.  When
     the rule fires, or when config.steps updates are done, the parameters
-    just evaluated are returned frozen, with that value as final_objective
-    and `converged` telling whether the rule fired.
+    just evaluated are returned frozen, with `converged` telling whether
+    the rule fired.
     """
     lr = float(config.step_size)
     history: list[float] = []
@@ -381,7 +383,6 @@ def _ascend(disc: Discriminator, x_nu: np.ndarray, x_mu: np.ndarray,
             lr *= 0.5
         history.append(value)
         disc.params += lr * g
-    disc.final_objective = value
     disc.converged = stalled
     return disc.freeze()
 
@@ -440,8 +441,9 @@ def discriminator_to_dict(disc: Union[Discriminator, TabularDiscriminator]) -> d
 def discriminator_from_dict(doc: dict) -> Union[Discriminator, TabularDiscriminator]:
     if not isinstance(doc, dict):
         raise DomainError("checkpoint must be a JSON object")
-    if doc.get("version") != _CHECKPOINT_VERSION:
-        raise DomainError(f"unsupported checkpoint version {doc.get('version')!r}")
+    version = doc.get("version")
+    if isinstance(version, bool) or version != _CHECKPOINT_VERSION:
+        raise DomainError(f"unsupported checkpoint version {version!r}")
     if doc.get("kind") == "tabular":
         values = np.asarray(doc["values"], dtype=float)
         if np.isnan(values).any() or np.isposinf(values).any():

@@ -46,6 +46,11 @@ def as_generator(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _check_sample_size(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise DomainError(f"sample size n must be an integer >= 0, got {n!r}")
+
+
 def as_batch(x) -> np.ndarray:
     """Points as an (n, d) float array; a 1-d input is n points in R^1."""
     x = np.asarray(x, dtype=float)
@@ -130,6 +135,7 @@ class DiscreteDistribution:
         return DiscreteDistribution(self.support, weights)
 
     def sample(self, rng: SeedLike, n: int) -> np.ndarray:
+        _check_sample_size(n)
         rng = as_generator(rng)
         idx = rng.choice(self.n, size=n, p=self.weights)
         return self.support[idx]
@@ -220,6 +226,7 @@ class GaussianMixture:
         return np.negative(s, out=s).T
 
     def sample(self, rng: SeedLike, n: int) -> np.ndarray:
+        _check_sample_size(n)
         rng = as_generator(rng)
         idx = rng.choice(self.k, size=n, p=self.weights)
         z = rng.standard_normal((n, self.dim))

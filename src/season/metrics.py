@@ -166,6 +166,8 @@ def slow_rate_term(norm_H: float, delta: float, n: int) -> float:
     """2 ||H|| sqrt(ln(1/delta) / (2n)), the concentration penalty."""
     if not (0.0 < delta < 1.0) or n < 1:
         raise DomainError(f"need n >= 1 and delta in (0, 1), got n={n}, delta={delta}")
+    if not (math.isfinite(norm_H) and norm_H >= 0):
+        raise DomainError(f"norm_H must be finite and nonnegative, got {norm_H}")
     return 2.0 * norm_H * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
 
 

@@ -28,7 +28,6 @@ disc.generator, and only that f makes f'^-1(h - lambda) the density ratio.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -296,14 +295,22 @@ def refine_continuous(base: GaussianMixture, disc, gen: GeneratorSpec, *,
     return RefinedModel(disc=disc, lambda_h=lam, base=base)
 
 
+def _write_csv(path, columns, rows) -> None:
+    """Write the header of column names, then one line per row: the one CSV format.
+
+    columns pairs each name with whether its column holds floats; floats
+    are written as .17g (it reads back to the same float64), other values
+    as str() gives them, and lines end in \\r\\n: the bytes csv.writer writes.
+    """
+    line = ",".join("{:.17g}" if is_float else "{}" for _, is_float in columns) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(name for name, _ in columns) + "\r\n")
+        fh.writelines(line.format(*row) for row in rows)
+
+
 def export_refined_csv(path, mu: DiscreteDistribution, disc) -> None:
     """Write (support, base weight, ratio, refined weight) rows, lambda solved on mu."""
     ratios, weights = _refined_weights(mu, disc, None)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim_cols = [f"x{j}" for j in range(mu.dim)]
-        writer.writerow(dim_cols + ["base_weight", "ratio", "refined_weight"])
-        for i in range(mu.n):
-            row = [f"{v:.17g}" for v in mu.support[i]]
-            row += [f"{mu.weights[i]:.17g}", f"{ratios[i]:.17g}", f"{weights[i]:.17g}"]
-            writer.writerow(row)
+    names = [f"x{j}" for j in range(mu.dim)] + ["base_weight", "ratio", "refined_weight"]
+    _write_csv(path, [(name, True) for name in names],
+               zip(*mu.support.T, mu.weights, ratios, weights))

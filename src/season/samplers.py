@@ -26,6 +26,7 @@ beyond +-1e6; exactly +-1e6 passes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -38,7 +39,7 @@ from .discriminator import Discriminator, _check_generator, input_grad  # noqa: 
 from .distributions import OUSchedule, as_batch, as_generator
 from .errors import ChainDivergenceError, DomainError
 from .generators import GeneratorSpec
-from .refine import refined_score
+from .refine import _write_csv, refined_score
 
 __all__ = [
     "LangevinConfig",
@@ -148,21 +149,16 @@ def w1_1d(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float).ravel()
     if a.shape != b.shape:
         raise DomainError(f"batch sizes differ: {a.shape} vs {b.shape}")
+    if a.size == 0 or not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DomainError("W1 needs nonempty batches of finite values")
     return float(np.abs(np.sort(a) - np.sort(b)).mean())
 
 
 def export_samples_csv(path, batch: np.ndarray, seed: int) -> None:
-    """One row per chain after a chain,x0,...,seed header; lines end in \\r\\n.
-
-    A row is the chain index, each coordinate as .17g (it reads back to the
-    same float64; nan, inf and -inf as such) and the seed as str() gives
-    it.  No field needs quoting, so these are the bytes csv.writer writes.
-    """
+    """One row per chain: its index, its coordinates x0, x1, ... and the seed."""
     batch = as_batch(batch)
     d = batch.shape[1]
-    row = "{}," + "{:.17g}," * d + "{}\r\n"
+    columns = [("chain", False), *((f"x{j}", True) for j in range(d)), ("seed", False)]
     # one flat list, d values to a row: a list per row leaves ~0.2 MB of heap behind
     values = iter(batch.ravel().tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["chain", *(f"x{j}" for j in range(d)), "seed"]) + "\r\n")
-        fh.writelines(row.format(*chain, seed) for chain in zip(range(len(batch)), *[values] * d))
+    _write_csv(path, columns, zip(range(len(batch)), *[values] * d, itertools.repeat(seed)))

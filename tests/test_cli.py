@@ -25,6 +25,7 @@ from season.discriminator import (
 )
 from season.distributions import model_from_spec
 from season.errors import TrainingDivergedError
+from season.experiments import identity_discrete_experiment
 from season.generators import GENERATOR_NAMES, get_generator
 from season.refine import refine_discrete
 
@@ -66,6 +67,21 @@ class TestRunIdentity:
             assert main(["run", cfg]) == 0
         assert (out1 / "identity_terms.csv").read_bytes() == \
             (out2 / "identity_terms.csv").read_bytes()
+
+    def test_bytes_equal_to_csv_writer(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "experiment": "identity-discrete", "seed": 7, "n_instances": 4,
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["run", cfg]) == 0
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["instance_id", "d_H", "D_fH", "gain", "residual"])
+            for r in identity_discrete_experiment(n_instances=4, seed=7):
+                writer.writerow([r["instance_id"]] + [f"{r[k]:.17g}" for k in
+                                                      ("d_H", "D_fH", "gain", "residual")])
+        assert (tmp_path / "out" / "identity_terms.csv").read_bytes() == want.read_bytes()
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         override = tmp_path / "env_out"
@@ -426,6 +442,26 @@ class TestInputErrors:
         assert main(["refine", "--model", model, "--disc", disc,
                      "--out", str(tmp_path / "out.csv")]) == 2
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("change, message", [
+        ("width-0", "error: a net needs dim >= 1 and width >= 1, got dim=1, width=0\n"),
+        ("version-true", "error: unsupported checkpoint version True\n"),
+    ])
+    def test_zero_width_or_boolean_version_checkpoint_exits_2(self, change, message,
+                                                              tmp_path, capsys):
+        doc = discriminator_to_dict(init_discriminator(get_generator("js_shifted"), 1, 4))
+        if change == "width-0":
+            doc["layers"] = [{"shape": [0, 1], "weights": [], "bias": []},
+                             {"shape": [0, 0], "weights": [], "bias": []},
+                             {"shape": [1, 0], "weights": [], "bias": [0.0]}]
+        else:
+            doc["version"] = True
+        model = write_json(tmp_path / "mu.json", DISCRETE_MU)
+        disc = write_json(tmp_path / "disc.json", doc)
+        out = tmp_path / "out.csv"
+        assert main(["refine", "--model", model, "--disc", disc, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     @pytest.mark.parametrize("spec, shown", [
         ({**MIXTURE_SPEC, "means": [[[0.0]]]}, "means: points must be (n,) or (n, d)"),

@@ -467,14 +467,13 @@ class TestTraining:
         x_mu = rng.standard_normal((100, 1))
         disc = train(KL, x_nu, x_mu, TrainConfig(width=4, steps=800, step_size=0.05, seed=1))
         assert disc.converged is True
-        assert math.isfinite(disc.final_objective)
 
     def test_same_seed_fits_are_byte_identical(self):
         x_nu, x_mu = gaussian_pair(500)
         cfg = TrainConfig(width=8, steps=300, step_size=0.5, seed=3)
         a, b = train(JS, x_nu, x_mu, cfg), train(JS, x_nu, x_mu, cfg)
         assert a.params.tobytes() == b.params.tobytes()
-        assert (a.converged, a.final_objective) == (b.converged, b.final_objective)
+        assert a.converged == b.converged
 
     @pytest.mark.parametrize("steps", [0, 30, 120])
     def test_steps_cap_the_grads_calls(self, steps, monkeypatch):
@@ -506,8 +505,8 @@ class TestTraining:
             assert stall == len(calls) - 1 < steps
         else:
             assert stall is None and len(calls) == steps + 1
-        # the value of the last evaluation, with no extra pass after it
-        assert disc.final_objective == calls[-1][0]
+        # the parameters of the last evaluation, with no update after it
+        assert grads(disc, JS, x_nu, x_mu)[1] == calls[-1][0]
 
     def test_divergence_raises_with_step_index(self):
         rng = np.random.default_rng(11)
@@ -519,6 +518,11 @@ class TestTraining:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("dim, width", [(0, 4), (1, 0), (0, 0)])
+    def test_zero_size_net_rejected(self, dim, width):
+        with pytest.raises(DomainError, match="dim >= 1 and width >= 1"):
+            init_discriminator(KL, dim, width)
+
     def test_bit_exact_roundtrip(self):
         disc = init_discriminator(JS, 3, 8, seed=21)
         disc.bias = -0.12345678901234567

@@ -24,7 +24,13 @@ from season.distributions import (
     ou_params,
     split_seeds,
 )
+from season.discriminator import init_discriminator
 from season.errors import AbsoluteContinuityError, DomainError
+from season.generators import get_generator
+from season.refine import refine_continuous
+
+
+KL = get_generator("kl")
 
 
 def two_point(w0, w1):
@@ -71,6 +77,18 @@ class TestDiscreteDistribution:
     def test_sampler_deterministic(self):
         d = two_point(0.3, 0.7)
         assert np.array_equal(d.sample(5, 100), d.sample(5, 100))
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, True], ids=["negative", "float", "bool"])
+@pytest.mark.parametrize("draw", [
+    lambda n: two_point(0.3, 0.7).sample(0, n),
+    lambda n: gaussian_mixture([[0.0]], [[[1.0]]], [1.0]).sample(0, n),
+    lambda n: refine_continuous(gaussian_mixture([[0.0]], [[[1.0]]], [1.0]),
+                                init_discriminator(KL, 1, 4), KL, n_mc=n),
+], ids=["discrete", "mixture", "refine_continuous"])
+def test_sample_size_must_be_a_nonnegative_integer(draw, n):
+    with pytest.raises(DomainError, match=f"sample size n must be an integer >= 0, got {n}"):
+        draw(n)
 
 
 class TestAsBatch:

@@ -243,6 +243,11 @@ class TestIPM:
 
 
 class TestBoundAssembly:
+    @pytest.mark.parametrize("norm_H", [math.nan, math.inf, -1.0])
+    def test_slow_rate_needs_a_finite_nonnegative_norm(self, norm_H):
+        with pytest.raises(DomainError, match="norm_H must be finite and nonnegative"):
+            slow_rate_term(norm_H, 0.05, 10)
+
     def test_slow_rate_reference_value(self):
         # 2 sqrt(ln 20 / 400) = 0.17308183826022852, i.e. 0.173082 at 6 dp
         exact = 2.0 * math.sqrt(math.log(20.0) / 400.0)

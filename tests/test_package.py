@@ -57,6 +57,15 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
                for d in cls.decorator_list)
 
 
+def _has_default(item: ast.AnnAssign) -> bool:
+    """A plain value, or a field(...) call given default= or default_factory=."""
+    value = item.value
+    if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "field"):
+        return any(kw.arg in ("default", "default_factory") for kw in value.keywords)
+    return value is not None
+
+
 def _settable_values(tree: ast.Module) -> int:
     count = 0
     for node in tree.body:
@@ -67,7 +76,7 @@ def _settable_values(tree: ast.Module) -> int:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     count += _defaults(item)
                 elif (_is_dataclass(node) and isinstance(item, ast.AnnAssign)
-                      and item.value is not None
+                      and _has_default(item)
                       and not ast.unparse(item.annotation).startswith("ClassVar")):
                     count += 1
     for call in ast.walk(tree):
@@ -86,7 +95,7 @@ def test_settable_values_do_not_grow():
     A change that adds one raises BOUND here and justifies the value in
     CHANGES.md; a change that removes one lowers BOUND.
     """
-    BOUND = 78
+    BOUND = 75
     src = Path(season.__file__).resolve().parent
     total = sum(_settable_values(ast.parse(path.read_text())) for path in src.glob("*.py"))
     assert total <= BOUND

@@ -25,6 +25,7 @@ from season.oracle import HSpec, primal_sup_tabular
 from season.refine import (
     RefinedModel,
     _brentq,
+    _refined_weights,
     _solve_lambda,
     export_refined_csv,
     refine_continuous,
@@ -379,6 +380,24 @@ class TestExportCSV:
         assert rows[0] == ["x0", "base_weight", "ratio", "refined_weight"]
         refined_w = np.array([float(r[3]) for r in rows[1:]])
         assert np.allclose(refined_w, nu.weights, atol=1e-10)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bytes_equal_to_csv_writer(self, tmp_path, dim):
+        rng = np.random.default_rng(dim)
+        support = rng.standard_normal((5, dim))
+        mu = DiscreteDistribution(support, np.array([0.3, 0.0, 0.2, 0.1, 0.4]))
+        tab = TabularDiscriminator(JS, support[::-1], rng.uniform(-0.5, 0.5, 5))
+        export_refined_csv(tmp_path / "got.csv", mu, tab)
+        ratios, weights = _refined_weights(mu, tab, None)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"x{j}" for j in range(dim)]
+                            + ["base_weight", "ratio", "refined_weight"])
+            for i in range(mu.n):
+                writer.writerow([f"{v:.17g}" for v in (*mu.support[i], mu.weights[i],
+                                                       ratios[i], weights[i])])
+        assert weights[1] == 0.0
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_zero_mass_raises(self, tmp_path):
         mu = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))

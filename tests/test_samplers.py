@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,15 @@ class TestW1:
     def test_size_mismatch_rejected(self):
         with pytest.raises(DomainError):
             w1_1d(np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("a, b", [
+        ([], []), ([math.nan], [0.0]), ([0.0], [math.inf]), ([-math.inf, 1.0], [0.0, 1.0]),
+    ], ids=["empty", "nan", "inf", "minus-inf"])
+    def test_empty_or_non_finite_rejected(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="nonempty batches of finite values"):
+                w1_1d(np.array(a), np.array(b))
 
 
 class TestExport:
