@@ -230,7 +230,7 @@ class TabularDiscriminator:
     def h_for(self, dist: DiscreteDistribution) -> np.ndarray:
         """Values aligned to dist.support; every point must be known."""
         index = _row_positions(dist.support, self.support)
-        if np.any(index < 0):
+        if (index < 0).any():
             row = dist.support[np.flatnonzero(index < 0)[0]]
             raise DomainError(f"discriminator undefined at support point {row}")
         return self.values[index]
@@ -457,6 +457,9 @@ def discriminator_from_dict(doc: dict) -> Union[Discriminator, TabularDiscrimina
     if doc.get("head", "link") != "link":
         raise DomainError(f"unsupported head {doc.get('head')!r}: only link-head nets load")
     layers = doc["layers"]
+    for i, layer in enumerate(layers):
+        if isinstance(shape := layer["shape"], list) and any(type(s) is not int for s in shape):
+            raise DomainError(f"checkpoint layer {i} shape {shape} must hold integers")
     first = layers[0]["shape"] if layers else None
     width, dim = first if isinstance(first, list) and len(first) == 2 else (0, 0)
     if [layer["shape"] for layer in layers] != [[width, dim], [width, width], [1, width]] or any(

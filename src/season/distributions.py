@@ -91,37 +91,43 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _checked_weights(weights, n: int) -> np.ndarray:
+    """A read-only copy of weights for n points: finite, nonnegative, summing to 1 within 1e-12."""
+    weights = np.array(weights, dtype=float)
+    if weights.shape != (n,):
+        raise DomainError(f"weights shape {weights.shape} does not match {n} support points")
+    if not np.isfinite(weights).all():
+        raise DomainError("weights must be finite")
+    if (weights < 0).any():
+        raise DomainError("weights must be nonnegative")
+    total = float(weights.sum())
+    if abs(total - 1.0) > 1e-12:
+        raise DomainError(f"weights sum to {total!r}, not 1")
+    weights.setflags(write=False)
+    return weights
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Finite support points in R^d with probability weights.
 
-    Weights must be finite, nonnegative and sum to 1 within 1e-12; support
-    points must be finite and distinct, with -0.0 read as 0.0.  1-d input
-    supports are reshaped to (n, 1).
+    Support points must be finite and distinct, with -0.0 read as 0.0;
+    weights must be finite, nonnegative and sum to 1 within 1e-12.  1-d input
+    supports are reshaped to (n, 1).  Both are stored as read-only copies;
+    `reweighted` checks and copies only the new weights and shares the support.
     """
 
     support: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        support = as_batch(self.support) + 0.0
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.shape != (support.shape[0],):
-            raise DomainError(
-                f"weights shape {weights.shape} does not match {support.shape[0]} support points"
-            )
+        support = as_batch(self.support) + 0.0  # a fresh array, so made read-only in place
         if not np.isfinite(support).all():
             raise DomainError("support points must be finite")
-        if not np.isfinite(weights).all():
-            raise DomainError("weights must be finite")
-        if np.any(weights < 0):
-            raise DomainError("weights must be nonnegative")
-        total = float(weights.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise DomainError(f"weights sum to {total!r}, not 1")
+        object.__setattr__(self, "weights", _checked_weights(self.weights, support.shape[0]))
         _require_distinct(support)
-        object.__setattr__(self, "support", _freeze(support))
-        object.__setattr__(self, "weights", _freeze(weights))
+        support.setflags(write=False)
+        object.__setattr__(self, "support", support)
 
     @property
     def n(self) -> int:
@@ -132,7 +138,11 @@ class DiscreteDistribution:
         return self.support.shape[1]
 
     def reweighted(self, weights: np.ndarray) -> "DiscreteDistribution":
-        return DiscreteDistribution(self.support, weights)
+        """The same support, shared since it is checked and read-only, with new weights."""
+        other = object.__new__(DiscreteDistribution)
+        object.__setattr__(other, "support", self.support)
+        object.__setattr__(other, "weights", _checked_weights(weights, self.n))
+        return other
 
     def sample(self, rng: SeedLike, n: int) -> np.ndarray:
         _check_sample_size(n)
@@ -332,7 +342,7 @@ def discrete_ratio(nu: DiscreteDistribution, mu: DiscreteDistribution) -> np.nda
     """
     index = _row_positions(nu.support, mu.support)
     nu_w = nu.weights
-    if np.any(index < 0):
+    if (index < 0).any():
         outside = (index < 0) & (nu_w > 0)
         if outside.any():
             j = int(np.flatnonzero(outside)[0])

@@ -74,8 +74,8 @@ def random_discrete_pair(rng, k: int, floor: float = 0.05
         w = rng.uniform(floor, 1.0, size=k)
         return w / w.sum()
 
-    return (DiscreteDistribution(support, weights()),
-            DiscreteDistribution(support, weights()))
+    nu = DiscreteDistribution(support, weights())  # nu's weights are drawn first
+    return nu, nu.reweighted(weights())
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def population_rademacher(population: DiscreteDistribution, n: int, *, norm: flo
 def empirical_from_draws(population: DiscreteDistribution, rng, n: int) -> DiscreteDistribution:
     idx = as_generator(rng).choice(population.n, size=n, p=population.weights)
     counts = np.bincount(idx, minlength=population.n).astype(float)
-    return DiscreteDistribution(population.support, counts / n)
+    return population.reweighted(counts / n)
 
 
 def bound_trial(seed: int, *, gen_name: str = "js_shifted", n: int = 200,

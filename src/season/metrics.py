@@ -63,7 +63,7 @@ def _mc(values: np.ndarray) -> MCEstimate:
 def _masked_dot(weights: np.ndarray, values: np.ndarray) -> float:
     """sum w_i v_i skipping zero-weight terms, so 0 * (+-inf) contributes 0."""
     mask = weights > 0
-    return float(np.sum(weights[mask] * values[mask])) if mask.any() else 0.0
+    return float((weights[mask] * values[mask]).sum()) if mask.any() else 0.0
 
 
 def _expect(dist, values: np.ndarray) -> MCEstimate:
@@ -159,7 +159,7 @@ def ipm_at_witness(h_values: np.ndarray, nu: DiscreteDistribution,
     diff = nu_aligned - mu.weights
     h = np.asarray(h_values, dtype=float)
     mask = diff != 0.0
-    return float(np.sum(diff[mask] * h[mask])) if mask.any() else 0.0
+    return float((diff[mask] * h[mask]).sum()) if mask.any() else 0.0
 
 
 def slow_rate_term(norm_H: float, delta: float, n: int) -> float:

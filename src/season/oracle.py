@@ -155,7 +155,7 @@ def dual_grid_min(nu: DiscreteDistribution, mu: DiscreteDistribution, gen: Gener
     best = int(np.argmin(total))
     g = _COUNTS.shape[1]
     q = _COUNTS[:, best] / n if best < g else points[n + 1 + best - g]
-    return DualResult(q_star=DiscreteDistribution(mu.support, q / q.sum()),
+    return DualResult(q_star=mu.reweighted(q / q.sum()),
                       value=float(total[best]))
 
 

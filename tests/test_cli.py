@@ -443,6 +443,19 @@ class TestInputErrors:
                      "--out", str(tmp_path / "out.csv")]) == 2
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("layer, shape", [
+        (0, [4.0, 1]), (1, [4.0, 4.0]), (2, [1, 4.0]), (0, [4, True]),
+    ], ids=["first-float", "hidden-float", "last-float", "first-bool"])
+    def test_non_integer_layer_shape_exits_2(self, layer, shape, tmp_path, capsys):
+        doc = discriminator_to_dict(init_discriminator(get_generator("js_shifted"), 1, 4))
+        doc["layers"][layer]["shape"] = shape  # equal to the true shape as numbers
+        model = write_json(tmp_path / "mu.json", DISCRETE_MU)
+        disc = write_json(tmp_path / "disc.json", doc)
+        assert main(["refine", "--model", model, "--disc", disc,
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: checkpoint layer {layer} shape {shape} must hold integers\n")
+
     @pytest.mark.parametrize("change, message", [
         ("width-0", "error: a net needs dim >= 1 and width >= 1, got dim=1, width=0\n"),
         ("version-true", "error: unsupported checkpoint version True\n"),

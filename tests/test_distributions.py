@@ -78,6 +78,37 @@ class TestDiscreteDistribution:
         d = two_point(0.3, 0.7)
         assert np.array_equal(d.sample(5, 100), d.sample(5, 100))
 
+    @pytest.mark.parametrize("support", [[[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0]],
+                             ids=["2d", "1d"])
+    def test_caller_arrays_are_copied(self, support):
+        support, weights = np.array(support), np.array([0.2, 0.3, 0.5])
+        d = DiscreteDistribution(support, weights)
+        support[0] = 7.0
+        weights[:] = [0.5, 0.5, 0.0]
+        assert d.support.ravel().tolist() == [0.0, 1.0, 2.0]
+        assert d.weights.tolist() == [0.2, 0.3, 0.5]
+        assert not d.support.flags.writeable and not d.weights.flags.writeable
+
+    def test_reweighted_shares_the_read_only_support(self):
+        d = DiscreteDistribution(np.array([[0.0], [1.0], [2.0]]), np.array([0.2, 0.3, 0.5]))
+        weights = np.array([0.5, 0.5, 0.0])
+        r = d.reweighted(weights)
+        weights[0] = 0.9
+        assert r.support is d.support and not r.support.flags.writeable
+        assert r.weights.tolist() == [0.5, 0.5, 0.0] and not r.weights.flags.writeable
+        assert d.weights.tolist() == [0.2, 0.3, 0.5]
+
+    @pytest.mark.parametrize("weights", [
+        [np.nan, 0.5, 0.5], [-0.1, 0.6, 0.5], [0.5, 0.5], [[0.2, 0.3, 0.5]], [0.5, 0.5, 0.1],
+    ], ids=["nan", "negative", "short", "2d", "sum"])
+    def test_reweighted_rejects_what_the_constructor_rejects(self, weights):
+        d = DiscreteDistribution(np.array([[0.0], [1.0], [2.0]]), np.array([0.2, 0.3, 0.5]))
+        with pytest.raises(DomainError) as built:
+            DiscreteDistribution(d.support, np.array(weights))
+        with pytest.raises(DomainError) as reweighted:
+            d.reweighted(np.array(weights))
+        assert str(reweighted.value) == str(built.value)
+
 
 @pytest.mark.parametrize("n", [-1, 2.5, True], ids=["negative", "float", "bool"])
 @pytest.mark.parametrize("draw", [

@@ -88,6 +88,20 @@ class TestSolveLambda:
             lam_c = solve_lambda(shifted, gen, mu)
             assert lam_c == pytest.approx(lam0 + float(c), abs=1e-9)
 
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    @pytest.mark.parametrize("junk", [0.3, math.inf, math.nan])
+    def test_zero_weight_point_is_left_out_bit_for_bit(self, gen, junk):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            k = int(rng.integers(2, 5))
+            nu, mu = random_pair(rng, k)
+            h = exact_tabular(nu, mu, gen).h_for(mu)
+            j = int(rng.integers(0, k + 1))  # where the zero-weight point goes
+            padded = DiscreteDistribution(np.insert(mu.support, j, 9.0, axis=0),
+                                          np.insert(mu.weights, j, 0.0))
+            assert (_solve_lambda(gen, np.insert(h, j, junk), padded)
+                    == _solve_lambda(gen, h, mu))
+
     def test_degenerate_all_minus_inf(self):
         mu = DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([0.4, 0.6]))
         tab = TabularDiscriminator(KL, mu.support, np.array([-math.inf, -math.inf]))
