@@ -140,8 +140,8 @@ def _solve_lambda(gen: GeneratorSpec, h: np.ndarray,
     """Solve E_mu[f'^-1(h - lambda)] = 1 for h already evaluated on mu_ref.
 
     The weights and the tolerance come from mu_ref as in
-    `solve_lambda`; zero-weight points are left out, by a copy of h and
-    the weights made only when some weight is zero.  At lambda = max(h) -
+    `solve_lambda`; zero-weight points are left out, through a masked
+    copy of h and the weights.  At lambda = max(h) -
     f'(1/2) every term is at most 1/2, so E < 1 there.  The other end of
     the bracket moves down from it: halving the distance to max(h) - sup
     dom f* when that supremum is finite, doubling the step when it is not.
@@ -157,8 +157,7 @@ def _solve_lambda(gen: GeneratorSpec, h: np.ndarray,
     else:
         w, tol = np.full(h.shape[0], 1.0 / h.shape[0]), _MC_TOL
     live = w > 0
-    if not live.all():
-        h, w = h[live], w[live]
+    h, w = h[live], w[live]
     if (np.isnan(h) | np.isposinf(h)).any():
         raise LambdaSolveError("discriminator is NaN or +inf on mu")
     finite = np.isfinite(h)

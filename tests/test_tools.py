@@ -1,4 +1,4 @@
-"""The benchmark-pair summariser of tools/bench_pairs.py, on synthetic result rows."""
+"""tools/bench_pairs.py: the summariser on synthetic result rows and the argument parsing."""
 
 import importlib.util
 import json
@@ -65,3 +65,12 @@ def test_summary_is_per_workload_and_marks_incorrect_runs():
 @pytest.mark.parametrize("text, seeds", [("7", [7]), ("2601-2603", [2601, 2602, 2603])])
 def test_seed_range(text, seeds):
     assert bench_pairs._seed_range(text) == seeds
+
+
+@pytest.mark.parametrize("extra", [["--workload", "nope"],
+                                   ["--workload", "exact", "--seconds", "10"]])
+def test_workloads_and_run_length_come_from_the_benchmark(extra, tmp_path):
+    argv = ["--parent", "p", "--change", "c", "--seeds", "1-2", "--out", str(tmp_path / "o.json")]
+    with pytest.raises(SystemExit):
+        bench_pairs.main(argv + extra)
+    assert not (tmp_path / "o.json").exists()

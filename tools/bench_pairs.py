@@ -1,11 +1,13 @@
 """Alternating parent/change benchmark pairs, written to one JSON file.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload exact \
-        --seeds 2601-2610 --seconds 25 --out BENCH_26.json
+        --seeds 2601-2610 --out BENCH_26.json
 
 Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T
 --trace 0`` once in the parent checkout and once in the change checkout,
 one run at a time; the side that runs first alternates from pair to pair.
+T is BENCHMARK.json's ``run_seconds`` and the workload names are its
+``workloads``.
 With several ``--workload`` options the workloads are interleaved, and each
 takes the next block of seeds: with seeds 2601-2610 and workloads exact and
 fit, exact runs seeds 2601-2610 and fit 2611-2620.  The file is rewritten
@@ -45,7 +47,7 @@ def _seed_range(text: str) -> list[int]:
     return seeds
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     """One untraced benchmark run: its result line, raw wall times and miss share."""
     argv = ["python3", "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
@@ -93,19 +95,19 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
 
 
 def main(argv=None) -> int:
+    bench = json.loads(BENCHMARK.read_text())
+    seconds = bench["run_seconds"]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path)
     parser.add_argument("--change", required=True, type=Path)
     parser.add_argument("--workload", required=True, action="append",
-                        choices=("fit", "sample", "exact"))
+                        choices=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--seeds", required=True, type=_seed_range,
                         help="FIRST-LAST: one pair per seed, per workload")
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
     n = len(args.seeds)
-    doc = {"command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} "
+    doc = {"command": f"python3 bench/run.py --workload W --seed S --seconds {seconds} "
                       "--trace 0",
            "checkouts": {"parent": args.parent.name, "change": args.change.name},
            "pairs": [], "summary": {}}
@@ -115,9 +117,9 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"workload": workload, "seed": seed, "first": order[0]}
             for s in order:
-                pair[s] = run_once(getattr(args, s), workload, seed, args.seconds)
+                pair[s] = run_once(getattr(args, s), workload, seed, seconds)
             doc["pairs"].append(pair)
-            doc["summary"] = summarize(doc["pairs"], metrics)
+            doc["summary"] = summarize(doc["pairs"], bench["end_to_end"])
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
             print(workload, seed, *(round(pair[s]["metrics"]["ops_per_s"]["value"], 3)
                                     for s in SIDES), flush=True)
