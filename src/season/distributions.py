@@ -27,7 +27,6 @@ __all__ = [
     "as_generator",
     "as_batch",
     "split_seeds",
-    "check_score_consistency",
     "gaussian_mixture",
     "constant_schedule",
     "ou_params",
@@ -92,10 +91,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _checked_weights(weights, n: int) -> np.ndarray:
-    """A read-only copy of weights for n points: finite, nonnegative, summing to 1 within 1e-12."""
+    """A read-only copy of n weights: finite, nonnegative, summing to 1 within 1e-12.
+
+    The one weight check, for support points and mixture components alike.
+    """
     weights = np.array(weights, dtype=float)
     if weights.shape != (n,):
-        raise DomainError(f"weights shape {weights.shape} does not match {n} support points")
+        raise DomainError(f"weights have shape {weights.shape}, expected ({n},)")
     if not np.isfinite(weights).all():
         raise DomainError("weights must be finite")
     if (weights < 0).any():
@@ -167,8 +169,10 @@ def _log_sum_exp(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class GaussianMixture:
     """Closed-form Gaussian mixture in low dimension.
 
-    means are k points as `as_batch` reads them; covs is one (k, d, d) array.
-    Means, covariances and weights must be finite.
+    means are k points as `as_batch` reads them; covs is one (k, d, d) array
+    of symmetric positive definite matrices.  Means and covariances must be
+    finite; weights follow `DiscreteDistribution`'s rule, and a zero weight
+    keeps its component but never samples it.
     """
 
     def __init__(self, means, covs, weights):
@@ -177,18 +181,16 @@ class GaussianMixture:
         except DomainError as exc:
             raise DomainError(f"means: {exc}") from None
         k, d = means.shape
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (k,):
-            raise DomainError(f"{k} components but weights shape {weights.shape}")
+        weights = _checked_weights(weights, k)
         covs = np.asarray(covs, dtype=float)
         if covs.shape != (k, d, d):
             raise DomainError(f"covariances have shape {covs.shape}, expected ({k}, {d}, {d})")
-        for name, value in (("means", means), ("covariances", covs), ("weights", weights)):
+        for name, value in (("means", means), ("covariances", covs)):
             if not np.isfinite(value).all():
                 raise DomainError(f"mixture {name} must be finite")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise DomainError("mixture weights must be nonnegative and sum to 1")
-        covs = 0.5 * (covs + covs.swapaxes(1, 2))
+        asymmetric = (covs != covs.swapaxes(1, 2)).any(axis=(1, 2))
+        if asymmetric.any():
+            raise DomainError(f"covariance {int(np.flatnonzero(asymmetric)[0])} is not symmetric")
         try:
             chols = np.linalg.cholesky(covs)
         except np.linalg.LinAlgError as exc:
@@ -196,10 +198,11 @@ class GaussianMixture:
 
         self.means = _freeze(means)
         self.covs = _freeze(covs)
-        self.weights = _freeze(weights)
+        self.weights = weights
         self._chols = chols
         self._precisions = np.linalg.inv(covs)
-        self._log_weights = np.log(weights)[:, None]
+        with np.errstate(divide="ignore"):
+            self._log_weights = np.log(weights)[:, None]
         self._log_norm = -0.5 * (
             d * math.log(2.0 * math.pi) + 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
         )
@@ -243,45 +246,14 @@ class GaussianMixture:
         out = np.einsum("nde,ne->nd", self._chols[idx], z)
         return out + self.means[idx]
 
-    def noised(self, m: float, sigma: float) -> "GaussianMixture":
-        """Mixture of X_t = m X_0 + sigma Z: means scaled, covs m^2 C + sigma^2 I."""
-        return GaussianMixture(m * self.means, m * m * self.covs + sigma * sigma * np.eye(self.dim),
-                               self.weights)
-
-
-_SCORE_PROBES = 100
-_SCORE_RTOL = 1e-4
-
-
-def check_score_consistency(model: GaussianMixture, rng: SeedLike = 0) -> float:
-    """Compare score against central differences of log_density at 100 probes.
-
-    Returns the worst relative error; raises DomainError beyond 1e-4.
-    """
-    rng = as_generator(rng)
-    x = model.sample(rng, _SCORE_PROBES)
-    s = model.score(x)
-    fd = np.empty_like(s)
-    h = 1e-6 * (1.0 + np.abs(x))
-    for j in range(model.dim):
-        xp = x.copy()
-        xm = x.copy()
-        xp[:, j] += h[:, j]
-        xm[:, j] -= h[:, j]
-        fd[:, j] = (model.log_density(xp) - model.log_density(xm)) / (2.0 * h[:, j])
-    scale = np.maximum(np.linalg.norm(s, axis=1), 1.0)
-    err = float((np.linalg.norm(fd - s, axis=1) / scale).max())
-    if not err <= _SCORE_RTOL:  # NaN fails too
-        raise DomainError("score disagrees with finite differences: "
-                          f"rel err {err:.3e} > {_SCORE_RTOL}")
-    return err
-
 
 def gaussian_mixture(means, covs, weights) -> GaussianMixture:
-    """Build a Gaussian mixture, checking its score against finite differences."""
-    model = GaussianMixture(means, covs, weights)
-    check_score_consistency(model)
-    return model
+    """Alias of `GaussianMixture`.
+
+    It stays only because `bench/workloads.py` calls it; ROADMAP item 6's
+    change to the benchmark drops it.
+    """
+    return GaussianMixture(means, covs, weights)
 
 
 @dataclass(frozen=True)
@@ -301,6 +273,11 @@ class OUSchedule:
 
 
 def constant_schedule(beta: float, T: float) -> OUSchedule:
+    """Alias of `OUSchedule`.
+
+    It stays only because `bench/workloads.py` calls it; ROADMAP item 6's
+    change to the benchmark drops it.
+    """
     return OUSchedule(beta, T)
 
 
@@ -325,11 +302,16 @@ def noise_sample(x0: np.ndarray, schedule: OUSchedule, t: float, seed: SeedLike)
 
 
 def noised_mixture(model: GaussianMixture, schedule: OUSchedule, t: float) -> GaussianMixture:
-    """Exact law of the forward-noised mixture at time t."""
+    """Exact law of the forward-noised mixture at time t.
+
+    X_t = m_t X_0 + sigma_t Z scales the means by m_t and maps each
+    covariance C to m_t^2 C + sigma_t^2 I.
+    """
     m, sigma = ou_params(schedule, t)
     if sigma == 0.0:
         return model
-    return model.noised(m, sigma)
+    return GaussianMixture(m * model.means, m * m * model.covs + sigma * sigma * np.eye(model.dim),
+                           model.weights)
 
 
 def discrete_ratio(nu: DiscreteDistribution, mu: DiscreteDistribution) -> np.ndarray:
@@ -375,5 +357,5 @@ def model_from_spec(spec: dict):
     if kind == "discrete":
         return DiscreteDistribution(np.asarray(spec["support"]), np.asarray(spec["weights"]))
     if kind == "gaussian_mixture":
-        return gaussian_mixture(spec["means"], spec["covs"], spec["weights"])
+        return GaussianMixture(spec["means"], spec["covs"], spec["weights"])
     raise DomainError(f"unknown distribution type {kind!r}")

@@ -24,10 +24,9 @@ from .discriminator import TrainConfig, exact_tabular, train
 from .distributions import (
     DiscreteDistribution,
     GaussianMixture,
+    OUSchedule,
     as_generator,
-    constant_schedule,
     discrete_ratio,
-    gaussian_mixture,
     noise_sample,
     noised_mixture,
     split_seeds,
@@ -135,8 +134,8 @@ class RefinementBenefit:
 
 def _bimodal_pair() -> tuple[GaussianMixture, GaussianMixture]:
     """Data distribution and a base model with deliberately wrong weights."""
-    data = gaussian_mixture([[-2.0], [2.0]], [[[0.25]], [[0.25]]], [0.5, 0.5])
-    base = gaussian_mixture([[-2.0], [2.0]], [[[0.25]], [[0.25]]], [0.25, 0.75])
+    data = GaussianMixture([[-2.0], [2.0]], [[[0.25]], [[0.25]]], [0.5, 0.5])
+    base = GaussianMixture([[-2.0], [2.0]], [[[0.25]], [[0.25]]], [0.25, 0.75])
     return data, base
 
 
@@ -151,7 +150,7 @@ def refinement_benefit_experiment(seed: int, *, k_levels: int = 16, t_horizon: f
     """
     gen = get_generator("js_shifted")
     data, base = _bimodal_pair()
-    schedule = constant_schedule(1.0, t_horizon)
+    schedule = OUSchedule(1.0, t_horizon)
     s = t_horizon / k_levels
 
     rng_data, rng_model, rng_noise_d, rng_noise_m, rng_eval = split_seeds(seed, 5)
@@ -283,8 +282,8 @@ def concordance_run(seed: int, *, n_eval: int = 10_000, n_train: int = 4000,
     then estimates the gain both ways on one fresh model batch.
     """
     gen = get_generator("js_shifted")
-    data = gaussian_mixture([[1.0]], [[[1.0]]], [1.0])
-    model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+    data = GaussianMixture([[1.0]], [[[1.0]]], [1.0])
+    model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
     rng_nu, rng_mu, rng_cal, rng_eval = split_seeds(seed, 4)
     disc = train(gen, data.sample(rng_nu, n_train), model.sample(rng_mu, n_train),
                  TrainConfig(width=width, steps=steps, step_size=_CONCORDANCE_STEP_SIZE,

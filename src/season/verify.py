@@ -26,7 +26,7 @@ import numpy as np
 
 from . import generators as G
 from .discriminator import Discriminator, grads, init_discriminator, input_grad
-from .distributions import as_generator, constant_schedule, ou_params
+from .distributions import OUSchedule, as_generator, ou_params
 from .experiments import (
     bound_trials,
     concordance_run,
@@ -227,7 +227,7 @@ def _gradient_suite() -> list[CheckResult]:
 
 def _neutral_guidance(T: float, K: int, n_chains: int, seed: int):
     """Unguided and constant-discriminator-guided reverse EM on the N(0, 1) score."""
-    cfg = ReverseDiffusionConfig(schedule=constant_schedule(1.0, T), K=K,
+    cfg = ReverseDiffusionConfig(schedule=OUSchedule(1.0, T), K=K,
                                  n_chains=n_chains, dim=1, seed=seed)
     js = get_generator("js_shifted")
     neutral = [Discriminator(js, 1, 4) for _ in range(K)]
@@ -308,7 +308,7 @@ def _appendix_lemmas() -> list[CheckResult]:
     ts = as_generator(8).uniform(0, 3.0, size=20)
     ou = []
     for beta in (1.0, 1.3):
-        sched = constant_schedule(beta, 3.0)
+        sched = OUSchedule(beta, 3.0)
         ou += [abs(m * m + s * s - 1.0) for m, s in (ou_params(sched, float(t)) for t in ts)]
     checks.append(_check("ou-identity", ou, 1e-10))
     return checks

@@ -313,6 +313,18 @@ class TestThinSubcommands:
         total = sum(float(r[3]) for r in rows[1:])
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("means", [[[49999.5], [50000.5]], [[19999.5], [20000.5]],
+                                       [[99999.0], [100001.0]]],
+                             ids=["5e4", "2e4", "1e5"])
+    def test_train_on_far_centred_mixture(self, means, tmp_path):
+        spec = write_json(tmp_path / "far.json", {
+            "type": "gaussian_mixture", "means": means, "covs": [[[0.25]], [[0.25]]],
+            "weights": [0.5, 0.5]})
+        out = tmp_path / "disc.json"
+        assert main(["train-discriminator", "--data", spec, "--model", spec, "--steps", "20",
+                     "--seed", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["kind"] == "net"
+
     def test_train_defaults_are_train_config_defaults(self):
         args = build_parser().parse_args(["train-discriminator", "--data", "nu.json",
                                           "--model", "mu.json", "--seed", "0", "--out", "o"])
@@ -484,8 +496,13 @@ class TestInputErrors:
         ({**MIXTURE_SPEC, "covs": [[1.0]]}, "expected (1, 1, 1)"),
         ({**MIXTURE_SPEC, "covs": [[[1.0]], [[1.0]]]}, "expected (1, 1, 1)"),
         ({**DISCRETE_MU, "weights": "x"}, "malformed distribution spec"),
+        ({**MIXTURE_SPEC, "weights": [0.5, 0.5]}, "weights have shape (2,), expected (1,)"),
+        ({**MIXTURE_SPEC, "means": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.5],
+          "covs": [[[1.0, 0.0], [0.0, 1.0]], [[2.0, 1.0], [0.0, 2.0]]]},
+         "covariance 1 is not symmetric"),
     ], ids=["means-3-deep", "means-not-numeric", "covs-number", "covs-scalar-per-component",
-            "covs-diagonal-per-component", "covs-extra", "weights-str"])
+            "covs-diagonal-per-component", "covs-extra", "weights-str", "weights-short",
+            "covs-asymmetric"])
     def test_malformed_distribution_spec_exits_2(self, spec, shown, tmp_path, capsys):
         model = write_json(tmp_path / "m.json", spec)
         assert main(["sample", "--model", model, "--steps", "5", "--seed", "0",

@@ -29,18 +29,15 @@ from season.discriminator import (
     save_discriminator,
     train,
 )
-from season.distributions import DiscreteDistribution, as_batch, gaussian_mixture
+from season.distributions import DiscreteDistribution, as_batch
 from season.errors import DomainError, TrainingDivergedError
 from season.generators import GENERATOR_NAMES, get_generator, sigmoid
 from season.metrics import exact_fdiv
+from test_distributions import two_point
 
 KL = get_generator("kl")
 JS = get_generator("js_shifted")
 ALL = [get_generator(n) for n in GENERATOR_NAMES]
-
-
-def two_point(w0, w1):
-    return DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([w0, w1]))
 
 
 def numeric_param_grads(make_value, disc, eps=1e-5):

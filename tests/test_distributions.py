@@ -14,10 +14,7 @@ from season.distributions import (
     GaussianMixture,
     OUSchedule,
     as_batch,
-    check_score_consistency,
-    constant_schedule,
     discrete_ratio,
-    gaussian_mixture,
     model_from_spec,
     noise_sample,
     noised_mixture,
@@ -113,8 +110,8 @@ class TestDiscreteDistribution:
 @pytest.mark.parametrize("n", [-1, 2.5, True], ids=["negative", "float", "bool"])
 @pytest.mark.parametrize("draw", [
     lambda n: two_point(0.3, 0.7).sample(0, n),
-    lambda n: gaussian_mixture([[0.0]], [[[1.0]]], [1.0]).sample(0, n),
-    lambda n: refine_continuous(gaussian_mixture([[0.0]], [[[1.0]]], [1.0]),
+    lambda n: GaussianMixture([[0.0]], [[[1.0]]], [1.0]).sample(0, n),
+    lambda n: refine_continuous(GaussianMixture([[0.0]], [[[1.0]]], [1.0]),
                                 init_discriminator(KL, 1, 4), KL, n_mc=n),
 ], ids=["discrete", "mixture", "refine_continuous"])
 def test_sample_size_must_be_a_nonnegative_integer(draw, n):
@@ -206,6 +203,24 @@ def assert_within(actual, reference, tol=1e-13):
     assert np.all(np.abs(actual - reference) <= tol * np.maximum(np.abs(reference), 1.0))
 
 
+def finite_difference_error(model, seed):
+    """Worst relative error of score against central differences of log_density.
+
+    The 100 probes are model draws, and the step 1e-6 (1 + |x|) suits modes
+    near the origin: far from it, rounding in log_density swamps the difference.
+    """
+    x = model.sample(seed, 100)
+    s = model.score(x)
+    fd = np.empty_like(s)
+    h = 1e-6 * (1.0 + np.abs(x))
+    for j in range(model.dim):
+        step = np.zeros_like(x)
+        step[:, j] = h[:, j]
+        fd[:, j] = (model.log_density(x + step) - model.log_density(x - step)) / (2.0 * h[:, j])
+    scale = np.maximum(np.linalg.norm(s, axis=1), 1.0)
+    return float((np.linalg.norm(fd - s, axis=1) / scale).max())
+
+
 def random_mixture(k, d, seed):
     rng = np.random.default_rng(seed)
     covs = []
@@ -213,7 +228,7 @@ def random_mixture(k, d, seed):
         a = rng.standard_normal((d, d))
         covs.append(a @ a.T + 0.5 * np.eye(d))
     weights = rng.uniform(0.1, 1.0, k)
-    return gaussian_mixture(rng.standard_normal((k, d)), covs, weights / weights.sum())
+    return GaussianMixture(rng.standard_normal((k, d)), covs, weights / weights.sum())
 
 
 class TestGaussianMixture:
@@ -251,48 +266,80 @@ class TestGaussianMixture:
         assert np.array_equal(x, before)
 
     def test_standard_normal_score(self):
-        model = gaussian_mixture(np.zeros((1, 2)), [np.eye(2)], [1.0])
+        model = GaussianMixture(np.zeros((1, 2)), [np.eye(2)], [1.0])
         x = np.random.default_rng(1).standard_normal((50, 2))
         assert np.allclose(model.score(x), -x, atol=1e-12)
 
     def test_two_component_score_vs_finite_difference(self):
-        model = gaussian_mixture([[-1.5], [2.0]], [[[0.5]], [[1.2]]], [0.3, 0.7])
-        err = check_score_consistency(model, rng=3)
-        assert err <= 1e-4
-
-    def test_score_check_fails_on_nan(self):
-        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
-        model.score = lambda x: np.full_like(x, np.nan)
-        with pytest.raises(DomainError, match="score disagrees"):
-            check_score_consistency(model)
+        model = GaussianMixture([[-1.5], [2.0]], [[[0.5]], [[1.2]]], [0.3, 0.7])
+        assert finite_difference_error(model, seed=3) <= 1e-4
 
     def test_nan_weight_rejected(self):
         with pytest.raises(DomainError, match="weights must be finite"):
             GaussianMixture([[0.0], [1.0]], [[[1.0]], [[1.0]]], [np.nan, 1.0])
 
+    @pytest.mark.parametrize("weights", [
+        [np.nan, 0.5, 0.5], [-0.1, 0.6, 0.5], [0.5, 0.5], [[0.2, 0.3, 0.5]], [0.5, 0.5, 0.1],
+    ], ids=["nan", "negative", "short", "2d", "sum"])
+    def test_weights_follow_the_discrete_rule(self, weights):
+        with pytest.raises(DomainError) as discrete:
+            DiscreteDistribution(np.array([[0.0], [1.0], [2.0]]), np.array(weights))
+        with pytest.raises(DomainError) as mixture:
+            GaussianMixture([[0.0], [1.0], [2.0]], np.ones((3, 1, 1)), weights)
+        assert str(mixture.value) == str(discrete.value)
+
+    def test_caller_arrays_are_copied(self):
+        means, covs, weights = np.zeros((2, 1)), np.ones((2, 1, 1)), np.array([0.5, 0.5])
+        model = GaussianMixture(means, covs, weights)
+        means[:], covs[:], weights[:] = 7.0, 7.0, [1.0, 0.0]
+        assert model.means.tolist() == [[0.0], [0.0]] and model.covs.tolist() == [[[1.0]]] * 2
+        assert model.weights.tolist() == [0.5, 0.5]
+        assert not any(a.flags.writeable for a in (model.means, model.covs, model.weights))
+
+    def test_asymmetric_covariance_rejected(self):
+        covs = [np.eye(2), [[2.0, 1.0], [0.0, 2.0]]]
+        with pytest.raises(DomainError, match="^covariance 1 is not symmetric$"):
+            GaussianMixture(np.zeros((2, 2)), covs, [0.5, 0.5])
+
+    def test_symmetric_covariances_keep_their_bits(self):
+        a = np.random.default_rng(5).standard_normal((3, 3, 3))
+        covs = a @ a.swapaxes(1, 2) + np.eye(3)
+        covs += covs.swapaxes(1, 2).copy()  # exactly symmetric
+        model = GaussianMixture(np.zeros((3, 3)), covs, [0.25, 0.25, 0.5])
+        assert np.array_equal(model.covs, covs)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_weight_component_is_never_sampled(self):
+        model = GaussianMixture([[-1.0], [40.0]], [[[0.5]], [[2.0]]], [1.0, 0.0])
+        alone = GaussianMixture([[-1.0]], [[[0.5]]], [1.0])
+        assert np.array_equal(model.sample(3, 1000), alone.sample(3, 1000))
+        x = np.linspace(-10.0, 50.0, 61)
+        assert_within(model.log_density(x), alone.log_density(x), tol=1e-12)
+        assert_within(model.score(x), alone.score(x), tol=1e-12)
+
     def test_density_integrates_to_one_1d(self):
-        model = gaussian_mixture([[-2.0], [1.0]], [[[0.3]], [[0.8]]], [0.4, 0.6])
+        model = GaussianMixture([[-2.0], [1.0]], [[[0.3]], [[0.8]]], [0.4, 0.6])
         x = np.linspace(-12, 12, 40001)[:, None]
         dens = np.exp(model.log_density(x))
         assert np.trapezoid(dens, x[:, 0]) == pytest.approx(1.0, abs=1e-4)
 
     def test_1d_batch_is_points_on_the_line(self):
-        model = gaussian_mixture([[-1.0], [1.0]], [[[0.5]], [[0.5]]], [0.3, 0.7])
+        model = GaussianMixture([[-1.0], [1.0]], [[[0.5]], [[0.5]]], [0.3, 0.7])
         x = np.linspace(-1, 1, 5)
         assert model.score(x).shape == (5, 1)
         assert np.array_equal(model.score(x), model.score(x[:, None]))
         assert np.array_equal(model.log_density(x), model.log_density(x[:, None]))
 
     def test_1d_means_are_points_on_the_line(self):
-        flat = gaussian_mixture([0.0, 1.0], [[[1.0]], [[1.0]]], [0.5, 0.5])
-        column = gaussian_mixture([[0.0], [1.0]], [[[1.0]], [[1.0]]], [0.5, 0.5])
+        flat = GaussianMixture([0.0, 1.0], [[[1.0]], [[1.0]]], [0.5, 0.5])
+        column = GaussianMixture([[0.0], [1.0]], [[[1.0]], [[1.0]]], [0.5, 0.5])
         x = np.linspace(-2.0, 3.0, 11)
         assert flat.means.shape == (2, 1)
         assert np.array_equal(flat.score(x), column.score(x))
         assert np.array_equal(flat.log_density(x), column.log_density(x))
 
     def test_sampler_moments(self):
-        model = gaussian_mixture([[-1.0], [1.0]], [[[0.25]], [[0.25]]], [0.5, 0.5])
+        model = GaussianMixture([[-1.0], [1.0]], [[[0.25]], [[0.25]]], [0.5, 0.5])
         draws = model.sample(7, 200_000)
         # mean 0, variance 0.25 + 1 = 1.25 for this symmetric mixture
         assert abs(draws.mean()) <= 3 * draws.std() / math.sqrt(draws.size)
@@ -300,26 +347,26 @@ class TestGaussianMixture:
 
     def test_non_psd_cov_rejected(self):
         with pytest.raises(DomainError):
-            gaussian_mixture([[0.0, 0.0]], [np.array([[1.0, 2.0], [2.0, 1.0]])], [1.0])
+            GaussianMixture([[0.0, 0.0]], [np.array([[1.0, 2.0], [2.0, 1.0]])], [1.0])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            gaussian_mixture([[0.0, 0.0]], [np.eye(3)], [1.0])
+            GaussianMixture([[0.0, 0.0]], [np.eye(3)], [1.0])
 
 
 class TestOUProcess:
     def test_at_time_zero(self):
-        sched = constant_schedule(1.0, 2.0)
+        sched = OUSchedule(1.0, 2.0)
         assert ou_params(sched, 0.0) == (1.0, 0.0)
 
     def test_constant_beta_closed_form(self):
-        sched = constant_schedule(1.0, 2.0)
+        sched = OUSchedule(1.0, 2.0)
         m, sigma = ou_params(sched, math.log(2.0))
         assert m == pytest.approx(0.5, abs=1e-15)
         assert sigma ** 2 == pytest.approx(0.75, abs=1e-15)
 
     def test_pythagorean_identity_random_times(self):
-        sched = constant_schedule(1.3, 3.0)
+        sched = OUSchedule(1.3, 3.0)
         rng = np.random.default_rng(11)
         for t in rng.uniform(0, 3.0, 20):
             m, sigma = ou_params(sched, float(t))
@@ -330,10 +377,10 @@ class TestOUProcess:
     def test_schedule_rejects_nonfinite_or_nonpositive(self, which, bad):
         args = {"beta": 1.0, "T": 2.0, which: bad}
         with pytest.raises(DomainError, match="noise schedule"):
-            constant_schedule(**args)
+            OUSchedule(**args)
 
     def test_schedule_is_two_floats(self):
-        sched = constant_schedule(2, 3)
+        sched = OUSchedule(2, 3)
         assert sched == OUSchedule(2.0, 3.0)
         assert type(sched.beta) is float and type(sched.T) is float
 
@@ -361,33 +408,33 @@ class TestOUProcess:
         assert out.stdout.strip() == "[]"
 
     def test_time_outside_range_rejected(self):
-        sched = constant_schedule(1.0, 1.0)
+        sched = OUSchedule(1.0, 1.0)
         with pytest.raises(DomainError):
             ou_params(sched, 1.5)
 
 
 class TestNoiseSample:
     def test_time_zero_exact(self):
-        sched = constant_schedule(1.0, 2.0)
+        sched = OUSchedule(1.0, 2.0)
         x0 = np.random.default_rng(0).standard_normal((10, 2))
         assert np.array_equal(noise_sample(x0, sched, 0.0, 1), x0)
 
     def test_1d_batch_is_points_on_the_line(self):
-        sched = constant_schedule(1.0, 2.0)
+        sched = OUSchedule(1.0, 2.0)
         x0 = np.linspace(-1.0, 1.0, 50)
         column = noise_sample(x0[:, None], sched, 1.0, 7)
         assert column.shape == (50, 1)
         assert np.array_equal(noise_sample(x0, sched, 1.0, 7), column)
 
     def test_deterministic_per_seed(self):
-        sched = constant_schedule(1.0, 2.0)
+        sched = OUSchedule(1.0, 2.0)
         x0 = np.ones((5, 1))
         a = noise_sample(x0, sched, 1.0, 42)
         b = noise_sample(x0, sched, 1.0, 42)
         assert np.array_equal(a, b)
 
     def test_large_time_matches_prior_moments(self):
-        sched = constant_schedule(1.0, 20.0)
+        sched = OUSchedule(1.0, 20.0)
         x0 = np.full((100_000, 1), 3.0)
         t = 16.0  # m_t = e^-16 < 1e-6
         m, _ = ou_params(sched, t)
@@ -399,8 +446,8 @@ class TestNoiseSample:
         assert abs(z.var(ddof=1) - 1.0) <= 3 * var_se
 
     def test_noised_mixture_matches_sample_moments(self):
-        model = gaussian_mixture([[-1.0], [2.0]], [[[0.4]], [[0.9]]], [0.35, 0.65])
-        sched = constant_schedule(1.0, 2.0)
+        model = GaussianMixture([[-1.0], [2.0]], [[[0.4]], [[0.9]]], [0.35, 0.65])
+        sched = OUSchedule(1.0, 2.0)
         t = 0.7
         noised = noised_mixture(model, sched, t)
         x0 = model.sample(3, 200_000)
@@ -413,10 +460,10 @@ class TestNoiseSample:
         assert xt.var(ddof=1) == pytest.approx(var_exact, rel=0.02)
 
     def test_noised_mixture_score_consistency(self):
-        model = gaussian_mixture([[-1.0], [2.0]], [[[0.4]], [[0.9]]], [0.35, 0.65])
-        sched = constant_schedule(1.0, 2.0)
+        model = GaussianMixture([[-1.0], [2.0]], [[[0.4]], [[0.9]]], [0.35, 0.65])
+        sched = OUSchedule(1.0, 2.0)
         noised = noised_mixture(model, sched, 1.1)
-        assert check_score_consistency(noised, rng=2) <= 1e-4
+        assert finite_difference_error(noised, seed=2) <= 1e-4
 
 
 class TestSeedsAndSpecs:

@@ -11,8 +11,9 @@ from season.discriminator import (
     exact_tabular,
     init_discriminator,
 )
-from season.distributions import DiscreteDistribution, gaussian_mixture
+from season.distributions import DiscreteDistribution, GaussianMixture
 from season.errors import DomainError
+from season.experiments import random_discrete_pair
 from season.generators import GENERATOR_NAMES, TWO_LOG_TWO, get_generator
 from season.metrics import (
     BoundReport,
@@ -30,22 +31,12 @@ from season.metrics import (
 )
 from season.oracle import HSpec, primal_sup_tabular, simplex_grid
 from season.refine import refine_discrete, solve_lambda
+from test_distributions import two_point
 
 KL = get_generator("kl")
 RKL = get_generator("reverse_kl")
 JS = get_generator("js_shifted")
 ALL = [get_generator(n) for n in GENERATOR_NAMES]
-
-
-def two_point(w0, w1):
-    return DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([w0, w1]))
-
-
-def random_pair(rng, k, floor=0.05):
-    support = rng.standard_normal((k, 1))
-    wn = rng.uniform(floor, 1, k); wn /= wn.sum()
-    wm = rng.uniform(floor, 1, k); wm /= wm.sum()
-    return DiscreteDistribution(support, wn), DiscreteDistribution(support, wm)
 
 
 class TestExactFdiv:
@@ -63,7 +54,7 @@ class TestExactFdiv:
     def test_js_below_kl(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            nu, mu = random_pair(rng, int(rng.integers(2, 6)))
+            nu, mu = random_discrete_pair(rng, int(rng.integers(2, 6)))
             assert exact_fdiv(nu, mu, JS) <= exact_fdiv(nu, mu, KL) + 1e-12
 
     def test_absolute_continuity_gives_inf(self):
@@ -75,14 +66,14 @@ class TestExactFdiv:
         # I_kl(nu : mu) = I_rkl(mu : nu) holds exactly on shared supports
         rng = np.random.default_rng(1)
         for _ in range(50):
-            nu, mu = random_pair(rng, 3)
+            nu, mu = random_discrete_pair(rng, 3)
             assert exact_fdiv(nu, mu, KL) == pytest.approx(
                 exact_fdiv(mu, nu, RKL), rel=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            nu, mu = random_pair(rng, 4)
+            nu, mu = random_discrete_pair(rng, 4)
             for gen in ALL:
                 assert exact_fdiv(nu, mu, gen) >= -1e-14
 
@@ -98,13 +89,13 @@ class TestGainEstimators:
     def test_tabular_optimum_equals_exact_fdiv(self, gen):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            nu, mu = random_pair(rng, int(rng.integers(2, 6)))
+            nu, mu = random_discrete_pair(rng, int(rng.integers(2, 6)))
             tab = exact_tabular(nu, mu, gen)
             got = est_gain_direct(tab, mu).value
             assert got == pytest.approx(exact_fdiv(nu, mu, gen), abs=1e-9)
 
     def test_mc_estimate_matches_quadrature_oracle(self):
-        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(JS, 1, 8, seed=4)
         batch = model.sample(5, 10_000)
         est = est_gain_direct(disc, batch)
@@ -155,7 +146,7 @@ class TestGainEstimators:
     def test_direct_and_pushforward_identical_at_lambda_zero(self):
         # same formula once lambda = 0; check on a tabular optimum
         rng = np.random.default_rng(8)
-        nu, mu = random_pair(rng, 4)
+        nu, mu = random_discrete_pair(rng, 4)
         tab = exact_tabular(nu, mu, JS)
         direct = est_gain_direct(tab, mu).value
         h = tab.h_for(mu)
@@ -169,7 +160,7 @@ class TestDfH:
     def test_tabular_equals_exact_fdiv(self):
         rng = np.random.default_rng(9)
         for gen in ALL:
-            nu, mu = random_pair(rng, 4)
+            nu, mu = random_discrete_pair(rng, 4)
             tab = exact_tabular(nu, mu, gen)
             assert est_DfH(tab, nu, mu).value == pytest.approx(
                 exact_fdiv(nu, mu, gen), abs=1e-12)
@@ -177,7 +168,7 @@ class TestDfH:
     def test_bounded_by_ipm_and_fdiv(self):
         rng = np.random.default_rng(10)
         for _ in range(30):
-            nu, mu = random_pair(rng, 3, floor=0.15)
+            nu, mu = random_discrete_pair(rng, 3, floor=0.15)
             for gen in ALL:
                 primal, _ = primal_sup_tabular(nu, mu, gen, HSpec("ball", 0.5))
                 assert primal <= ipm_tabular_exact(nu, mu, 0.5) + 1e-9
@@ -222,7 +213,7 @@ class TestIPM:
     def test_tabular_matches_sign_enumeration_oracle(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            nu, mu = random_pair(rng, int(rng.integers(2, 5)))
+            nu, mu = random_discrete_pair(rng, int(rng.integers(2, 5)))
             norm = float(rng.uniform(0.5, 2.0))
             # brute force over every +-norm assignment
             k = nu.n
@@ -236,7 +227,7 @@ class TestIPM:
 
     def test_witness_ipm_zero_at_refined_optimum(self):
         rng = np.random.default_rng(13)
-        nu, mu = random_pair(rng, 4)
+        nu, mu = random_discrete_pair(rng, 4)
         tab = exact_tabular(nu, mu, JS)
         refined = refine_discrete(mu, tab)
         assert abs(ipm_at_witness(tab.values, nu, refined)) <= 1e-12
@@ -316,7 +307,7 @@ class TestLemmaChecks:
     def test_random_four_point_pairs_always_hold(self):
         rng = np.random.default_rng(18)
         for _ in range(1000):
-            nu, mu = random_pair(rng, 4)
+            nu, mu = random_discrete_pair(rng, 4)
             for gen in ALL:
                 res = fdiv_kl_lemma_check(nu, mu, gen)
                 assert res.lhs <= res.rhs + 1e-12
@@ -340,14 +331,14 @@ class TestVIDuality:
     def test_random_instances_residual(self):
         rng = np.random.default_rng(19)
         for _ in range(100):
-            nu, _ = random_pair(rng, int(rng.integers(2, 6)))
+            nu, _ = random_discrete_pair(rng, int(rng.integers(2, 6)))
             res = vi_duality_check(nu, rng.uniform(-2, 2, nu.n))
             assert res.residual <= 1e-10
 
     def test_grid_confirms_gibbs_minimizer(self):
         rng = np.random.default_rng(20)
         for _ in range(5):
-            mu, _ = random_pair(rng, 3, floor=0.15)
+            mu, _ = random_discrete_pair(rng, 3, floor=0.15)
             L = rng.uniform(-1, 1, 3)
             res = vi_duality_check(mu, L)
             grid = simplex_grid()

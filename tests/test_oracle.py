@@ -9,7 +9,7 @@ import pytest
 from season.discriminator import exact_tabular
 from season.distributions import DiscreteDistribution, discrete_ratio
 from season.errors import DomainError, LambdaSolveError
-from season.experiments import default_bound_world, empirical_from_draws
+from season.experiments import default_bound_world, empirical_from_draws, random_discrete_pair
 from season.generators import GENERATOR_NAMES, get_generator
 from season.metrics import est_DfH, exact_fdiv
 from season import oracle
@@ -21,20 +21,10 @@ from season.oracle import (
     strong_duality_check,
 )
 from season.refine import refine_discrete, solve_lambda
+from test_distributions import two_point
 
 KL = get_generator("kl")
 ALL = [get_generator(n) for n in GENERATOR_NAMES]
-
-
-def two_point(w0, w1):
-    return DiscreteDistribution(np.array([[0.0], [1.0]]), np.array([w0, w1]))
-
-
-def random_pair(rng, k, floor=0.2):
-    support = rng.standard_normal((k, 1))
-    wn = rng.uniform(floor, 1, k); wn /= wn.sum()
-    wm = rng.uniform(floor, 1, k); wm /= wm.sum()
-    return DiscreteDistribution(support, wn), DiscreteDistribution(support, wm)
 
 
 class TestExactOptimalH:
@@ -52,7 +42,7 @@ class TestExactOptimalH:
     def test_witness_attains_exact_divergence(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            nu, mu = random_pair(rng, int(rng.integers(2, 5)), floor=0.05)
+            nu, mu = random_discrete_pair(rng, int(rng.integers(2, 5)), floor=0.05)
             for gen in ALL:
                 tab = exact_tabular(nu, mu, gen)
                 assert est_DfH(tab, nu, mu).value == pytest.approx(
@@ -74,7 +64,7 @@ class TestSimplexGrid:
     def test_unsupported_sizes_rejected(self):
         # the grid holds three-point weights only, so the dual search takes no other size
         for k in (2, 4):
-            nu, mu = random_pair(np.random.default_rng(k), k)
+            nu, mu = random_discrete_pair(np.random.default_rng(k), k, floor=0.2)
             with pytest.raises(DomainError, match="three-point"):
                 dual_grid_min(nu, mu, KL, HSpec("ball", 0.5))
 
@@ -107,7 +97,7 @@ def per_row_dual(nu, mu, gen, h_spec):
 def dual_instances(k, n_random=4):
     """Random floored pairs, plus a zero-weight point in mu and one in nu alone."""
     rng = np.random.default_rng(10 + k)
-    pairs = [random_pair(rng, k, floor=0.05) for _ in range(n_random)]
+    pairs = [random_discrete_pair(rng, k, floor=0.05) for _ in range(n_random)]
     support = np.arange(k, dtype=float)[:, None]
     even = np.full(k, 1.0 / k)
     ramp = np.arange(k, dtype=float) / np.arange(k).sum()  # zero weight at point 0
@@ -129,7 +119,7 @@ class TestDualGridMin:
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_f_runs_once_per_coordinate_level(self, gen):
-        nu, mu = random_pair(np.random.default_rng(11), 3)
+        nu, mu = random_discrete_pair(np.random.default_rng(11), 3, floor=0.2)
         seen = []
 
         def counted(t, f=gen.f):
@@ -143,7 +133,7 @@ class TestDualGridMin:
     def test_ball_strong_duality_twenty_seeds(self, gen):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            nu, mu = random_pair(rng, 3)
+            nu, mu = random_discrete_pair(rng, 3, floor=0.2)
             res = strong_duality_check(nu, mu, gen, HSpec("ball", 0.5))
             assert res.gap >= -1e-9  # grid dual can only overshoot
             assert abs(res.gap) <= 2 * (1.0 / 200.0), f"gap {res.gap} vs resolution 1/200"
@@ -156,7 +146,7 @@ class TestDualGridMin:
     def test_dual_minimizer_matches_refined_model(self, gen):
         rng = np.random.default_rng(4)
         for _ in range(5):
-            nu, mu = random_pair(rng, 3)
+            nu, mu = random_discrete_pair(rng, 3, floor=0.2)
             _, h_star = primal_sup_tabular(nu, mu, gen, HSpec("ball", 0.5))
             refined = refine_discrete(mu, h_star)
             res = dual_grid_min(nu, mu, gen, HSpec("ball", 0.5))
@@ -171,7 +161,7 @@ class TestDualityCertificate:
     def test_exact_at_any_support_size(self, k, gen, norm):
         rng = np.random.default_rng(k)
         for _ in range(5):
-            nu, mu = random_pair(rng, k, floor=0.05)
+            nu, mu = random_discrete_pair(rng, k, floor=0.05)
             res = strong_duality_check(nu, mu, gen, HSpec("ball", norm))
             assert abs(res.gap) <= 1e-12 * max(1.0, abs(res.primal))
             assert res.mass_error <= 1e-12
@@ -194,7 +184,7 @@ class TestDualityCertificate:
             return roots[-1]
 
         rng = np.random.default_rng(14)
-        pairs = [random_pair(rng, 8, floor=0.05) for _ in range(5)]
+        pairs = [random_discrete_pair(rng, 8, floor=0.05) for _ in range(5)]
         spec = HSpec("ball", 0.05)
         assert all(strong_duality_check(nu, mu, gen, spec).mass_error <= 1e-12
                    for nu, mu in pairs)
@@ -211,7 +201,7 @@ class TestDualityCertificate:
                 assert dual_grid_min(nu, mu, gen, HSpec("ball", norm)).value >= res.dual - 1e-12
 
     def test_resolution_does_not_change_the_result(self):
-        nu, mu = random_pair(np.random.default_rng(16), 3)
+        nu, mu = random_discrete_pair(np.random.default_rng(16), 3, floor=0.2)
         assert strong_duality_check(nu, mu, KL, HSpec("ball", 0.5), 1.0 / 7.0) == \
             strong_duality_check(nu, mu, KL, HSpec("ball", 0.5))
 
@@ -232,7 +222,7 @@ class TestPrimalSup:
         # oracle for the oracle: dense scan over window offsets
         rng = np.random.default_rng(7)
         for _ in range(5):
-            nu, mu = random_pair(rng, 3)
+            nu, mu = random_discrete_pair(rng, 3, floor=0.2)
             spec = HSpec("ball", 0.5)
             value, h_star = primal_sup_tabular(nu, mu, gen, spec)
             theta = np.asarray(gen.f_prime(nu.weights / mu.weights))
@@ -254,7 +244,7 @@ class TestPrimalSup:
         # the constants' sup is 0 and every per-point function's is I_f(nu : mu)
         rng = np.random.default_rng(8)
         for _ in range(10):
-            nu, mu = random_pair(rng, 3)
+            nu, mu = random_discrete_pair(rng, 3, floor=0.2)
             v_ball, _ = primal_sup_tabular(nu, mu, gen, HSpec("ball", 0.5))
             assert -1e-12 <= v_ball <= exact_fdiv(nu, mu, gen) + 1e-10
 
@@ -264,7 +254,7 @@ class TestPrimalSup:
         # the slope R'(w), so R itself is evaluated only at the root
         rng = np.random.default_rng(9)
         for _ in range(10):
-            nu, mu = random_pair(rng, 3)
+            nu, mu = random_discrete_pair(rng, 3, floor=0.2)
             calls = []
 
             def counted(h, conj=gen.conjugate_fn):
@@ -276,7 +266,7 @@ class TestPrimalSup:
 
     def test_nan_window_slope_is_a_package_error(self):
         # a NaN slope passes both endpoint tests and reaches the root search
-        nu, mu = random_pair(np.random.default_rng(10), 3)
+        nu, mu = random_discrete_pair(np.random.default_rng(10), 3, floor=0.2)
         gen = replace(KL, f_prime_inv=lambda s: s * math.nan)
         with pytest.raises(LambdaSolveError, match="NaN"):
             primal_sup_tabular(nu, mu, gen, HSpec("ball", 0.5))
@@ -295,11 +285,11 @@ def ball_instances(rng):
     for floor in (0.0, 0.05, 0.2):
         for k in (2, 3, 4):
             for _ in range(4):
-                yield random_pair(rng, k, floor)
+                yield random_discrete_pair(rng, k, floor)
     for k in (2, 3, 4):
         yield from dual_instances(k, n_random=0)
         for _ in range(4):
-            nu, mu = random_pair(rng, k, floor=0.05)
+            nu, mu = random_discrete_pair(rng, k, floor=0.05)
             wn = nu.weights.copy()
             wn[rng.integers(k)] = 0.0  # theta = -inf there
             yield DiscreteDistribution(nu.support, wn / wn.sum()), mu

@@ -10,13 +10,11 @@ from scipy.optimize import brentq
 from season.discriminator import (
     Discriminator,
     TabularDiscriminator,
-    TrainConfig,
     exact_tabular,
     init_discriminator,
     input_grad,
-    train,
 )
-from season.distributions import DiscreteDistribution, gaussian_mixture
+from season.distributions import DiscreteDistribution, GaussianMixture
 from season.errors import DegenerateDistributionError, DomainError, LambdaSolveError
 from season.experiments import random_discrete_pair
 from season.generators import GENERATOR_NAMES, get_generator, link
@@ -55,13 +53,6 @@ def forward_rows(monkeypatch):
     return calls
 
 
-def random_pair(rng, k, floor=0.05):
-    support = rng.standard_normal((k, 1))
-    wn = rng.uniform(floor, 1, k); wn /= wn.sum()
-    wm = rng.uniform(floor, 1, k); wm /= wm.sum()
-    return DiscreteDistribution(support, wn), DiscreteDistribution(support, wm)
-
-
 class TestSolveLambda:
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_neutral_constant_gives_zero(self, gen):
@@ -73,14 +64,14 @@ class TestSolveLambda:
     def test_tabular_optimum_gives_zero(self, gen):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            nu, mu = random_pair(rng, int(rng.integers(2, 7)))
+            nu, mu = random_discrete_pair(rng, int(rng.integers(2, 7)))
             tab = exact_tabular(nu, mu, gen)
             assert abs(solve_lambda(tab, gen, mu)) <= 1e-10
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_translation_equivariance(self, gen):
         rng = np.random.default_rng(1)
-        nu, mu = random_pair(rng, 4)
+        nu, mu = random_discrete_pair(rng, 4)
         tab = exact_tabular(nu, mu, gen)
         lam0 = solve_lambda(tab, gen, mu)
         for c in rng.uniform(-2, 2, 10):
@@ -94,7 +85,7 @@ class TestSolveLambda:
         rng = np.random.default_rng(5)
         for _ in range(10):
             k = int(rng.integers(2, 5))
-            nu, mu = random_pair(rng, k)
+            nu, mu = random_discrete_pair(rng, k)
             h = exact_tabular(nu, mu, gen).h_for(mu)
             j = int(rng.integers(0, k + 1))  # where the zero-weight point goes
             padded = DiscreteDistribution(np.insert(mu.support, j, 9.0, axis=0),
@@ -117,7 +108,7 @@ class TestSolveLambda:
                 solve_lambda(tab, gen, mu)
 
     def test_monte_carlo_tolerance(self):
-        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(JS, 1, 8, seed=3)
         batch = model.sample(0, 20_000)
         lam = solve_lambda(disc, JS, batch)
@@ -139,7 +130,7 @@ class TestSolveLambda:
     ], ids=["solve_lambda", "refine_continuous", "refined_score", "est_gain_direct",
             "est_gain_pushforward", "est_DfH"])
     def test_empty_sample_batch_is_a_domain_error(self, call):
-        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(JS, 1, 4, seed=0)
         with pytest.raises(DomainError, match="sample batches need at least one row"):
             call(model, disc, np.empty((0, 1)))
@@ -151,7 +142,7 @@ class TestRefineDiscrete:
         rng = np.random.default_rng(2)
         for _ in range(25):
             k = int(rng.integers(2, 9))
-            nu, mu = random_pair(rng, k)
+            nu, mu = random_discrete_pair(rng, k)
             tab = exact_tabular(nu, mu, gen)
             refined = refine_discrete(mu, tab)
             tv = 0.5 * float(np.abs(refined.weights - nu.weights).sum())
@@ -179,7 +170,7 @@ class TestRefineDiscrete:
     def test_idempotence_at_optimum(self):
         rng = np.random.default_rng(3)
         for gen in ALL:
-            nu, mu = random_pair(rng, 5)
+            nu, mu = random_discrete_pair(rng, 5)
             first = refine_discrete(mu, exact_tabular(nu, mu, gen))
             tab2 = exact_tabular(nu, first, gen)
             # the fresh optimum against the same target is the neutral constant
@@ -227,14 +218,14 @@ class TestGeneratorFromDiscriminator:
 
 class TestRefinedScore:
     def test_constant_disc_keeps_base_score(self):
-        model = gaussian_mixture([[0.5]], [[[0.7]]], [1.0])
+        model = GaussianMixture([[0.5]], [[[0.7]]], [1.0])
         disc = Discriminator(JS, 1, 4)
         x = np.linspace(-2, 2, 21)[:, None]
         assert np.allclose(refined_score(model.score, disc, x), model.score(x),
                            atol=1e-12)
 
     def test_kl_guidance_is_plain_input_gradient(self):
-        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(KL, 1, 8, seed=4)
         x = np.linspace(-2, 2, 31)[:, None]
         got = refined_score(model.score, disc, x)
@@ -242,7 +233,7 @@ class TestRefinedScore:
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_matches_log_density_finite_differences(self, gen):
-        model = gaussian_mixture([[-1.0], [1.5]], [[[0.5]], [[0.8]]], [0.4, 0.6])
+        model = GaussianMixture([[-1.0], [1.5]], [[[0.5]], [[0.8]]], [0.4, 0.6])
         disc = init_discriminator(gen, 1, 8, seed=5)
         disc.bias = -0.2 if math.isfinite(gen.conjugate_domain[1]) else 0.3
         x = np.linspace(-2.5, 2.5, 100)[:, None]
@@ -256,14 +247,14 @@ class TestRefinedScore:
         assert rel.max() <= 1e-4
 
     def test_one_forward_pass_per_call(self, forward_rows):
-        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(JS, 1, 8, seed=4)
         refined_score(model.score, disc, np.linspace(-2, 2, 31)[:, None], lam=0.1)
         assert forward_rows == [31]
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_bit_identical_to_two_pass_formula(self, gen):
-        model = gaussian_mixture([[-1.0], [1.5]], [[[0.5]], [[0.8]]], [0.4, 0.6])
+        model = GaussianMixture([[-1.0], [1.5]], [[[0.5]], [[0.8]]], [0.4, 0.6])
         disc = init_discriminator(gen, 1, 8, seed=5)
         disc.bias = -0.2 if math.isfinite(gen.conjugate_domain[1]) else 0.3
         x = np.linspace(-2.5, 2.5, 100)[:, None]
@@ -273,7 +264,7 @@ class TestRefinedScore:
         assert np.array_equal(refined_score(model.score, disc, x, lam=lam), expected)
 
     def test_1d_batch_is_points_on_the_line(self):
-        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(JS, 1, 8, seed=4)
         x = np.linspace(-1, 1, 5)
         for fn, base in ((refined_score, model.score), (refined_density_unnormalized, model)):
@@ -282,14 +273,14 @@ class TestRefinedScore:
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_nan_point_fails_the_domain_check(self, gen):
-        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(gen, 1, 8, seed=4)
         with pytest.raises(DomainError, match=r"h - lambda = nan at x = \[nan\]"):
             refined_score(model.score, disc, np.array([np.nan, 0.3]), lam=0.0)
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_nan_lambda_fails_the_domain_check(self, gen):
-        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(gen, 1, 8, seed=4)
         refined = RefinedModel(disc=disc, lambda_h=math.nan, base=model)
         with pytest.raises(DomainError, match=r"h - lambda = nan at x = \[-2\.\]"):
@@ -298,14 +289,14 @@ class TestRefinedScore:
     def test_domain_boundary_reported_with_location(self):
         disc = Discriminator(JS, 1, 4)
         disc.bias = 2.0  # pushes h to f'(1) + 2 > 0, outside the range of f'
-        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
         with pytest.raises(DomainError):
             refined_score(model.score, disc, np.zeros((1, 1)), lam=0.0)
 
     def test_lambda_solved_on_the_batch_by_default(self):
         disc = init_discriminator(JS, 1, 8, seed=4)
         disc.bias = 2.0
-        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
         x = np.linspace(-2, 2, 31)[:, None]
         lam = solve_lambda(disc, JS, x)
         assert np.array_equal(refined_score(model.score, disc, x),
@@ -314,7 +305,7 @@ class TestRefinedScore:
 
 class TestRefinedDensity:
     def test_kl_exponential_tilt_form(self):
-        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(KL, 1, 6, seed=6)
         x = np.linspace(-3, 3, 41)[:, None]
         lam = 0.3
@@ -325,7 +316,7 @@ class TestRefinedDensity:
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_quadrature_mass_after_lambda(self, gen):
-        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(gen, 1, 8, seed=7)
         if math.isfinite(gen.conjugate_domain[1]):
             disc.bias = -0.1
@@ -337,7 +328,7 @@ class TestRefinedDensity:
         assert mass == pytest.approx(1.0, abs=5e-3)
 
     def test_constant_disc_distribution_unchanged(self):
-        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
         disc = Discriminator(KL, 1, 4)
         x = np.linspace(-3, 3, 11)[:, None]
         dens = refined_density_unnormalized(model, disc, x, lam=0.0)
@@ -346,7 +337,7 @@ class TestRefinedDensity:
 
     def test_point_outside_the_range_of_f_prime_fails_as_in_refined_score(self):
         # h - lam > 0 = sup dom f* at x = 1, where f'^-1 is negative for js_shifted
-        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(JS, 1, 4, seed=0)
         for x, bad in ((np.linspace(-3, 3, 7), r"\[1\.\]"), (np.array([0.0, np.nan]), r"\[nan\]")):
             messages = []
@@ -359,7 +350,7 @@ class TestRefinedDensity:
 
 class TestRefineContinuous:
     def test_residual_recorded_within_tolerance(self):
-        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
         disc = init_discriminator(JS, 1, 8, seed=8)
         refined = refine_continuous(model, disc, JS, n_mc=20_000, seed=0)
         h = disc.h_batch(model.sample(np.random.default_rng(0), 20_000))
@@ -375,7 +366,7 @@ class TestRefineContinuous:
             DiscreteDistribution(np.linspace(-1, 1, 5), np.full(5, 0.2)), disc),
     ], ids=["refine_continuous", "est_gain_direct", "refine_discrete"])
     def test_lambda_solved_on_the_h_of_one_forward_pass(self, forward_rows, solve_then_use):
-        model = gaussian_mixture([[0.0]], [[[1.0]]], [1.0])
+        model = GaussianMixture([[0.0]], [[[1.0]]], [1.0])
         solve_then_use(model, init_discriminator(JS, 1, 8, seed=8))
         assert len(forward_rows) == 1
 

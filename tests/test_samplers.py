@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from season.discriminator import Discriminator, init_discriminator
-from season.distributions import as_batch, constant_schedule, gaussian_mixture
+from season.distributions import GaussianMixture, OUSchedule, as_batch
 from season.errors import ChainDivergenceError, DomainError
 from season.generators import get_generator
 from season.refine import refined_score
@@ -68,7 +68,7 @@ class TestLangevin:
 
 class TestReverseEM:
     def test_unguided_standard_normal_moments(self):
-        sched = constant_schedule(1.0, 3.0)
+        sched = OUSchedule(1.0, 3.0)
         cfg = ReverseDiffusionConfig(schedule=sched, K=200, n_chains=10_000, dim=1, seed=4)
         out = reverse_em(lambda x, k: -x, cfg)
         se = out.std(ddof=1) / math.sqrt(cfg.n_chains)
@@ -79,7 +79,7 @@ class TestReverseEM:
         assert abs(var - 1.0) <= 3 * var_se + 0.01
 
     def test_constant_guidance_is_bit_identical(self):
-        sched = constant_schedule(1.0, 2.0)
+        sched = OUSchedule(1.0, 2.0)
         cfg = ReverseDiffusionConfig(schedule=sched, K=50, n_chains=500, dim=1, seed=5)
         unguided = reverse_em(lambda x, k: -x, cfg)
         neutral = [Discriminator(JS, 1, 4) for _ in range(cfg.K)]
@@ -90,7 +90,7 @@ class TestReverseEM:
         # the free bias lifts h above sup dom f* = 0 on part of the prior's mass
         disc = init_discriminator(JS, 1, 8, seed=0)
         disc.bias = 0.5
-        cfg = ReverseDiffusionConfig(schedule=constant_schedule(1.0, 2.0), K=8,
+        cfg = ReverseDiffusionConfig(schedule=OUSchedule(1.0, 2.0), K=8,
                                      n_chains=500, dim=1, seed=0)
         prior = np.random.default_rng(0).standard_normal((500, 1))  # the chains' start
         with pytest.raises(DomainError, match="leaves the range"):
@@ -99,13 +99,13 @@ class TestReverseEM:
         assert np.isfinite(out).all()
 
     def test_level_misalignment_rejected(self):
-        sched = constant_schedule(1.0, 2.0)
+        sched = OUSchedule(1.0, 2.0)
         cfg = ReverseDiffusionConfig(schedule=sched, K=10, n_chains=10, dim=1, seed=6)
         with pytest.raises(DomainError):
             reverse_em(lambda x, k: -x, cfg, JS, [Discriminator(JS, 1, 4)] * 4)
 
     def test_deterministic_per_seed(self):
-        sched = constant_schedule(1.0, 1.0)
+        sched = OUSchedule(1.0, 1.0)
         cfg = ReverseDiffusionConfig(schedule=sched, K=20, n_chains=50, dim=2, seed=7)
         assert np.array_equal(reverse_em(lambda x, k: -x, cfg),
                               reverse_em(lambda x, k: -x, cfg))
@@ -114,8 +114,8 @@ class TestReverseEM:
         # with exact per-level scores the reverse chain lands near the data law
         from season.distributions import noised_mixture
 
-        model = gaussian_mixture([[-1.0], [1.0]], [[[0.3]], [[0.3]]], [0.5, 0.5])
-        sched = constant_schedule(1.0, 3.0)
+        model = GaussianMixture([[-1.0], [1.0]], [[[0.3]], [[0.3]]], [0.5, 0.5])
+        sched = OUSchedule(1.0, 3.0)
         K = 150
         levels = [noised_mixture(model, sched, 3.0 - k * 3.0 / K) for k in range(K)]
         cfg = ReverseDiffusionConfig(schedule=sched, K=K, n_chains=20_000, dim=1, seed=8)
@@ -235,6 +235,6 @@ def test_nan_score_stops_at_guard():
 
     with pytest.raises(ChainDivergenceError):
         langevin(nan_score, LangevinConfig(step_size=1e-2, n_steps=5, n_chains=4, seed=0))
-    cfg = ReverseDiffusionConfig(schedule=constant_schedule(1.0, 1.0), K=5, n_chains=4)
+    cfg = ReverseDiffusionConfig(schedule=OUSchedule(1.0, 1.0), K=5, n_chains=4)
     with pytest.raises(ChainDivergenceError):
         reverse_em(nan_score, cfg)
