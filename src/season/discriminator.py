@@ -61,7 +61,8 @@ import numpy as np
 
 from .distributions import (
     DiscreteDistribution,
-    _require_distinct,
+    _checked_support,
+    _json_numbers,
     _row_positions,
     as_batch,
     as_generator,
@@ -212,8 +213,9 @@ class Discriminator:
 class TabularDiscriminator:
     """One free value per support point; realizes the rich class exactly.
 
-    Support points are distinct, with -0.0 read as 0.0; values may be -inf
-    where the ratio vanishes.
+    Support points follow `DiscreteDistribution`'s rule: finite, distinct,
+    -0.0 read as 0.0, stored read-only.  Values may be -inf where the ratio
+    vanishes.
     """
 
     generator: GeneratorSpec
@@ -221,11 +223,10 @@ class TabularDiscriminator:
     values: np.ndarray
 
     def __post_init__(self):
-        self.support = as_batch(self.support) + 0.0
+        self.support = _checked_support(self.support)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.support.shape[0],):
             raise DomainError("one value per support point required")
-        _require_distinct(self.support)
 
     def h_for(self, dist: DiscreteDistribution) -> np.ndarray:
         """Values aligned to dist.support; every point must be known."""
@@ -445,11 +446,11 @@ def discriminator_from_dict(doc: dict) -> Union[Discriminator, TabularDiscrimina
     if isinstance(version, bool) or version != _CHECKPOINT_VERSION:
         raise DomainError(f"unsupported checkpoint version {version!r}")
     if doc.get("kind") == "tabular":
-        values = np.asarray(doc["values"], dtype=float)
+        values = _json_numbers(doc["values"], "values")
         if np.isnan(values).any() or np.isposinf(values).any():
             raise DomainError("checkpoint values must be finite or -inf")
         return TabularDiscriminator(get_generator(doc["generator"]),
-                                    np.asarray(doc["support"], dtype=float), values)
+                                    _json_numbers(doc["support"], "support"), values)
     if doc.get("kind") != "net":
         raise DomainError(f"unsupported checkpoint kind {doc.get('kind')!r}")
     if doc.get("activation") != "tanh":
@@ -468,7 +469,7 @@ def discriminator_from_dict(doc: dict) -> Union[Discriminator, TabularDiscrimina
         raise DomainError("checkpoint layer shapes do not match their weights and biases")
     # layer by layer, weights before bias, then the free bias: the layout of params
     params = [v for layer in layers for v in layer["weights"] + layer["bias"]] + [doc["bias"]]
-    params = np.asarray(params, dtype=float)
+    params = _json_numbers(params, "weights and biases")
     if not np.isfinite(params).all():
         raise DomainError("checkpoint weights and biases must be finite")
     return Discriminator(get_generator(doc["generator"]), dim, width, params)

@@ -79,15 +79,43 @@ def _row_positions(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return np.array([index.get(row.tobytes(), -1) for row in points], dtype=np.intp)
 
 
-def _require_distinct(support: np.ndarray) -> None:
+def _checked_support(support) -> np.ndarray:
+    """A read-only copy of support points as `as_batch` reads them: finite and distinct.
+
+    -0.0 is stored as 0.0, so that equal points have equal bytes.  The one
+    support check, for distributions and tabular discriminators alike.
+    """
+    support = as_batch(support) + 0.0  # a fresh array, so made read-only in place
+    if not np.isfinite(support).all():
+        raise DomainError("support points must be finite")
     if len({row.tobytes() for row in support}) < support.shape[0]:
         raise DomainError("support points must be distinct")
+    support.setflags(write=False)
+    return support
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, copy=True)
     a.setflags(write=False)
     return a
+
+
+def _json_numbers(value, what: str) -> np.ndarray:
+    """A JSON value as a float array, once every leaf is a JSON number.
+
+    numpy alone would read true as 1.0 and "0.5" as 0.5.  Any leaf that is
+    not an int or a float, bool included, raises TypeError, which the
+    `malformed_input` readers report as a malformed input.  The one number
+    check of the distribution-spec and checkpoint readers.
+    """
+    leaves = [value]
+    while leaves:
+        leaf = leaves.pop()
+        if isinstance(leaf, list):
+            leaves.extend(reversed(leaf))
+        elif isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            raise TypeError(f"{what}: expected numbers, got {type(leaf).__name__}")
+    return np.asarray(value, dtype=float)
 
 
 def _checked_weights(weights, n: int) -> np.ndarray:
@@ -123,12 +151,8 @@ class DiscreteDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        support = as_batch(self.support) + 0.0  # a fresh array, so made read-only in place
-        if not np.isfinite(support).all():
-            raise DomainError("support points must be finite")
+        support = _checked_support(self.support)
         object.__setattr__(self, "weights", _checked_weights(self.weights, support.shape[0]))
-        _require_distinct(support)
-        support.setflags(write=False)
         object.__setattr__(self, "support", support)
 
     @property
@@ -349,13 +373,16 @@ def model_from_spec(spec: dict):
 
     {"type": "discrete", "support": [...], "weights": [...]} or
     {"type": "gaussian_mixture", "means": [...], "covs": [...], "weights": [...]}
-    with covs one (k, d, d) array.
+    with covs one (k, d, d) array.  Every entry must be a JSON number, not a
+    bool or a string.
     """
     if not isinstance(spec, dict):
         raise DomainError("distribution spec must be a JSON object")
     kind = spec.get("type")
     if kind == "discrete":
-        return DiscreteDistribution(np.asarray(spec["support"]), np.asarray(spec["weights"]))
-    if kind == "gaussian_mixture":
-        return GaussianMixture(spec["means"], spec["covs"], spec["weights"])
-    raise DomainError(f"unknown distribution type {kind!r}")
+        build, keys = DiscreteDistribution, ("support", "weights")
+    elif kind == "gaussian_mixture":
+        build, keys = GaussianMixture, ("means", "covs", "weights")
+    else:
+        raise DomainError(f"unknown distribution type {kind!r}")
+    return build(*(_json_numbers(spec[key], key) for key in keys))

@@ -50,11 +50,11 @@ class ConfigError(SeasonError, ValueError):
 
 @contextmanager
 def malformed_input(what: str):
-    """Re-raise a KeyError, ValueError or TypeError from outside the package as DomainError.
+    """Re-raise KeyError, ValueError, TypeError and OverflowError from outside as DomainError.
 
     Decorates the readers of JSON input, where a missing key, numpy
-    conversions and unpacking raise on malformed values; package errors
-    pass unchanged.
+    conversions and unpacking raise on malformed values, and an integer
+    beyond float range overflows; package errors pass unchanged.
     """
     try:
         yield
@@ -62,5 +62,5 @@ def malformed_input(what: str):
         raise
     except KeyError as exc:
         raise DomainError(f"malformed {what}: missing key {exc}") from None
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise DomainError(f"malformed {what}: {exc}") from None

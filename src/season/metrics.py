@@ -62,7 +62,7 @@ def _mc(values: np.ndarray) -> MCEstimate:
 
 def _masked_dot(weights: np.ndarray, values: np.ndarray) -> float:
     """sum w_i v_i skipping zero-weight terms, so 0 * (+-inf) contributes 0."""
-    mask = weights > 0
+    mask = weights != 0
     return float((weights[mask] * values[mask]).sum()) if mask.any() else 0.0
 
 
@@ -155,11 +155,8 @@ def ipm_at_witness(h_values: np.ndarray, nu: DiscreteDistribution,
     Zero-weight differences skip +-inf witness values.  This is the exact
     IPM whenever the witness attains the sup over the class.
     """
-    nu_aligned = discrete_ratio(nu, mu) * mu.weights
-    diff = nu_aligned - mu.weights
-    h = np.asarray(h_values, dtype=float)
-    mask = diff != 0.0
-    return float((diff[mask] * h[mask]).sum()) if mask.any() else 0.0
+    diff = discrete_ratio(nu, mu) * mu.weights - mu.weights
+    return _masked_dot(diff, np.asarray(h_values, dtype=float))
 
 
 def slow_rate_term(norm_H: float, delta: float, n: int) -> float:
@@ -266,8 +263,8 @@ def vi_duality_check(mu: DiscreteDistribution, L_values: Sequence[float]) -> VID
         raise DomainError(f"need one loss value per support point, got shape {L.shape}")
     logw = np.log(mu.weights) - L
     m = logw.max()
-    lhs = float(m + math.log(np.exp(logw - m).sum()))
     g = np.exp(logw - m)
+    lhs = float(m + math.log(g.sum()))
     g /= g.sum()
     gibbs = mu.reweighted(g)
     rhs = _masked_dot(g, L) + exact_fdiv(gibbs, mu, get_generator("kl"))

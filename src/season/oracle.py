@@ -21,10 +21,6 @@ needs no grid, so it works at any support size.
 The dual problem inf_Q [d_H(nu, Q) + I_f(Q : mu)] on three-point supports
 is also minimized exhaustively over the probability-simplex grid at
 resolution 1/200, as an independent cross-check that criterion 3 runs.
-The grid's integer counts are built once, read-only; since each
-coordinate takes only 201 values, the dual's two terms are tabulated per
-coordinate value and gathered per grid point, with the same sums a
-row-by-row evaluation of the float grid gives.
 
 R(h) separates over coordinates, so the optimum is h_i = clip(theta_i,
 w, w + 2B) with theta_i = f'(nu_i / mu_i) and a scalar window offset w.
@@ -90,27 +86,13 @@ class HSpec:
 _GRID_N = 200  # the grid's resolution is 1 / _GRID_N
 
 
-def _grid_counts() -> np.ndarray:
-    """Integer points (a, b, n - a - b) of n times the 3-simplex, one column each.
-
-    Column order is lexicographic: the upper triangle of an (n + 1)^2 table,
-    row a and column a + b, read row by row.
-    """
-    a, ab = (i.astype(np.uint8) for i in np.triu_indices(_GRID_N + 1))
-    counts = np.stack([a, ab - a, _GRID_N - ab])  # uint8 throughout: a small peak at import
-    counts.flags.writeable = False
-    return counts
-
-
-_COUNTS = _grid_counts()
-
-
 def simplex_grid() -> np.ndarray:
     """The 20,301 three-point weight vectors with entries in multiples of 1/200.
 
     Rows are in lexicographic order; the array is read-only.
     """
-    grid = np.ascontiguousarray(_COUNTS.T) / _GRID_N
+    a, ab = np.triu_indices(_GRID_N + 1)  # row a, column a + b of an (n + 1)^2 table
+    grid = np.stack([a, ab - a, _GRID_N - ab], axis=1) / _GRID_N
     grid.flags.writeable = False
     return grid
 
@@ -128,35 +110,22 @@ def dual_grid_min(nu: DiscreteDistribution, mu: DiscreteDistribution, gen: Gener
     The search is exhaustive over every point of `simplex_grid()`,
     independent of the primal search.  The stationary candidates nu and mu
     are appended: a wide ball puts Q* at nu, which the grid rarely holds.
-    Coordinate j of a grid point takes one of the 201 values i / 200, so
-    the terms |nu_j - q_j| and mu_j f(q_j / mu_j) are tabulated once per
-    value and coordinate and gathered per point: f runs on 3 * 203 values,
-    not on every grid entry.  Each point's terms are summed left to right
-    over j, as a row sum of the full grid would, in place; the candidates
-    are scored apart and joined to the grid's totals before the argmin.
+    Each row is scored as B ||nu - Q||_1 + sum_j mu_j f(Q_j / mu_j), with
+    the f term 0 where mu_j and Q_j vanish and +inf where only mu_j does.
     Raises DomainError unless mu has exactly three points.
     """
     if mu.n != 3:
         raise DomainError(f"grid search needs a three-point support, got {mu.n} points")
-    n = _GRID_N
     mu_w = mu.weights
     nu_w = discrete_ratio(nu, mu) * mu_w
-    levels = np.repeat((np.arange(n + 1) / n)[:, None], 3, axis=1)
-    points = np.vstack([levels, nu_w, mu_w])  # rows 0..n are the levels i / n
+    points = np.vstack([simplex_grid(), nu_w, mu_w])
     with np.errstate(divide="ignore", invalid="ignore"):
         fvals = np.asarray(gen.f(points / mu_w))
         fterms = np.where(mu_w > 0, fvals * mu_w, np.where(points > 0, np.inf, 0.0))
-    table = np.stack([np.abs(nu_w - points), fterms], axis=2)  # (n + 3, 3, 2)
-    sums = np.take(table[:, 0], _COUNTS[0], axis=0)
-    for j in (1, 2):
-        sums += np.take(table[:, j], _COUNTS[j], axis=0)
-    candidates = table[n + 1:].sum(axis=1)  # nu and mu, scored after the grid
-    total = np.concatenate([h_spec.norm * s[:, 0] + s[:, 1] for s in (sums, candidates)])
+    total = h_spec.norm * np.abs(nu_w - points).sum(axis=1) + fterms.sum(axis=1)
     best = int(np.argmin(total))
-    g = _COUNTS.shape[1]
-    q = _COUNTS[:, best] / n if best < g else points[n + 1 + best - g]
-    return DualResult(q_star=mu.reweighted(q / q.sum()),
-                      value=float(total[best]))
+    q = points[best]
+    return DualResult(q_star=mu.reweighted(q / q.sum()), value=float(total[best]))
 
 
 def _window_slope(w: float, gen: GeneratorSpec, theta: np.ndarray, nu_w: np.ndarray,

@@ -53,7 +53,7 @@ __all__ = ["CheckResult", "Criterion", "CRITERIA", "SUITES", "run_suite"]
 class CheckResult:
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
 
     def __post_init__(self):
         # numpy comparisons give numpy.bool_, which json cannot serialize

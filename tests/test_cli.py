@@ -541,17 +541,23 @@ class TestInputErrors:
         return discriminator_to_dict(exact_tabular(model_from_spec(DISCRETE_NU),
                                                    model_from_spec(DISCRETE_MU), js))
 
-    @pytest.mark.parametrize("case", ["layers-str", "weight-str", "tabular-values-str"])
+    @pytest.mark.parametrize("case", ["layers-str", "weight-str", "tabular-values-str",
+                                      "tabular-values-bool", "net-bias-bool", "net-bias-str"])
     def test_malformed_checkpoint_value_exits_2(self, case, tmp_path, capsys):
-        if case == "tabular-values-str":
+        if case.startswith("tabular"):
             doc = self._tabular_doc()
-            doc["values"] = "x"
+            if case == "tabular-values-str":
+                doc["values"] = "x"
+            else:  # numpy would read the bools as 1.0 and 0.0
+                doc["support"], doc["values"] = [[0.0], [1.0], [2.0]], [True, False, True]
         else:
             doc = discriminator_to_dict(init_discriminator(get_generator("js_shifted"), 1, 4))
             if case == "layers-str":
                 doc["layers"] = "x"
-            else:
+            elif case == "weight-str":
                 doc["layers"][0]["weights"][0] = "a"
+            else:
+                doc["bias"] = True if case == "net-bias-bool" else "0.5"
         model = write_json(tmp_path / "mu.json", DISCRETE_MU)
         disc = write_json(tmp_path / "disc.json", doc)
         out = tmp_path / "out.csv"
@@ -579,6 +585,42 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint ") and err.count("\n") == 1
         assert "finite" in err and "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("command, spec, shown", [
+        ("refine", {**DISCRETE_MU, "weights": [True, False]},
+         "weights: expected numbers, got bool"),
+        ("train-discriminator",
+         {**DISCRETE_NU, "support": [["0"], ["1"]], "weights": ["0.5", "0.5"]},
+         "support: expected numbers, got str"),
+        ("sample", {**MIXTURE_SPEC, "means": [[True]], "covs": [[[True]]], "weights": [True]},
+         "means: expected numbers, got bool"),
+        ("train-discriminator", {**DISCRETE_NU, "weights": [10 ** 400, 0.5]},
+         "int too large to convert to float"),
+    ], ids=["refine-bool-weights", "train-str-support-and-weights", "sample-bool-mixture",
+            "train-int-beyond-float"])
+    def test_non_number_distribution_spec_exits_2(self, command, spec, shown, tmp_path, capsys):
+        bad = write_json(tmp_path / "bad.json", spec)
+        out = tmp_path / "out"
+        argv = {
+            "train-discriminator": ["--data", bad, "--seed", "0",
+                                    "--model", write_json(tmp_path / "mu.json", DISCRETE_MU)],
+            "refine": ["--model", bad,
+                       "--disc", write_json(tmp_path / "disc.json", self._tabular_doc())],
+            "sample": ["--model", bad, "--steps", "5", "--seed", "0"],
+        }[command]
+        assert main([command, *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: malformed distribution spec: {shown}\n"
+        assert not out.exists()
+
+    def test_tabular_checkpoint_with_infinite_point_exits_2(self, tmp_path, capsys):
+        doc = self._tabular_doc()
+        doc["support"], doc["values"] = [[0.0], [1.0], [math.inf]], [1.0, 2.0, 3.0]
+        model = write_json(tmp_path / "mu.json", DISCRETE_MU)
+        disc = write_json(tmp_path / "disc.json", doc)  # json writes Infinity
+        out = tmp_path / "out.csv"
+        assert main(["refine", "--model", model, "--disc", disc, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: support points must be finite\n"
+        assert not out.exists()
 
     def test_minus_inf_tabular_value_refines(self, tmp_path):
         doc = self._tabular_doc()

@@ -414,6 +414,12 @@ class TestTraining:
         with pytest.raises(DomainError, match="distinct"):
             TabularDiscriminator(JS, np.array(support), np.array([1.0, 2.0, 3.0]))
 
+    def test_tabular_support_is_read_only(self):
+        tab = exact_tabular(two_point(0.5, 0.5), two_point(0.25, 0.75), JS)
+        with pytest.raises(ValueError):
+            tab.support[1] = tab.support[0]
+        assert tab.support.ravel().tolist() == [0.0, 1.0]
+
     def test_tabular_two_point_example(self):
         nu = two_point(0.5, 0.5)
         mu = two_point(0.25, 0.75)

@@ -1,12 +1,14 @@
 """Package surface: every name a module exports exists on it, importing the
-package loads no module, settable values do not grow, and each
-discriminator carries the one generator its consumers use."""
+package loads no module, settable values do not grow, the tests import only
+declared dependencies, and each discriminator carries the one generator its
+consumers use."""
 
 import ast
 import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,10 +97,30 @@ def test_settable_values_do_not_grow():
     A change that adds one raises BOUND here and justifies the value in
     CHANGES.md; a change that removes one lowers BOUND.
     """
-    BOUND = 74
+    BOUND = 73
     src = Path(season.__file__).resolve().parent
     total = sum(_settable_values(ast.parse(path.read_text())) for path in src.glob("*.py"))
     assert total <= BOUND
+
+
+def test_third_party_test_imports_are_declared():
+    """Every third-party top-level import under tests/ is in `dependencies` or
+    the `test` extra, so that `pip install .[test]` collects every test file."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in project["dependencies"] + project["optional-dependencies"]["test"]}
+    tests = sorted(Path(__file__).resolve().parent.glob("*.py"))
+    local = {"season", *(path.stem for path in tests)}
+    imported = set()
+    for path in tests:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) - local - declared == set()
 
 
 def _public_callables(module):
