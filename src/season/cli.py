@@ -295,7 +295,9 @@ def _run(args) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError("--seed", f"must be at least 0, got {args.seed}")
         return args.func(args)
-    except (ConfigError, DomainError, OSError, json.JSONDecodeError, KeyError) as exc:
+    # json raises RecursionError on deeply nested arrays
+    except (ConfigError, DomainError, OSError, json.JSONDecodeError, RecursionError,
+            KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SeasonError, FloatingPointError) as exc:

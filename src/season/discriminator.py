@@ -55,7 +55,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -169,32 +169,31 @@ class Discriminator:
         cuts = np.arange(_BLOCK_ROWS, len(x) - _BLOCK_ROWS + 1, _BLOCK_ROWS)
         return np.concatenate([self._forward_full(block)["h"] for block in np.split(x, cuts)])
 
-    def _backprop(self, cache: dict, dh: Optional[np.ndarray],
-                  inputs: bool = False) -> np.ndarray:
+    def _backprop(self, cache: dict, dh: Optional[np.ndarray]) -> np.ndarray:
         """Push dL/dh back through the net.
 
-        Returns the parameter gradient laid out like params or, with
-        inputs=True, the (n, d) input gradient instead; never both.
-        dh=None means dL/dh = 1 at every row (the input-only pass of
-        `input_grad`), which skips the multiplication by ones.  The
-        pass consumes the cache: a2 becomes dz2 = w3 dz3 (1 - a2^2) and a1
+        With dh given, returns the parameter gradient laid out like params.
+        dh=None means dL/dh = 1 at every row and returns the (n, d) input
+        gradient instead (the pass of `input_grad`), skipping the
+        multiplication by ones and the parameter products.  The pass
+        consumes the cache: a2 becomes dz2 = w3 dz3 (1 - a2^2) and a1
         becomes 1 - a1^2 in place, so dz1 is its one new (width, n) array.
         """
         z3, a2, a1, x = (cache[k] for k in ("z3", "a2", "a1", "x"))
         dz3 = np.asarray(self.generator.link_of_logit_deriv(z3))
         if dh is not None:
             dz3 = dh * dz3
-        g_w3 = None if inputs else a2 @ dz3
+        g_w3 = None if dh is None else a2 @ dz3
         dz2 = np.multiply(a2, a2, out=a2)
         np.subtract(1.0, dz2, out=dz2)
         dz2 *= self.w3[:, None]
         dz2 *= dz3
-        g_w2 = None if inputs else dz2 @ a1.T
+        g_w2 = None if dh is None else dz2 @ a1.T
         dz1 = self.w2.T @ dz2
         tanh_deriv = np.multiply(a1, a1, out=a1)
         np.subtract(1.0, tanh_deriv, out=tanh_deriv)
         dz1 *= tanh_deriv
-        if inputs:
+        if dh is None:
             return (self.w1.T @ dz1).T
         # in the order of _param_views; concatenate is far cheaper than writing views
         return np.concatenate((dz1 @ x, dz1.sum(axis=1), g_w2, dz2.sum(axis=1),
@@ -337,19 +336,15 @@ def grads(disc: Discriminator, gen: GeneratorSpec, samples_nu: np.ndarray,
     return g_nu + g_mu, value, se
 
 
-def input_grad(disc: Discriminator, x: np.ndarray,
-               outer_deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
-    """Exact gradient of h with respect to the inputs, shape (n, d).
+def input_grad(disc: Discriminator, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h and its exact gradient with respect to the inputs, shapes (n,) and (n, d).
 
-    With outer_deriv = g' it is the gradient of g(h(x)) instead: by the
-    chain rule, row i of grad_x h times g'(h)[i].  The net runs forward
-    once; outer_deriv gets that pass's h before the input-only backward
-    pass, so an error it raises costs no backward pass.
+    One forward pass over the whole batch gives h, and one input-only
+    backward pass its gradient.  Below 16,384 rows `h_batch` runs the
+    same single pass, so its h has the same bytes.
     """
     cache = disc._forward_full(x)
-    factor = None if outer_deriv is None else np.asarray(outer_deriv(cache["h"]))
-    dx = disc._backprop(cache, None, inputs=True)
-    return dx if factor is None else factor[:, None] * dx
+    return cache["h"], disc._backprop(cache, None)
 
 
 def exact_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,

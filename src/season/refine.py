@@ -233,27 +233,21 @@ def refined_score(base_score: Callable[[np.ndarray], np.ndarray], disc, x: np.nd
 
     guidance(x) = (d/ds log f'^-1)(h(x) - lam) * grad_x h(x), with the
     closed-form derivative from the generator (no numeric differentiation).
-    The guidance is the input gradient of log f'^-1(h - lam), so it takes
-    one forward and one input-only backward pass through `input_grad`.
-    lam=None solves the normalizer on the batch itself, the mean of
-    f'^-1(h - lam) over x equal to 1, from that forward's h; the solved
-    lam keeps every h - lam inside the range of f'.  The domain check runs
-    on that forward's h, before the backward pass: h - lam must lie inside
-    the range of f', or DomainError names the first point outside it; a
-    NaN h or lam is outside it too.
+    h and grad_x h come from one forward and one input-only backward pass
+    through `input_grad`.  lam=None solves the normalizer on the batch
+    itself, the mean of f'^-1(h - lam) over x equal to 1, from that h; the
+    solved lam keeps every h - lam inside the range of f'.  Then the domain
+    check: h - lam must lie inside the range of f', or DomainError names
+    the first point outside it; a NaN h or lam is outside it too.
     """
     if not isinstance(disc, Discriminator):
         raise DomainError("refined_score needs a net discriminator with input gradients")
     gen = disc.generator
     x = as_batch(x)
-
-    def log_ratio_deriv(h: np.ndarray) -> np.ndarray:
-        s = h - (_solve_lambda(gen, h, x) if lam is None else lam)
-        _check_in_range(gen, s, x)
-        return gen.log_ratio_deriv(s)
-
-    guidance = input_grad(disc, x, log_ratio_deriv)
-    return base_score(x) + guidance
+    h, dx = input_grad(disc, x)
+    s = h - (_solve_lambda(gen, h, x) if lam is None else lam)
+    _check_in_range(gen, s, x)
+    return base_score(x) + gen.log_ratio_deriv(s)[:, None] * dx
 
 
 def refined_density_unnormalized(base: GaussianMixture, disc, x: np.ndarray, *,

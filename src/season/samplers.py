@@ -1,20 +1,21 @@
 """Samplers: unadjusted Langevin dynamics and guided reverse diffusion.
 
-langevin iterates x <- x + step * score(x) + sqrt(2 step) z on a fixed
-score field.  reverse_em integrates the time-discretized reverse of the
-forward noising process on the uniform grid tau_k = k T / K,
+Both run one chain loop, `_chains`: x starts at an N(0, I) draw and step
+k sets x <- x + increment(x, k) + noise_scale * z.  langevin's increment
+is step * score(x) on a fixed score field, its noise scale sqrt(2 step).
+reverse_em integrates the time-discretized reverse of the forward
+noising process on the uniform grid tau_k = k T / K,
 
     y <- y + s beta [y + 2 (score_k(y) + guidance_k(y))] + sqrt(2 s beta) z,
 
-with step s = T / K and the schedule's constant rate beta, starting from
-the standard Gaussian prior.  During step k the guidance term comes from
-the discriminator at level tau_{k+1}: discs[k] is trained
-at forward time T - tau_{k+1}, and the score handle is queried at step
-index k (forward time T - tau_k).  Guidance adds
-(d/ds log f'^-1)(h(y) - lambda_k) * grad h(y), where lambda_k solves the
-normalizer equation on the current chain batch, mean of
-f'^-1(h(y) - lambda_k) equal to 1, under the generator f of discs[k].
-It vanishes for constant discriminators, leaving trajectories
+with step s = T / K and the schedule's constant rate beta.  During step
+k the guidance term comes from the discriminator at level tau_{k+1}:
+discs[k] is trained at forward time T - tau_{k+1}, and the score handle
+is queried at step index k (forward time T - tau_k).  Guidance is the
+term (d/ds log f'^-1)(h(y) - lambda_k) * grad h(y) of `refined_score`,
+where lambda_k solves the normalizer equation on the current chain batch
+under the generator f of discs[k]; its domain check follows the backward
+pass.  It vanishes for constant discriminators, leaving trajectories
 bit-identical to the unguided run.
 
 Both samplers are deterministic per seed; noise is drawn once per step
@@ -66,6 +67,8 @@ class LangevinConfig:
             raise DomainError(f"step_size must be finite and > 0, got {self.step_size}")
         if self.n_steps < 0 or self.n_chains < 1:
             raise DomainError("n_steps >= 0 and n_chains >= 1 required")
+        if self.dim < 1:
+            raise DomainError(f"dim must be >= 1, got {self.dim}")
 
 
 def _check_guard(x: np.ndarray, step: int) -> None:
@@ -78,18 +81,24 @@ def _check_guard(x: np.ndarray, step: int) -> None:
         raise ChainDivergenceError(int(np.flatnonzero(bad)[0]), step)
 
 
+def _chains(seed: int, n_chains: int, dim: int, n_steps: int, noise_scale: float,
+            increment: Callable[[np.ndarray, int], np.ndarray]) -> np.ndarray:
+    """The chain loop of the module docstring, guarded after every step."""
+    rng = as_generator(seed)
+    x = rng.standard_normal((n_chains, dim))
+    for k in range(n_steps):
+        x = x + increment(x, k) + noise_scale * rng.standard_normal(x.shape)
+        _check_guard(x, k)
+    return x
+
+
 def langevin(score: Callable[[np.ndarray], np.ndarray], cfg: LangevinConfig) -> np.ndarray:
     """Run unadjusted Langevin chains from the Gaussian prior; returns the final batch.
 
     The batch has shape (n_chains, dim).
     """
-    rng = as_generator(cfg.seed)
-    x = rng.standard_normal((cfg.n_chains, cfg.dim))
-    noise_scale = math.sqrt(2.0 * cfg.step_size)
-    for step in range(cfg.n_steps):
-        x = x + cfg.step_size * score(x) + noise_scale * rng.standard_normal(x.shape)
-        _check_guard(x, step)
-    return x
+    return _chains(cfg.seed, cfg.n_chains, cfg.dim, cfg.n_steps, math.sqrt(2.0 * cfg.step_size),
+                   lambda x, k: cfg.step_size * score(x))
 
 
 @dataclass(frozen=True)
@@ -103,10 +112,8 @@ class ReverseDiffusionConfig:
     def __post_init__(self):
         if self.K < 1 or self.n_chains < 1:
             raise DomainError("K >= 1 and n_chains >= 1 required")
-
-    @property
-    def step(self) -> float:
-        return self.schedule.T / self.K
+        if self.dim < 1:
+            raise DomainError(f"dim must be >= 1, got {self.dim}")
 
 
 def reverse_em(score: Callable[[np.ndarray, int], np.ndarray], cfg: ReverseDiffusionConfig,
@@ -126,21 +133,18 @@ def reverse_em(score: Callable[[np.ndarray, int], np.ndarray], cfg: ReverseDiffu
             _check_generator(disc, gen)
         if len(discs) != cfg.K:
             raise DomainError(f"{len(discs)} discriminators for K = {cfg.K} levels")
-    rng = as_generator(cfg.seed)
-    y = rng.standard_normal((cfg.n_chains, cfg.dim))
-    s = cfg.step
+    s = cfg.schedule.T / cfg.K
     beta = cfg.schedule.beta
     drift_scale = s * beta
-    noise_scale = math.sqrt(2.0 * s * beta)
-    for k in range(cfg.K):
+
+    def increment(y: np.ndarray, k: int) -> np.ndarray:
         if discs is None:
             drift = score(y, k)
         else:
             drift = refined_score(lambda x: score(x, k), discs[k], y)
-        z = rng.standard_normal(y.shape)
-        y = y + drift_scale * (y + 2.0 * drift) + noise_scale * z
-        _check_guard(y, k)
-    return y
+        return drift_scale * (y + 2.0 * drift)
+
+    return _chains(cfg.seed, cfg.n_chains, cfg.dim, cfg.K, math.sqrt(2.0 * s * beta), increment)
 
 
 def w1_1d(a: np.ndarray, b: np.ndarray) -> float:

@@ -217,7 +217,7 @@ def _gradient_suite() -> list[CheckResult]:
         param_errs.append(np.abs(analytic - fd) / np.maximum(np.abs(fd), 1.0))
 
         x_probe = rng.standard_normal((25, dim))
-        gin = input_grad(disc, x_probe)
+        gin = input_grad(disc, x_probe)[1]
         for j, shift in enumerate(eps * np.eye(dim)):
             fd = (disc.h_batch(x_probe + shift) - disc.h_batch(x_probe - shift)) / (2 * eps)
             input_errs.append(np.abs(gin[:, j] - fd) / np.maximum(np.abs(fd), 1.0))

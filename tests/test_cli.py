@@ -430,6 +430,27 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("reader", ["run-config", "train-data", "sample-model",
+                                        "refine-disc"])
+    def test_deeply_nested_json_exits_2(self, reader, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)  # json raises RecursionError, not JSONDecodeError
+        deep, out = str(deep), str(tmp_path / "out")
+        argv = {
+            "run-config": ["run", deep],
+            "train-data": ["train-discriminator", "--data", deep, "--seed", "0",
+                           "--model", write_json(tmp_path / "mu.json", DISCRETE_MU),
+                           "--out", out],
+            "sample-model": ["sample", "--model", deep, "--seed", "0", "--out", out],
+            "refine-disc": ["refine", "--model", write_json(tmp_path / "mu.json", DISCRETE_MU),
+                            "--disc", deep, "--out", out],
+        }[reader]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: maximum recursion depth exceeded") and \
+            err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_checkpoint_not_an_object_exits_2(self, tmp_path, capsys):
         model = write_json(tmp_path / "mu.json", DISCRETE_MU)
         disc = write_json(tmp_path / "disc.json", [1, 2])

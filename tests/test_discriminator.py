@@ -321,11 +321,11 @@ class TestFeatureMajorPasses:
         assert se == pytest.approx(se_ref, rel=1e-12)
         cache = row_major_forward(disc, x_mu)
         dx = row_major_backprop(disc, cache, np.ones_like(cache["h"]), inputs=True)
-        assert_close_to_reference(input_grad(disc, x_mu), dx)
-        assert_close_to_reference(input_grad(disc, x_mu, np.cos),
-                                  np.cos(cache["h"])[:, None] * dx)
+        h, got = input_grad(disc, x_mu)
+        assert_close_to_reference(h, cache["h"])
+        assert_close_to_reference(got, dx)
 
-    @pytest.mark.parametrize("call", ["grads", "input_grad", "input_grad-outer", "h_batch"])
+    @pytest.mark.parametrize("call", ["grads", "input_grad", "h_batch"])
     @pytest.mark.parametrize("shape", [(30,), (30, 1), (30, 3)], ids=["1d", "n-by-1", "n-by-3"])
     def test_inputs_and_params_left_untouched(self, call, shape):
         rng = np.random.default_rng(12)
@@ -335,7 +335,6 @@ class TestFeatureMajorPasses:
         before = (x.copy(), x_other.copy(), disc.params.copy())
         {"grads": lambda: grads(disc, KL, x, x_other),
          "input_grad": lambda: input_grad(disc, x),
-         "input_grad-outer": lambda: input_grad(disc, x, np.cos),
          "h_batch": lambda: disc.h_batch(x)}[call]()
         assert disc.params.flags.writeable  # a write would land, not raise
         for array, copy in zip((x, x_other, disc.params), before):
@@ -370,8 +369,19 @@ class TestRowBlocks:
 class TestInputGradients:
     def test_constant_disc_zero_gradient(self):
         disc = Discriminator(JS, 2, 4)
-        g = input_grad(disc, np.random.default_rng(0).standard_normal((10, 2)))
+        h, g = input_grad(disc, np.random.default_rng(0).standard_normal((10, 2)))
+        assert np.array_equal(h, np.full(10, float(JS.f_prime(1.0))))
         assert np.allclose(g, 0.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 37, 8192, 16383])
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    def test_h_equals_h_batch_byte_for_byte(self, gen, n):
+        # below 16,384 rows h_batch is one block, the same single pass as input_grad's
+        disc = random_net(gen, 2, 16, seed=n)
+        x = np.random.default_rng(n).standard_normal((n, 2))
+        h, dx = input_grad(disc, x)
+        assert h.tobytes() == disc.h_batch(x).tobytes()
+        assert dx.shape == (n, 2)
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_matches_finite_differences_at_probes(self, gen):
@@ -379,15 +389,13 @@ class TestInputGradients:
         disc = init_discriminator(gen, 2, 8, seed=11)
         x = rng.standard_normal((100, 2))
         eps = 1e-6
-        # grad h, then grad g(h) through the chain rule with outer_deriv = g'
-        for outer, outer_deriv in ((lambda h: h, None), (np.sin, np.cos)):
-            g = input_grad(disc, x, outer_deriv)
-            for j in range(2):
-                xp = x.copy(); xp[:, j] += eps
-                xm = x.copy(); xm[:, j] -= eps
-                fd = (outer(disc.h_batch(xp)) - outer(disc.h_batch(xm))) / (2 * eps)
-                scale = np.maximum(np.abs(fd), 1.0)
-                assert (np.abs(g[:, j] - fd) / scale).max() <= 1e-4
+        g = input_grad(disc, x)[1]
+        for j in range(2):
+            xp = x.copy(); xp[:, j] += eps
+            xm = x.copy(); xm[:, j] -= eps
+            fd = (disc.h_batch(xp) - disc.h_batch(xm)) / (2 * eps)
+            scale = np.maximum(np.abs(fd), 1.0)
+            assert (np.abs(g[:, j] - fd) / scale).max() <= 1e-4
 
 
 class TestTraining:

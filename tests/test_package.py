@@ -1,7 +1,7 @@
 """Package surface: every name a module exports exists on it, importing the
-package loads no module, settable values do not grow, the tests import only
-declared dependencies, and each discriminator carries the one generator its
-consumers use."""
+package loads no module, settable values do not grow, no module imports a
+name it never uses, the tests import only declared dependencies, and each
+discriminator carries the one generator its consumers use."""
 
 import ast
 import importlib
@@ -97,10 +97,39 @@ def test_settable_values_do_not_grow():
     A change that adds one raises BOUND here and justifies the value in
     CHANGES.md; a change that removes one lowers BOUND.
     """
-    BOUND = 73
+    BOUND = 72
     src = Path(season.__file__).resolve().parent
     total = sum(_settable_values(ast.parse(path.read_text())) for path in src.glob("*.py"))
     assert total <= BOUND
+
+
+# Imported names that their module never uses, each with the reader that needs it.
+UNUSED_IMPORTS = {
+    "samplers.input_grad",  # bench/test_bench.py checks that tracing puts it back
+}
+
+
+def _unused_imports(tree: ast.Module) -> set[str]:
+    """Names the module binds by import but never reads and does not list in __all__."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == "__all__" for target in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    src = Path(season.__file__).resolve().parent
+    unused = {f"{path.stem}.{name}" for path in src.glob("*.py")
+              for name in _unused_imports(ast.parse(path.read_text()))}
+    assert unused == UNUSED_IMPORTS
 
 
 def test_third_party_test_imports_are_declared():

@@ -59,6 +59,13 @@ class TestLangevin:
         with pytest.raises(ChainDivergenceError):
             langevin(lambda x: 10.0 * x, cfg)
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_below_one_rejected(self, dim):
+        with pytest.raises(DomainError, match=f"^dim must be >= 1, got {dim}$"):
+            LangevinConfig(step_size=0.1, n_steps=1, n_chains=3, dim=dim)
+        with pytest.raises(DomainError, match="^n_steps >= 0 and n_chains >= 1 required$"):
+            LangevinConfig(step_size=0.1, n_steps=1, n_chains=0, dim=dim)
+
     def test_ks_statistic_against_normal_cdf(self):
         cfg = LangevinConfig(step_size=1e-3, n_steps=2000, n_chains=100_000, dim=1, seed=3)
         out = langevin(lambda x: -x, cfg).ravel()
@@ -97,6 +104,14 @@ class TestReverseEM:
             refined_score(lambda y: -y, disc, prior, lam=0.0)
         out = reverse_em(lambda y, k: -y, cfg, JS, [disc] * cfg.K)
         assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_below_one_rejected(self, dim):
+        sched = OUSchedule(1.0, 2.0)
+        with pytest.raises(DomainError, match=f"^dim must be >= 1, got {dim}$"):
+            ReverseDiffusionConfig(schedule=sched, K=2, n_chains=3, dim=dim)
+        with pytest.raises(DomainError, match="^K >= 1 and n_chains >= 1 required$"):
+            ReverseDiffusionConfig(schedule=sched, K=0, n_chains=3, dim=dim)
 
     def test_level_misalignment_rejected(self):
         sched = OUSchedule(1.0, 2.0)
