@@ -13,9 +13,9 @@ Seeds, in configs and as --seed, are integers >= 0.  A run config holds only
 keys its experiment reads, and no output directory is made before the
 outputs are computed and found finite.
 Exit codes: 0 success, 1 verify-suite failure, 2 config/validation error
-(bad config or input file, domain error), 3 numeric failure (NaN,
-divergence or any other package error).  `main` maps exceptions to these
-codes in one place and prints a one-line message, never a traceback.
+(bad config or input file, domain error, number too large), 3 numeric failure
+(NaN, divergence or any other package error).  `main` maps exceptions to
+these codes in one place and prints a one-line message, never a traceback.
 Outputs are byte-identical for identical config + seed and the same BLAS
 thread count.  Every CSV goes through one writer, `refine._write_csv`:
 floats carry 17 significant digits and lines end in \\r\\n.
@@ -37,7 +37,7 @@ from typing import Optional
 
 from .discriminator import TrainConfig, load_discriminator, save_discriminator, train
 from .distributions import DiscreteDistribution, model_from_spec
-from .errors import ConfigError, DomainError, SeasonError
+from .errors import ConfigError, SeasonError
 from .experiments import (
     bound_trial,
     identity_discrete_experiment,
@@ -295,9 +295,9 @@ def _run(args) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError("--seed", f"must be at least 0, got {args.seed}")
         return args.func(args)
-    # json raises RecursionError on deeply nested arrays
-    except (ConfigError, DomainError, OSError, json.JSONDecodeError, RecursionError,
-            KeyError) as exc:
+    # ValueError: ConfigError, DomainError, json's decode error, numpy on a size it
+    # cannot hold (or OverflowError, MemoryError); RecursionError: json on deep nesting
+    except (ValueError, OverflowError, MemoryError, OSError, RecursionError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SeasonError, FloatingPointError) as exc:

@@ -27,8 +27,6 @@ __all__ = [
     "as_generator",
     "as_batch",
     "split_seeds",
-    "gaussian_mixture",
-    "constant_schedule",
     "ou_params",
     "noise_sample",
     "noised_mixture",
@@ -271,15 +269,6 @@ class GaussianMixture:
         return out + self.means[idx]
 
 
-def gaussian_mixture(means, covs, weights) -> GaussianMixture:
-    """Alias of `GaussianMixture`.
-
-    It stays only because `bench/workloads.py` calls it; ROADMAP item 6's
-    change to the benchmark drops it.
-    """
-    return GaussianMixture(means, covs, weights)
-
-
 @dataclass(frozen=True)
 class OUSchedule:
     """Constant rate beta on the horizon [0, T] of the forward noising process."""
@@ -296,13 +285,9 @@ class OUSchedule:
         object.__setattr__(self, "T", T)
 
 
-def constant_schedule(beta: float, T: float) -> OUSchedule:
-    """Alias of `OUSchedule`.
-
-    It stays only because `bench/workloads.py` calls it; ROADMAP item 6's
-    change to the benchmark drops it.
-    """
-    return OUSchedule(beta, T)
+# Only `bench/workloads.py` calls these names; outside `__all__`, so that the
+# benchmark's tracer wraps each class's methods once.  ROADMAP item 6 drops them.
+gaussian_mixture, constant_schedule = GaussianMixture, OUSchedule
 
 
 def ou_params(schedule: OUSchedule, t: float) -> tuple[float, float]:

@@ -26,9 +26,9 @@ class LambdaSolveError(SeasonError):
 class TrainingDivergedError(SeasonError):
     """Training objective became NaN or infinite."""
 
-    def __init__(self, step: int, message: str = ""):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"objective diverged at step {step}")
+        super().__init__(f"objective diverged at step {step}")
 
 
 class ChainDivergenceError(SeasonError):

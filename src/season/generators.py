@@ -110,16 +110,11 @@ def _rkl_f(t):
     return np.where(t > 0, -np.log(tp), np.inf)
 
 
-def _rkl_fprime(t):
-    t = np.asarray(t, dtype=float)
+def _neg_reciprocal(x):
+    # -1/x: reverse KL's f', its own inverse f'^-1, and d/ds log f'^-1(s)
+    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):
-        return -1.0 / t
-
-
-def _rkl_fprime_inv(s):
-    s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore"):
-        return -1.0 / s
+        return -1.0 / x
 
 
 def _rkl_conj(s):
@@ -184,9 +179,9 @@ _KL = GeneratorSpec(
 _RKL = GeneratorSpec(
     name="reverse_kl",
     f=_rkl_f,
-    f_prime=_rkl_fprime,
-    f_prime_inv=_rkl_fprime_inv,
-    log_ratio_deriv=_rkl_fprime_inv,  # d/ds (-log(-s)) = -1/s
+    f_prime=_neg_reciprocal,
+    f_prime_inv=_neg_reciprocal,
+    log_ratio_deriv=_neg_reciprocal,  # d/ds (-log(-s)) = -1/s
     conjugate_fn=_rkl_conj,
     conjugate_domain=(-math.inf, 0.0),
     link_of_logit=lambda z: -np.exp(-np.asarray(z, dtype=float)),

@@ -31,8 +31,8 @@ As a function of w, R is concave and C^1 with slope
 
 a free coordinate adds 0, since f'^-1(theta_i) = nu_i / mu_i.  The sup is
 R at the root of R'(w) = 0, found by the Brent root finder of `refine`
-on a bracket where R' changes sign, reusing the slopes at its ends; when
-R' does not change sign there, the bracket endpoint is the maximizer.
+on a bracket [lo, hi], reusing the slopes at its ends.  R'(lo) > 0 for
+every input, so only hi can be the maximizer, which it is when R'(hi) >= 0.
 R'(w) = 0 is E_mu[f'^-1(h*)] = 1, so lambda = 0 at the optimum h* of
 this additively closed class, which the tests check.  R(h) is evaluated
 as the same zero-weight-skipping sums that `metrics.est_DfH` uses, and
@@ -146,24 +146,24 @@ def _primal_sup(ratio: np.ndarray, mu_w: np.ndarray, gen: GeneratorSpec,
     with np.errstate(divide="ignore"):
         theta = np.asarray(gen.f_prime(ratio))  # -inf where nu vanishes
     width = 2.0 * h_spec.norm
-    finite = theta[np.isfinite(theta)]
+    finite = np.isfinite(theta)  # all False only when every ratio nu / mu overflows
     c0 = float(gen.f_prime(1.0))
-    lo = min(finite.min() if finite.size else c0, c0) - width - 1.0
-    hi = max(finite.max() if finite.size else c0, c0) + 1.0
+    lo = float(theta.min(where=finite, initial=c0)) - width - 1.0
+    hi = float(theta.max(where=finite, initial=c0)) + 1.0
     hi_dom = gen.conjugate_domain[1]
     if math.isfinite(hi_dom):
         hi = min(hi, hi_dom - width - 1e-12)  # still above lo, since f'(1) < hi_dom
 
     live = mu_w > 0
     args = (gen, theta[live], nu_w[live], mu_w[live], width)
-    if (slope_lo := _window_slope(lo, *args)) <= 0.0:
-        w = lo
-    elif (slope_hi := _window_slope(hi, *args)) >= 0.0:
+    if (slope_hi := _window_slope(hi, *args)) >= 0.0:
         w = hi
     else:
-        # xtol 1e-15 leaves 4 eps |w| as the limit in w, so lambda at h* stays
-        # at rounding level (scipy's default 2e-12 left up to 5e-13)
-        w = _brentq(_window_slope, lo, hi, args=args, xtol=1e-15, fa=slope_lo, fb=slope_hi)
+        # R'(lo) >= 1 - f'^-1(f'(1) - 1) > 0, since every theta but -inf lies
+        # above lo + 2B.  xtol 1e-15 leaves 4 eps |w| as the limit in w, so
+        # lambda at h* stays at rounding level (scipy's default 2e-12 left up to 5e-13)
+        w = _brentq(_window_slope, lo, hi, args=args, xtol=1e-15,
+                    fa=_window_slope(lo, *args), fb=slope_hi)
     h_star = np.clip(theta, w, w + width)
     value = _masked_dot(nu_w, h_star) - _masked_dot(mu_w, np.asarray(gen.conjugate_fn(h_star)))
     return value, h_star
@@ -174,10 +174,9 @@ def primal_sup_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
     """Exact sup of R(h) over the ball h_spec on mu's support, and the h attaining it.
 
     theta = f'(nu / mu) is clipped into the window [w, w + 2B] at the
-    offset w where R'(w) = 0 (module docstring), or at the end of the
-    bracket [lo, hi] where R' keeps its sign; R is evaluated once, at that
-    w.  The sup lies between 0 (the constants) and I_f(nu : mu) (every
-    per-point function).
+    offset w where R'(w) = 0 (module docstring), or at the bracket's upper
+    end hi when R'(hi) >= 0; R is evaluated once, at that w.  The sup lies
+    between 0 (the constants) and I_f(nu : mu) (every per-point function).
     """
     value, h_star = _primal_sup(discrete_ratio(nu, mu), mu.weights, gen, h_spec)
     return value, TabularDiscriminator(gen, mu.support, h_star)

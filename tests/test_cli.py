@@ -729,6 +729,105 @@ class TestInputErrors:
                      "--chains", "4", "--seed", "0", "--out", str(tmp_path / "s.csv")]) == 3
         assert "diverged" in capsys.readouterr().err
 
+    REJECTED = {
+        "run-bounds-unknown-generator": "$.generator: unknown generator 'nope'",
+        "run-config-list": "$: config must be a JSON object",
+        "refine-mixture": "$.model: refine subcommand expects a discrete model",
+        "sample-discrete": "$.model: sampling needs a continuous model",
+        "tabular-one-value-short": "one value per support point required",
+        "tabular-other-support": "discriminator undefined at support point [1.]",
+        "checkpoint-kind-forest": "unsupported checkpoint kind 'forest'",
+        "train-1d-against-2d": "sample batches have mismatched dimensions",
+    }
+
+    @pytest.mark.parametrize("case", REJECTED)
+    def test_rejected_input_exits_2(self, case, tmp_path, capsys):
+        out = tmp_path / "out"
+        mu = write_json(tmp_path / "mu.json", DISCRETE_MU)
+        mixture = write_json(tmp_path / "mix.json", MIXTURE_SPEC)
+        doc = self._tabular_doc()
+        if case == "tabular-one-value-short":
+            doc["values"] = doc["values"][:1]
+        elif case == "tabular-other-support":
+            doc["support"] = [[0.0], [2.0]]
+        elif case == "checkpoint-kind-forest":
+            doc["kind"] = "forest"
+        disc = write_json(tmp_path / "disc.json", doc)
+        mixture_2d = write_json(tmp_path / "mix2.json", {
+            "type": "gaussian_mixture", "means": [[0.0, 0.0]],
+            "covs": [[[1.0, 0.0], [0.0, 1.0]]], "weights": [1.0]})
+        argv = {
+            "run-bounds-unknown-generator": ["run", write_json(tmp_path / "cfg.json", {
+                "experiment": "bounds", "seed": 0, "generator": "nope",
+                "output_dir": str(out)})],
+            "run-config-list": ["run", write_json(tmp_path / "list.json", [
+                {"experiment": "bounds", "seed": 0, "output_dir": str(out)}])],
+            "refine-mixture": ["refine", "--model", mixture, "--disc", disc, "--out", str(out)],
+            "sample-discrete": ["sample", "--model", mu, "--seed", "0", "--out", str(out)],
+            "train-1d-against-2d": ["train-discriminator", "--data", mixture,
+                                    "--model", mixture_2d, "--seed", "0", "--out", str(out)],
+        }.get(case, ["refine", "--model", mu, "--disc", disc, "--out", str(out)])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {self.REJECTED[case]}\n"
+        assert not out.exists()
+
+
+class TestNumbersTooLarge:
+    """Sizes numpy cannot hold and integers beyond float range exit 2 with one line.
+
+    Each size is rejected before any memory is allocated.
+    """
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("bounds", "--n", 2 ** 62, "array is too big"),
+        ("bounds", "--n", 10 ** 21, "Python int too large to convert to C long"),
+        ("train-discriminator", "--n-samples", 2 ** 62, "array is too big"),
+        ("train-discriminator", "--width", 2 ** 62, "Maximum allowed dimension exceeded"),
+        ("sample", "--chains", 2 ** 62, "array is too big"),
+    ], ids=["bounds-n", "bounds-n-beyond-c-long", "train-n-samples", "train-width",
+            "sample-chains"])
+    def test_flag_exits_2(self, command, flag, value, message, tmp_path, capsys):
+        model = write_json(tmp_path / "mix.json", MIXTURE_SPEC)
+        out = tmp_path / "out"
+        argv = {
+            "bounds": [],
+            "train-discriminator": ["--data", model, "--model", model],
+            "sample": ["--model", model],
+        }[command]
+        assert main([command, *argv, flag, str(value), "--seed", "0",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"experiment": "refine-1d", "sampler": {"n_chains": 2 ** 62},
+          "discriminator": {"steps": 0}}, "array is too big"),
+        ({"experiment": "refine-1d", "sampler": {"t_horizon": 10 ** 400}},
+         "int too large to convert to float"),
+        ({"experiment": "bounds", "delta": 10 ** 400}, "int too large to convert to float"),
+        ({"experiment": "refine-1d", "discriminator": {"lr": 10 ** 400}},
+         "int too large to convert to float"),
+    ], ids=["refine-1d-n-chains", "refine-1d-t-horizon", "bounds-delta", "refine-1d-lr"])
+    def test_run_config_exits_2(self, cfg, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_json(tmp_path / "cfg.json", {**cfg, "seed": 0, "output_dir": str(out)})
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_memory_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+        monkeypatch.setattr(cli, "langevin", exhausted)
+        out = tmp_path / "s.csv"
+        assert main(["sample", "--model", write_json(tmp_path / "mix.json", MIXTURE_SPEC),
+                     "--seed", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 8.00 EiB for an array\n"
+        assert not out.exists()
+
 
 class TestOneStderrLinePerError:
     def test_numeric_failure_prints_only_its_message(self, tmp_path):

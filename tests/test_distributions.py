@@ -152,6 +152,14 @@ class TestDiscreteRatio:
         with pytest.raises(AbsoluteContinuityError):
             discrete_ratio(nu, mu)
 
+    def test_zero_weight_point_outside_mu_is_masked_out(self):
+        # nu's point 2.0 lies outside mu's support but carries no mass
+        mu = DiscreteDistribution(np.array([[0.0], [1.0], [3.0]]), np.array([0.25, 0.5, 0.25]))
+        nu = DiscreteDistribution(np.array([[1.0], [2.0], [0.0]]), np.array([0.75, 0.0, 0.25]))
+        kept = DiscreteDistribution(np.array([[1.0], [0.0]]), np.array([0.75, 0.25]))
+        assert discrete_ratio(nu, mu).tolist() == discrete_ratio(kept, mu).tolist() \
+            == [1.0, 1.5, 0.0]
+
     def test_reweighting_reconstructs_nu(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

@@ -252,7 +252,7 @@ class TestPrimalSup:
             assert len(calls) == 1
 
     def test_nan_window_slope_is_a_package_error(self):
-        # a NaN slope passes both endpoint tests and reaches the root search
+        # a NaN slope passes the endpoint test and reaches the root search
         nu, mu = random_discrete_pair(np.random.default_rng(10), 3, floor=0.2)
         gen = replace(KL, f_prime_inv=lambda s: s * math.nan)
         with pytest.raises(LambdaSolveError, match="NaN"):

@@ -4,6 +4,7 @@ name it never uses, the tests import only declared dependencies, and each
 discriminator carries the one generator its consumers use."""
 
 import ast
+import copy
 import importlib
 import inspect
 import os
@@ -150,6 +151,37 @@ def test_third_party_test_imports_are_declared():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - set(sys.stdlib_module_names) - local - declared == set()
+
+
+def _body_key(fn: ast.FunctionDef) -> str:
+    """fn's body without its docstring, as an AST dump with argument names numbered."""
+    args = fn.args
+    params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+    numbered = {a.arg: f"_arg{i}" for i, a in enumerate(p for p in params if p is not None)}
+
+    class Rename(ast.NodeTransformer):
+        def visit_Name(self, node):
+            return ast.Name(numbered.get(node.id, node.id), node.ctx)
+
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    return ast.dump(ast.Module([Rename().visit(copy.deepcopy(stmt)) for stmt in body], []))
+
+
+def test_no_two_functions_share_a_body():
+    """Two defs under src/season with one body, up to argument names, are one
+    function written twice; lambdas are left out."""
+    src = Path(season.__file__).resolve().parent
+    seen, duplicates = {}, []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{path.stem}.{node.name}"
+                key = _body_key(node)
+                if key in seen:
+                    duplicates.append((seen[key], name))
+                else:
+                    seen[key] = name
+    assert duplicates == []
 
 
 def _public_callables(module):
