@@ -29,14 +29,25 @@ As a function of w, R is concave and C^1 with slope
     R'(w) = sum_{theta_i < w} (nu_i - mu_i f'^-1(w))
           + sum_{theta_i > w + 2B} (nu_i - mu_i f'^-1(w + 2B));
 
-a free coordinate adds 0, since f'^-1(theta_i) = nu_i / mu_i.  The sup is
-R at the root of R'(w) = 0, found by the Brent root finder of `refine`
-on a bracket [lo, hi], reusing the slopes at its ends.  R'(lo) > 0 for
-every input, so only hi can be the maximizer, which it is when R'(hi) >= 0.
-R'(w) = 0 is E_mu[f'^-1(h*)] = 1, so lambda = 0 at the optimum h* of
-this additively closed class, which the tests check.  R(h) is evaluated
-as the same zero-weight-skipping sums that `metrics.est_DfH` uses, and
-zero-weight points are left out of R' as well.
+a free coordinate adds 0, since f'^-1(theta_i) = nu_i / mu_i.  With nu
+and mu both of mass 1 on mu's support, R'(w) = 1 - E_mu[f'^-1(h*(w))],
+so R'(w) = 0 is E_mu[f'^-1(h*)] = 1 and lambda = 0 at the optimum h* of
+this additively closed class, which the tests check.  The sup is R at
+the root of R'(w) = 0, found by the Brent root finder of `refine` on the
+bracket [lo, hi], reusing the slopes at its ends:
+
+    lo = f'(1) - 2B - 1,  hi = min(f'(1), max theta - 2B).
+
+At lo every h*_i <= f'(1) - 1, so each f'^-1(h*_i) < 1 and R'(lo) > 0.
+At w = f'(1) every h*_i >= f'(1), so R'(w) <= 0.  At w = max theta - 2B
+no coordinate lies above the window and each one below it has
+f'^-1(w) > nu_i / mu_i, so R'(w) <= 0 again.  hi is therefore the
+maximizer exactly when no live theta lies below the window there (a ball
+wide enough for the spread of theta), and then no root search runs.
+hi + 2B <= max theta lies in dom f* unless a ratio nu / mu overflowed;
+f'(1) bounds hi when that overflow makes max theta +inf.  R(h) is
+evaluated as the same zero-weight-skipping sums that `metrics.est_DfH`
+uses, and zero-weight points are left out of R' as well.
 """
 
 from __future__ import annotations
@@ -146,22 +157,15 @@ def _primal_sup(ratio: np.ndarray, mu_w: np.ndarray, gen: GeneratorSpec,
     with np.errstate(divide="ignore"):
         theta = np.asarray(gen.f_prime(ratio))  # -inf where nu vanishes
     width = 2.0 * h_spec.norm
-    finite = np.isfinite(theta)  # all False only when every ratio nu / mu overflows
     c0 = float(gen.f_prime(1.0))
-    lo = float(theta.min(where=finite, initial=c0)) - width - 1.0
-    hi = float(theta.max(where=finite, initial=c0)) + 1.0
-    hi_dom = gen.conjugate_domain[1]
-    if math.isfinite(hi_dom):
-        hi = min(hi, hi_dom - width - 1e-12)  # still above lo, since f'(1) < hi_dom
-
     live = mu_w > 0
+    lo = c0 - width - 1.0
+    hi = min(c0, float(theta[live].max()) - width)  # R'(lo) > 0 >= R'(hi): module docstring
     args = (gen, theta[live], nu_w[live], mu_w[live], width)
     if (slope_hi := _window_slope(hi, *args)) >= 0.0:
-        w = hi
+        w = hi  # a wide ball: no live theta lies below the window, R'(hi) = 0 to rounding
     else:
-        # R'(lo) >= 1 - f'^-1(f'(1) - 1) > 0, since every theta but -inf lies
-        # above lo + 2B.  xtol 1e-15 leaves 4 eps |w| as the limit in w, so
-        # lambda at h* stays at rounding level (scipy's default 2e-12 left up to 5e-13)
+        # xtol 1e-15, not scipy's 2e-12 (lambda up to 5e-13), keeps lambda at h* at rounding level
         w = _brentq(_window_slope, lo, hi, args=args, xtol=1e-15,
                     fa=_window_slope(lo, *args), fb=slope_hi)
     h_star = np.clip(theta, w, w + width)
@@ -174,8 +178,10 @@ def primal_sup_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
     """Exact sup of R(h) over the ball h_spec on mu's support, and the h attaining it.
 
     theta = f'(nu / mu) is clipped into the window [w, w + 2B] at the
-    offset w where R'(w) = 0 (module docstring), or at the bracket's upper
-    end hi when R'(hi) >= 0; R is evaluated once, at that w.  The sup lies
+    offset w where R'(w) = 0, searched on [f'(1) - 2B - 1, min(f'(1),
+    max theta - 2B)] (module docstring).  A ball wider than the spread of
+    theta has its root at the upper end, where the search stops after
+    one slope; R is evaluated once, at that w.  The sup lies
     between 0 (the constants) and I_f(nu : mu) (every per-point function).
     """
     value, h_star = _primal_sup(discrete_ratio(nu, mu), mu.weights, gen, h_spec)

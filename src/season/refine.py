@@ -13,11 +13,13 @@ by Brent's method (`_brentq`) on a bracket: the expectation
 is strictly decreasing in lambda because f'^-1 is increasing for strictly
 convex f, so one end has a closed form and a halving or doubling search
 finds the other.  At an exactly optimal discriminator from a class closed
-under additive constants the solution is lambda = 0; it is still always
-solved rather than assumed, since finitely trained discriminators are
-inexact.  `solve_lambda` solves it for a discriminator on a finite
-distribution or a sample batch; callers that already hold h there solve
-it on those values through `_solve_lambda`, so the net runs forward once.
+under additive constants the solution is lambda = 0, so the bracket is
+anchored there: the sign of E - 1 at lambda = 0 makes 0 one end, and at
+such an optimum no search runs.  lambda is still always solved rather
+than assumed, since finitely trained discriminators are inexact.
+`solve_lambda` solves it for a discriminator on a finite distribution or
+a sample batch; callers that already hold h there solve it on those
+values through `_solve_lambda`, so the net runs forward once.
 `refined_score` without a given lambda solves it on the h of its own
 forward pass, which is how guided reverse diffusion gets one lambda per
 noise level from the chains themselves.
@@ -142,9 +144,13 @@ def _solve_lambda(gen: GeneratorSpec, h: np.ndarray,
     The weights and the tolerance come from mu_ref as in
     `solve_lambda`; zero-weight points are left out, through a masked
     copy of h and the weights.  At lambda = max(h) -
-    f'(1/2) every term is at most 1/2, so E < 1 there.  The other end of
-    the bracket moves down from it: halving the distance to max(h) - sup
-    dom f* when that supremum is finite, doubling the step when it is not.
+    f'(1/2) every term is at most 1/2, so E < 1 there.  When lambda = 0
+    lies between that end and the edge max(h) - sup dom f*, E is taken
+    there first, since 0 is the root at an exact optimum of an additively
+    closed class: E(0) >= 1 makes 0 the lower end and no search runs,
+    E(0) < 1 makes 0 the upper end.  Otherwise, and in that second case,
+    the lower end moves down from the upper one: halving the distance to
+    the edge when sup dom f* is finite, doubling the step when it is not.
     Raises DegenerateDistributionError when h is -inf on all of mu's mass,
     and LambdaSolveError when h is NaN or +inf there, when no bracket is
     found, when the root search fails or when |E - 1| at the root exceeds
@@ -167,18 +173,25 @@ def _solve_lambda(gen: GeneratorSpec, h: np.ndarray,
     top = float(h[finite].max())
     hi = top - float(gen.f_prime(0.5))
     edge = top - gen.conjugate_domain[1]  # -inf when dom f* is unbounded above
-    bounded = math.isfinite(edge)
-    step = 0.5 * (hi - edge) if bounded else 1.0
-    for _ in range(_MAX_BRACKET_STEPS):
-        lo = edge + step if bounded else hi - step
-        if (excess_lo := _excess(lo, gen, h, w)) >= 0.0:
-            break
-        step = 0.5 * step if bounded else 2.0 * step
-    else:
-        raise LambdaSolveError("expectation never reaches 1; bracket search failed")
+    lo = excess_hi = None
+    if edge < 0.0 < hi:  # lambda = 0, the root at an exact optimum, splits the bracket
+        if (excess_0 := _excess(0.0, gen, h, w)) >= 0.0:
+            lo, excess_lo = 0.0, excess_0
+        else:
+            hi, excess_hi = 0.0, excess_0
+    if lo is None:
+        bounded = math.isfinite(edge)
+        step = 0.5 * (hi - edge) if bounded else 1.0
+        for _ in range(_MAX_BRACKET_STEPS):
+            lo = edge + step if bounded else hi - step
+            if (excess_lo := _excess(lo, gen, h, w)) >= 0.0:
+                break
+            step = 0.5 * step if bounded else 2.0 * step
+        else:
+            raise LambdaSolveError("expectation never reaches 1; bracket search failed")
     # Near the edge E changes on the scale of lo - edge, so xtol shrinks with it.
     lam = _brentq(_excess, lo, hi, args=(gen, h, w), xtol=1e-15 * min(1.0, lo - edge),
-                  fa=excess_lo)
+                  fa=excess_lo, fb=excess_hi)
     residual = abs(_excess(lam, gen, h, w))
     if not residual <= tol:
         raise LambdaSolveError(f"root search stalled: |E - 1| = {residual:.3e} > {tol}")

@@ -161,6 +161,18 @@ class TestDualityCertificate:
             assert res.mass_error <= 1e-12
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    @pytest.mark.parametrize("w", [1e-40, 1e-60, 1e-100, 1e-300])
+    def test_exact_at_a_tiny_nu_weight(self, gen, w):
+        # reverse KL puts theta = -1/ratio near -1/w; the window bracket does
+        # not depend on the smallest theta, so the search still closes
+        support = np.array([[0.0], [1.0]])
+        mu = DiscreteDistribution(support, np.array([0.5, 0.5]))
+        nu = DiscreteDistribution(support, np.array([w, 1.0 - w]))
+        res = strong_duality_check(nu, mu, gen, HSpec("ball", 0.5))
+        assert abs(res.gap) <= 1e-12 * max(1.0, abs(res.primal))
+        assert res.mass_error <= 1e-12
+
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_shifted_window_fails_the_mass_check(self, gen, monkeypatch):
         # a window offset 1e-9 off the root of R'(w) leaves lambda != 0 at h,
         # so mu f'^-1(h) no longer has mass 1
@@ -251,12 +263,29 @@ class TestPrimalSup:
             primal_sup_tabular(nu, mu, replace(gen, conjugate_fn=counted), HSpec("ball", 0.5))
             assert len(calls) == 1
 
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    def test_wide_ball_takes_one_slope(self, gen):
+        # each slope R'(w) calls f_prime_inv once; a ball wider than the theta
+        # spread has its root at the bracket's upper end, so no search runs
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            nu, mu = random_discrete_pair(rng, 3, floor=0.2)
+            calls = []
+
+            def counted(s, inv=gen.f_prime_inv):
+                calls.append(1)
+                return inv(s)
+
+            primal_sup_tabular(nu, mu, replace(gen, f_prime_inv=counted), HSpec("ball", 5.0))
+            assert len(calls) == 1
+
     def test_nan_window_slope_is_a_package_error(self):
-        # a NaN slope passes the endpoint test and reaches the root search
+        # a NaN slope passes the endpoint test and reaches the root search; the
+        # ball is narrower than the theta spread, so a point lies below the window
         nu, mu = random_discrete_pair(np.random.default_rng(10), 3, floor=0.2)
         gen = replace(KL, f_prime_inv=lambda s: s * math.nan)
         with pytest.raises(LambdaSolveError, match="NaN"):
-            primal_sup_tabular(nu, mu, gen, HSpec("ball", 0.5))
+            primal_sup_tabular(nu, mu, gen, HSpec("ball", 0.1))
 
     @pytest.mark.parametrize("norm", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)

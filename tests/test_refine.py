@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,6 +68,25 @@ class TestSolveLambda:
             nu, mu = random_discrete_pair(rng, int(rng.integers(2, 7)))
             tab = exact_tabular(nu, mu, gen)
             assert abs(solve_lambda(tab, gen, mu)) <= 1e-10
+
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    def test_tabular_optimum_solves_in_few_evaluations(self, gen):
+        # each E - 1 evaluation calls f_prime_inv once; at an exact optimum the
+        # bracket ends at lambda = 0, the root, so Brent's method needs few steps
+        calls = []
+
+        def counted(s, inv=gen.f_prime_inv):
+            calls.append(1)
+            return inv(s)
+
+        gen = replace(gen, f_prime_inv=counted)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            nu, mu = random_discrete_pair(rng, int(rng.integers(2, 7)))
+            tab = exact_tabular(nu, mu, gen)
+            calls.clear()
+            solve_lambda(tab, gen, mu)
+            assert len(calls) <= 6
 
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
     def test_translation_equivariance(self, gen):
