@@ -61,9 +61,9 @@ import numpy as np
 
 from .distributions import (
     DiscreteDistribution,
+    _alignment,
     _checked_support,
     _json_numbers,
-    _row_positions,
     as_batch,
     as_generator,
     discrete_ratio,
@@ -214,7 +214,11 @@ class TabularDiscriminator:
 
     Support points follow `DiscreteDistribution`'s rule: finite, distinct,
     -0.0 read as 0.0, stored read-only.  Values may be -inf where the ratio
-    vanishes.
+    vanishes.  A support is checked once, at its first construction: the
+    constructor checks and copies the one it is given, while the exact
+    oracles (`exact_tabular`, `oracle.primal_sup_tabular`) build theirs on
+    mu's own support through `_tabular_on`, with no second check.  A
+    distribution that shares that support is aligned by identity.
     """
 
     generator: GeneratorSpec
@@ -228,12 +232,30 @@ class TabularDiscriminator:
             raise DomainError("one value per support point required")
 
     def h_for(self, dist: DiscreteDistribution) -> np.ndarray:
-        """Values aligned to dist.support; every point must be known."""
-        index = _row_positions(dist.support, self.support)
+        """Values aligned to dist.support; every point must be known.
+
+        dist's support, when it is this table's own array, takes a copy of
+        the values with no lookup.
+        """
+        index = _alignment(dist.support, self.support)
+        if index is None:
+            return self.values.copy()
         if (index < 0).any():
             row = dist.support[np.flatnonzero(index < 0)[0]]
             raise DomainError(f"discriminator undefined at support point {row}")
         return self.values[index]
+
+
+def _tabular_on(gen: GeneratorSpec, mu: DiscreteDistribution,
+                values: np.ndarray) -> TabularDiscriminator:
+    """A tabular discriminator on mu's own support, shared as `reweighted` shares it.
+
+    That support was checked when mu was built, so it is not checked again;
+    values must already be one float per point.
+    """
+    tab = object.__new__(TabularDiscriminator)
+    tab.generator, tab.support, tab.values = gen, mu.support, values
+    return tab
 
 
 def _h_values(disc, target) -> np.ndarray:
@@ -350,10 +372,7 @@ def input_grad(disc: Discriminator, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def exact_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
                   gen: GeneratorSpec) -> TabularDiscriminator:
     """Closed-form optimum h_i = f'(nu_i / mu_i) on mu's support; -inf where nu vanishes."""
-    ratio = discrete_ratio(nu, mu)
-    with np.errstate(divide="ignore"):
-        values = np.asarray(gen.f_prime(ratio))
-    return TabularDiscriminator(gen, mu.support, values)
+    return _tabular_on(gen, mu, np.asarray(gen.f_prime(discrete_ratio(nu, mu))))
 
 
 def _ascend(disc: Discriminator, x_nu: np.ndarray, x_mu: np.ndarray,

@@ -8,6 +8,13 @@ m_t = exp(-beta t) and sigma_t^2 = 1 - m_t^2.
 
 Everything is immutable after construction.  Samplers take explicit seed
 state; `split_seeds` derives independent per-worker streams.
+
+Finite supports follow two rules.  A support is checked once, at its first
+construction: `DiscreteDistribution.reweighted` and the tabular
+discriminators the exact oracles build share that read-only array and never
+check it again.  A shared support is aligned by identity: where two
+supports are the same array, `_alignment` returns None and no row is looked
+up; distinct arrays, byte-equal or not, go through `_row_positions`.
 """
 
 from __future__ import annotations
@@ -68,8 +75,10 @@ def _row_positions(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
     Rows match when their float64 bytes are equal, so 0.0 and -0.0 differ;
     both support classes store -0.0 as 0.0.  `reference` must hold distinct
-    rows.  Byte-equal arrays skip the lookup and get a fresh, writable
-    arange.  This is the one place that aligns supports.
+    rows, as every support does once it is checked, at its first
+    construction.  Byte-equal arrays skip the lookup and get a fresh,
+    writable arange.  This is the one lookup of distinct supports; a
+    support shared by identity never reaches it (`_alignment`).
     """
     if points.shape == reference.shape and points.tobytes() == reference.tobytes():
         return np.arange(points.shape[0])
@@ -77,11 +86,24 @@ def _row_positions(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return np.array([index.get(row.tobytes(), -1) for row in points], dtype=np.intp)
 
 
+def _alignment(points: np.ndarray, reference: np.ndarray) -> np.ndarray | None:
+    """None when `points` is `reference`, else `_row_positions(points, reference)`.
+
+    The one place that decides whether two supports need aligning: the same
+    array, shared through `reweighted` or an exact oracle, is aligned by
+    identity, so `discrete_ratio` and `TabularDiscriminator.h_for` use the
+    weights or values as they are.
+    """
+    return None if points is reference else _row_positions(points, reference)
+
+
 def _checked_support(support) -> np.ndarray:
     """A read-only copy of support points as `as_batch` reads them: finite and distinct.
 
     -0.0 is stored as 0.0, so that equal points have equal bytes.  The one
-    support check, for distributions and tabular discriminators alike.
+    support check, for distributions and tabular discriminators alike, run
+    once, at a support's first construction; whatever shares the result
+    does not run it again.
     """
     support = as_batch(support) + 0.0  # a fresh array, so made read-only in place
     if not np.isfinite(support).all():
@@ -162,7 +184,11 @@ class DiscreteDistribution:
         return self.support.shape[1]
 
     def reweighted(self, weights: np.ndarray) -> "DiscreteDistribution":
-        """The same support, shared since it is checked and read-only, with new weights."""
+        """The same support, shared since it is checked and read-only, with new weights.
+
+        The support is checked once, when `self` was built, and not again
+        here; the shared array is aligned with `self`'s by identity.
+        """
         other = object.__new__(DiscreteDistribution)
         object.__setattr__(other, "support", self.support)
         object.__setattr__(other, "weights", _checked_weights(weights, self.n))
@@ -328,28 +354,33 @@ def discrete_ratio(nu: DiscreteDistribution, mu: DiscreteDistribution) -> np.nda
 
     Points of mu that nu misses get ratio 0.  Raises
     AbsoluteContinuityError when nu has mass outside mu's support or at a
-    point where mu has weight 0 (the +inf divergence case).  Rows of nu
-    are masked only when some lie outside mu's support.
+    point where mu has weight 0 (the +inf divergence case).  Neither
+    support is checked here; each was checked once, at its first
+    construction.  A support shared by identity takes nu's weights as
+    they are; a distinct one is looked up row by row, and rows of nu are
+    masked only when some lie outside mu's support.
     """
-    index = _row_positions(nu.support, mu.support)
     nu_w = nu.weights
-    if (index < 0).any():
-        outside = (index < 0) & (nu_w > 0)
-        if outside.any():
-            j = int(np.flatnonzero(outside)[0])
-            raise AbsoluteContinuityError(
-                f"nu has mass {nu_w[j]} at {nu.support[j]} outside mu's support"
-            )
-        index, nu_w = index[index >= 0], nu_w[index >= 0]
-    nu_aligned = np.zeros(mu.n)
-    nu_aligned[index] = nu_w
+    index = _alignment(nu.support, mu.support)
+    if index is not None:  # distinct supports: scatter nu's weights onto mu's points
+        if (index < 0).any():
+            outside = (index < 0) & (nu_w > 0)
+            if outside.any():
+                j = int(np.flatnonzero(outside)[0])
+                raise AbsoluteContinuityError(
+                    f"nu has mass {nu_w[j]} at {nu.support[j]} outside mu's support"
+                )
+            index, nu_w = index[index >= 0], nu_w[index >= 0]
+        aligned = np.zeros(mu.n)
+        aligned[index] = nu_w
+        nu_w = aligned
     pos = mu.weights > 0
-    stray = ~pos & (nu_aligned > 0)
+    stray = ~pos & (nu_w > 0)
     if stray.any():
         raise AbsoluteContinuityError(
             f"nu has mass at {mu.support[np.flatnonzero(stray)[0]]} where mu has weight 0"
         )
-    return np.divide(nu_aligned, mu.weights, out=np.zeros(mu.n), where=pos)
+    return np.divide(nu_w, mu.weights, out=np.zeros(mu.n), where=pos)
 
 
 @malformed_input("distribution spec")

@@ -63,7 +63,7 @@ def _mc(values: np.ndarray) -> MCEstimate:
 def _masked_dot(weights: np.ndarray, values: np.ndarray) -> float:
     """sum w_i v_i skipping zero-weight terms, so 0 * (+-inf) contributes 0."""
     mask = weights != 0
-    return float((weights[mask] * values[mask]).sum()) if mask.any() else 0.0
+    return float((weights[mask] * values[mask]).sum())  # an empty sum is 0.0
 
 
 def _expect(dist, values: np.ndarray) -> MCEstimate:

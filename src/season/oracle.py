@@ -44,8 +44,10 @@ no coordinate lies above the window and each one below it has
 f'^-1(w) > nu_i / mu_i, so R'(w) <= 0 again.  hi is therefore the
 maximizer exactly when no live theta lies below the window there (a ball
 wide enough for the spread of theta), and then no root search runs.
-hi + 2B <= max theta lies in dom f* unless a ratio nu / mu overflowed;
-f'(1) bounds hi when that overflow makes max theta +inf.  R(h) is
+hi + 2B <= max theta lies in dom f*: a live theta at or above sup dom f*
+raises DomainError naming its point and ratio.  For the built-ins that
+takes a ratio nu / mu that overflowed to +inf, where kl's theta is +inf
+and reverse KL's and js_shifted's is -0.0 = sup dom f*.  R(h) is
 evaluated as the same zero-weight-skipping sums that `metrics.est_DfH`
 uses, and zero-weight points are left out of R' as well.
 """
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminator import TabularDiscriminator
+from .discriminator import TabularDiscriminator, _tabular_on
 from .distributions import DiscreteDistribution, discrete_ratio
 from .errors import DomainError
 from .generators import GeneratorSpec
@@ -150,17 +152,27 @@ def _window_slope(w: float, gen: GeneratorSpec, theta: np.ndarray, nu_w: np.ndar
             + float((nu_w - mu_w * r_hi)[theta > w + width].sum()))
 
 
-def _primal_sup(ratio: np.ndarray, mu_w: np.ndarray, gen: GeneratorSpec,
+def _primal_sup(ratio: np.ndarray, mu: DiscreteDistribution, gen: GeneratorSpec,
                 h_spec: HSpec) -> tuple[float, np.ndarray]:
-    """`primal_sup_tabular` on the ratio nu / mu and mu's weights: the sup and h*'s values."""
+    """`primal_sup_tabular` on the ratio nu / mu: the sup and h*'s values.
+
+    Raises DomainError when a live theta reaches sup dom f*, where no
+    window in dom f* holds it; for the built-ins only a ratio that
+    overflowed to +inf does.
+    """
+    mu_w = mu.weights
     nu_w = ratio * mu_w
-    with np.errstate(divide="ignore"):
-        theta = np.asarray(gen.f_prime(ratio))  # -inf where nu vanishes
+    theta = np.asarray(gen.f_prime(ratio))  # -inf where nu vanishes
     width = 2.0 * h_spec.norm
     c0 = float(gen.f_prime(1.0))
     live = mu_w > 0
+    top, edge = float(theta[live].max()), gen.conjugate_domain[1]
+    if top >= edge:
+        j = int(np.flatnonzero(live & (theta >= edge))[0])
+        raise DomainError(f"nu / mu = {ratio[j]} at {mu.support[j]} puts f' at "
+                          f"sup dom f* = {edge}, outside every window in dom f*")
     lo = c0 - width - 1.0
-    hi = min(c0, float(theta[live].max()) - width)  # R'(lo) > 0 >= R'(hi): module docstring
+    hi = min(c0, top - width)  # R'(lo) > 0 >= R'(hi): module docstring
     args = (gen, theta[live], nu_w[live], mu_w[live], width)
     if (slope_hi := _window_slope(hi, *args)) >= 0.0:
         w = hi  # a wide ball: no live theta lies below the window, R'(hi) = 0 to rounding
@@ -183,9 +195,11 @@ def primal_sup_tabular(nu: DiscreteDistribution, mu: DiscreteDistribution,
     theta has its root at the upper end, where the search stops after
     one slope; R is evaluated once, at that w.  The sup lies
     between 0 (the constants) and I_f(nu : mu) (every per-point function).
+    A ratio whose theta reaches sup dom f* raises DomainError.  The
+    returned table shares mu's support array.
     """
-    value, h_star = _primal_sup(discrete_ratio(nu, mu), mu.weights, gen, h_spec)
-    return value, TabularDiscriminator(gen, mu.support, h_star)
+    value, h_star = _primal_sup(discrete_ratio(nu, mu), mu, gen, h_spec)
+    return value, _tabular_on(gen, mu, h_star)
 
 
 @dataclass(frozen=True)
@@ -211,7 +225,7 @@ def strong_duality_check(nu: DiscreteDistribution, mu: DiscreteDistribution,
     the benchmark drops it, as it drops the `gen` parameters.
     """
     ratio = discrete_ratio(nu, mu)
-    primal, h_star = _primal_sup(ratio, mu.weights, gen, h_spec)
+    primal, h_star = _primal_sup(ratio, mu, gen, h_spec)
     live = mu.weights > 0  # nu and every Q* vanish where mu does
     mu_w = mu.weights[live]
     nu_w = ratio[live] * mu_w

@@ -164,7 +164,7 @@ def _solve_lambda(gen: GeneratorSpec, h: np.ndarray,
         w, tol = np.full(h.shape[0], 1.0 / h.shape[0]), _MC_TOL
     live = w > 0
     h, w = h[live], w[live]
-    if (np.isnan(h) | np.isposinf(h)).any():
+    if (np.isnan(h) | (h == np.inf)).any():
         raise LambdaSolveError("discriminator is NaN or +inf on mu")
     finite = np.isfinite(h)
     if not finite.any():

@@ -1,6 +1,7 @@
 """Brute-force oracles: witness optimality, simplex grids, strong duality."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +54,17 @@ class TestExactOptimalH:
         mu = two_point(0.5, 0.5)
         for gen in ALL:
             assert exact_tabular(nu, mu, gen).values[1] == -math.inf
+
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    def test_zero_nu_weight_emits_no_warning(self, gen):
+        # f'(0) divides by zero; every built-in f_prime silences that itself
+        nu = DiscreteDistribution(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 0.4, 0.6]))
+        mu = nu.reweighted(np.full(3, 1.0 / 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exact_tabular(nu, mu, gen).values[0] == -math.inf
+            primal_sup_tabular(nu, mu, gen, HSpec("ball", 0.5))
+            strong_duality_check(nu, mu, gen, HSpec("ball", 0.5))
 
 
 class TestSimplexGrid:
@@ -286,6 +298,19 @@ class TestPrimalSup:
         gen = replace(KL, f_prime_inv=lambda s: s * math.nan)
         with pytest.raises(LambdaSolveError, match="NaN"):
             primal_sup_tabular(nu, mu, gen, HSpec("ball", 0.1))
+
+    @pytest.mark.parametrize("entry", [primal_sup_tabular, strong_duality_check],
+                             ids=["primal", "duality"])
+    @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)
+    def test_overflowed_ratio_raises(self, gen, entry):
+        # nu / mu = 1 / 5e-324 is +inf: kl's theta is +inf and the others' is
+        # -0.0, both sup dom f*, where no window in dom f* holds the point
+        support = np.array([[0.0], [1.0]])
+        mu = DiscreteDistribution(support, np.array([1.0, 5e-324]))
+        nu = DiscreteDistribution(support, np.array([0.0, 1.0]))
+        with np.errstate(over="ignore"), pytest.raises(
+                DomainError, match=r"nu / mu = inf at \[1\.\] puts f' at sup dom f\*"):
+            entry(nu, mu, gen, HSpec("ball", 0.5))
 
     @pytest.mark.parametrize("norm", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("gen", ALL, ids=GENERATOR_NAMES)

@@ -1,13 +1,16 @@
 """Property tests: support alignment and the lambda normalizer at domain edges."""
 
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from season.discriminator import TabularDiscriminator
+from season import distributions
+from season.discriminator import TabularDiscriminator, exact_tabular
 from season.distributions import DiscreteDistribution, _row_positions, discrete_ratio
 from season.errors import (
     AbsoluteContinuityError,
@@ -15,7 +18,9 @@ from season.errors import (
     DomainError,
     LambdaSolveError,
 )
+from season.experiments import identity_terms, random_discrete_pair
 from season.generators import GENERATOR_NAMES, get_generator
+from season.oracle import HSpec, strong_duality_check
 from season.refine import solve_lambda
 
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -61,6 +66,95 @@ def test_byte_equal_support_gets_a_fresh_writable_arange():
     assert first.flags.writeable and not np.shares_memory(first, mu.support)
     first[0] = 7  # metrics._aligned_weights writes into the positions
     assert _row_positions(mu.support.copy(), mu.support).tolist() == [0, 1, 2]
+
+
+def shared_and_rebuilt(seed):
+    """A seeded pair (nu, mu) sharing one support, and the same pair on distinct copies.
+
+    1-8 points in 1 or 2 dimensions; nu has zero weights, mu has zero
+    weights where nu has none, and about one pair in four puts some of nu's
+    mass where mu has weight 0.  The rebuilt pair's supports are distinct,
+    byte-equal arrays, so every alignment on it is a row lookup.
+    """
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 9))
+    support = rng.standard_normal((k, int(rng.integers(1, 3))))
+    wn = rng.uniform(0.05, 1.0, k) * (rng.uniform(size=k) > 0.3)
+    if not wn.any():
+        wn[rng.integers(k)] = 1.0
+    wm = rng.uniform(0.05, 1.0, k) * ((wn > 0) | (rng.uniform(size=k) > 0.5))
+    if rng.uniform() < 0.25 and np.count_nonzero(wm) > 1:  # stray mass
+        wm[rng.choice(np.flatnonzero((wn > 0) & (wm > 0)))] = 0.0
+    wn, wm = wn / wn.sum(), wm / wm.sum()
+    nu = DiscreteDistribution(support, wn)
+    return (nu, nu.reweighted(wm)), (DiscreteDistribution(support, wn),
+                                     DiscreteDistribution(support, wm))
+
+
+def outcome(fn, *args):
+    """The bytes of fn's result (an array, or a dataclass by its repr), or its error."""
+    try:
+        out = fn(*args)
+    except (AbsoluteContinuityError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, np.ndarray):
+        return out.dtype.str, out.shape, out.tobytes()
+    return repr(out)
+
+
+def shared_support_outcomes(nu, mu, gen, tabular):
+    """discrete_ratio, h_for on nu and mu, identity_terms and strong_duality_check."""
+    try:
+        tab = tabular(nu, mu, gen)
+    except AbsoluteContinuityError as exc:
+        tab_outcomes = [(type(exc).__name__, str(exc))] * 2
+    else:
+        tab_outcomes = [outcome(tab.h_for, nu), outcome(tab.h_for, mu)]
+    return [outcome(discrete_ratio, nu, mu), *tab_outcomes,
+            outcome(identity_terms, nu, mu, gen),
+            outcome(strong_duality_check, nu, mu, gen, HSpec("ball", 0.5))]
+
+
+def rebuilt_tabular(nu, mu, gen):
+    """exact_tabular's values on a table that checks and copies mu's support."""
+    return TabularDiscriminator(gen, mu.support, exact_tabular(nu, mu, gen).values)
+
+
+@pytest.mark.parametrize("gen", [get_generator(n) for n in GENERATOR_NAMES],
+                         ids=GENERATOR_NAMES)
+def test_a_shared_support_gives_the_bytes_of_a_rebuilt_one(gen):
+    seen = Counter()
+    for seed in range(60):
+        (nu, mu), (nu_b, mu_b) = shared_and_rebuilt(seed)
+        assert nu.support is mu.support and nu_b.support is not mu_b.support
+        shared = shared_support_outcomes(nu, mu, gen, exact_tabular)
+        assert shared == shared_support_outcomes(nu_b, mu_b, gen, rebuilt_tabular)
+        seen.update("raised" if isinstance(o, tuple) and len(o) == 2 else "returned"
+                    for o in shared)
+    assert seen["raised"] > 0 and seen["returned"] > 0
+
+
+def test_a_shared_support_is_neither_looked_up_nor_rechecked(monkeypatch):
+    nu, mu = random_discrete_pair(np.random.default_rng(5), 4)
+    calls = Counter()
+    for name in ("_row_positions", "_checked_support"):
+        original = getattr(distributions, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        # wherever a season module binds the name: distributions, discriminator, metrics
+        for module in [m for key, m in sys.modules.items() if key.startswith("season")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    for name in GENERATOR_NAMES:
+        identity_terms(nu, mu, get_generator(name))
+        strong_duality_check(nu, mu, get_generator(name), HSpec("ball", 0.5))
+    assert calls == Counter()
+    # the counters count: a rebuilt mu is checked once and looked up once
+    discrete_ratio(nu, DiscreteDistribution(mu.support, mu.weights))
+    assert calls == Counter({"_row_positions": 1, "_checked_support": 1})
 
 
 @pytest.mark.parametrize("points, reference, expected", [
